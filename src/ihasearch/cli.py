@@ -66,12 +66,9 @@ class InputError(Exception):
 
 @dataclasses.dataclass
 class RunSpec:
-    """Where a subcommand writes artifacts and how it was invoked."""
+    """Where a subcommand writes artifacts."""
 
-    subcommand: str
     out_dir: Path
-    seed: int | None = None
-    verbosity: int = 0
 
     def prepare(self, force: bool) -> Path:
         """Create the output directory; refuse to clobber a prior manifest."""
@@ -238,7 +235,7 @@ def front_scatter_svg(members) -> str:
 
 def cmd_search(args) -> int:
     cfg = _load_search_config(args)
-    spec = RunSpec("search", Path(args.out), seed=cfg.seed, verbosity=args.verbose)
+    spec = RunSpec(Path(args.out))
     manifest = spec.prepare(args.force)
 
     surrogate = None
@@ -332,7 +329,7 @@ def cmd_pack(args) -> int:
     genome = _load_genome_checked(args.genome)
     grid = _load_grid(args.grid)
     workload = Workload(args.prefill_tokens, args.decode_tokens)
-    spec = RunSpec("pack", Path(args.out), verbosity=args.verbose)
+    spec = RunSpec(Path(args.out))
     manifest = spec.prepare(args.force)
 
     profiles = profile_model(genome, workload)
@@ -415,8 +412,7 @@ def _split_checked(genomes, labels, test_frac: float, seed: int):
 def cmd_surrogate_train(args) -> int:
     genomes, labels = _load_corpus_checked(args.corpus)
     corpus = _split_checked(genomes, labels, args.test_frac, args.split_seed)
-    spec = RunSpec("surrogate-train", Path(args.out), seed=args.seed,
-                   verbosity=args.verbose)
+    spec = RunSpec(Path(args.out))
     manifest = spec.prepare(args.force)
 
     model, history = train(corpus, epochs=args.epochs, batch_size=args.batch_size,
@@ -526,7 +522,7 @@ def _replicated_weights(gene: LayerGene, w: AttnWeights) -> AttnWeights:
     return AttnWeights(w.wq, wk, wv, w.wo)
 
 
-def run_kernel_property_suite(trials: int = 25, seed: int = 0, tol: float = 1e-10,
+def run_kernel_property_suite(trials: int = 25, seed: int = 0,
                               d_model: int = 96, t_len: int = 12) -> dict[str, float]:
     """Worst observed error per property over random genes and inputs.
 
@@ -586,7 +582,7 @@ def run_kernel_property_suite(trials: int = 25, seed: int = 0, tol: float = 1e-1
 
 
 def cmd_check_iha(args) -> int:
-    worst = run_kernel_property_suite(trials=args.trials, seed=args.seed, tol=args.tol)
+    worst = run_kernel_property_suite(trials=args.trials, seed=args.seed)
     all_ok = True
     for name, err in worst.items():
         ok = err < args.tol

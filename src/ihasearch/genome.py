@@ -9,6 +9,7 @@ and "iha" (all four shape fields free on their grids).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -165,6 +166,12 @@ def _largest_divisor_at_most(n: int, cap: int) -> int:
     return 1
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_sets(ranges: SpaceRanges) -> tuple[frozenset[int], ...]:
+    """Grid points of each numeric field, in NUMERIC_FIELDS order."""
+    return tuple(frozenset(ranges.field(name).values()) for name in NUMERIC_FIELDS)
+
+
 def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
     """Project a genome onto the valid space. Idempotent.
 
@@ -177,8 +184,23 @@ def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
     ranges = ranges or SpaceRanges()
     g = genome.global_cfg
     gcfg = GlobalConfig(max(1, g.d_model), max(1, g.block_size), max(1, g.max_layers))
+    on_n_h, on_n_kv, on_d_qk, on_d_v, on_d_mlp = _grid_sets(ranges)
 
     def fix(gene: LayerGene) -> LayerGene:
+        # Fast path: a gene already on the valid space is its own projection.
+        # Only exact ints qualify; a bool or numpy int would serialize
+        # differently from the int the full projection returns.
+        if (
+            type(gene.mask) is int and type(gene.attn) is int
+            and type(gene.n_h) is int and type(gene.n_kv) is int
+            and type(gene.d_qk) is int and type(gene.d_v) is int
+            and type(gene.d_mlp) is int
+            and gene.mask in (0, 1) and gene.attn in (0, 1)
+            and gene.n_h in on_n_h and gene.n_kv in on_n_kv
+            and gene.d_qk in on_d_qk and gene.d_v in on_d_v and gene.d_mlp in on_d_mlp
+            and 1 <= gene.n_kv <= gene.n_h and gene.n_h % gene.n_kv == 0
+        ):
+            return gene
         n_h = ranges.n_h.snap(gene.n_h)
         n_kv = _largest_divisor_at_most(n_h, ranges.n_kv.snap(gene.n_kv))
         return LayerGene(

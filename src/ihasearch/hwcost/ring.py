@@ -130,10 +130,6 @@ class RingPlan:
             for stage in self.partition
         ]
 
-    @property
-    def bottleneck_ops(self) -> float:
-        return max(sum(self.profiles[i].decode_ops for i in s) for s in self.partition)
-
 
 @dataclass(frozen=True)
 class RingResult:

@@ -105,15 +105,19 @@ class ObjectiveVector:
     violation: float = 0.0
 
 
-def _as_vec(p) -> ObjectiveVector:
+def as_objective_vector(p) -> ObjectiveVector:
+    """Accept an ObjectiveVector, an object exposing ``objective_vector()``,
+    or a plain value sequence (treated as feasible)."""
     if isinstance(p, ObjectiveVector):
         return p
+    if hasattr(p, "objective_vector"):
+        return p.objective_vector()
     return ObjectiveVector(tuple(float(v) for v in p))
 
 
 def dominates(a, b) -> bool:
     """Plain objective domination: a <= b everywhere, strict somewhere."""
-    av, bv = _as_vec(a).values, _as_vec(b).values
+    av, bv = as_objective_vector(a).values, as_objective_vector(b).values
     if len(av) != len(bv):
         raise ValueError("dimension mismatch")
     return all(x <= y for x, y in zip(av, bv)) and any(x < y for x, y in zip(av, bv))
@@ -122,7 +126,7 @@ def dominates(a, b) -> bool:
 def constrained_dominates(a, b) -> bool:
     """Constraint domination: feasible beats infeasible; among infeasible,
     lower violation wins; among feasible, plain domination."""
-    a, b = _as_vec(a), _as_vec(b)
+    a, b = as_objective_vector(a), as_objective_vector(b)
     if a.feasible and not b.feasible:
         return True
     if not a.feasible and b.feasible:
@@ -132,29 +136,39 @@ def constrained_dominates(a, b) -> bool:
     return dominates(a, b)
 
 
+def objective_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (n, m), feasibility (n,) and violation (n,) of a point list;
+    points are anything ``as_objective_vector`` accepts."""
+    vecs = [as_objective_vector(p) for p in points]
+    dims = {len(v.values) for v in vecs}
+    if len(dims) > 1:
+        raise ValueError("points must share one dimensionality")
+    m = dims.pop() if dims else 0
+    values = np.array([v.values for v in vecs], dtype=float).reshape(len(vecs), m)
+    feasible = np.array([v.feasible for v in vecs], dtype=bool)
+    violation = np.array([v.violation for v in vecs], dtype=float)
+    return values, feasible, violation
+
+
+def constraint_dominance_matrix(
+    values: np.ndarray, feasible: np.ndarray, violation: np.ndarray
+) -> np.ndarray:
+    """(n, n) boolean matrix whose entry [i, j] is ``constrained_dominates(i, j)``."""
+    le = (values[:, None, :] <= values[None, :, :]).all(axis=2)
+    lt = (values[:, None, :] < values[None, :, :]).any(axis=2)
+    fi, fj = feasible[:, None], feasible[None, :]
+    lower_violation = violation[:, None] < violation[None, :]
+    return (fi & fj & le & lt) | (fi & ~fj) | (~fi & ~fj & lower_violation)
+
+
 def pareto_front(points) -> list[int]:
     """Indices of constraint-non-dominated points, in input order.
 
     Duplicated objective vectors are mutually non-dominating, so all copies
     are kept.
     """
-    vecs = [_as_vec(p) for p in points]
-    if not vecs:
-        return []
-    dims = {len(v.values) for v in vecs}
-    if len(dims) != 1:
-        raise ValueError("points must share one dimensionality")
-    feas = [i for i, v in enumerate(vecs) if v.feasible]
-    if not feas:
-        best = min(v.violation for v in vecs)
-        return [i for i, v in enumerate(vecs) if v.violation == best]
-    vals = np.array([vecs[i].values for i in feas], dtype=float)
-    # vectorized all-pairs strict domination test
-    le = (vals[:, None, :] <= vals[None, :, :]).all(axis=2)
-    lt = (vals[:, None, :] < vals[None, :, :]).any(axis=2)
-    dom = le & lt
-    keep = ~dom.any(axis=0)
-    return [feas[j] for j in range(len(feas)) if keep[j]]
+    dom = constraint_dominance_matrix(*objective_arrays(points))
+    return np.flatnonzero(~dom.any(axis=0)).tolist()
 
 
 def crowding_distance(values) -> np.ndarray:
@@ -197,7 +211,7 @@ def hypervolume_2d(points, ref) -> float:
     vals = []
     skipped = 0
     for p in points:
-        v = _as_vec(p).values
+        v = as_objective_vector(p).values
         if len(v) != 2:
             raise ValueError("hypervolume_2d needs 2-D points")
         if v[0] < r1 and v[1] < r2:

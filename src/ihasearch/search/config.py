@@ -3,9 +3,10 @@ the evolutionary loop consumes, plus the two standard presets."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
-from ..hwcost import builtin_substrate_names
+from ..hwcost import builtin_substrate_names, load_substrate
 
 EVALUATORS = ("surrogate", "oracle")
 
@@ -63,9 +64,13 @@ class SearchConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive int, got {v!r}")
+        for name in ("crossover_rate", "mutation_rate", "replay_ratio", "val_loss_max"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         for name in ("crossover_rate", "mutation_rate"):
             v = getattr(self, name)
-            if not 0.0 <= float(v) <= 1.0:
+            if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v!r}")
         for name in ("refine_every_generations", "refine_batch_size"):
             v = getattr(self, name)
@@ -73,7 +78,7 @@ class SearchConfig:
                 raise ValueError(f"{name} must be a non-negative int, got {v!r}")
         if not isinstance(self.mc_dropout_passes, int) or self.mc_dropout_passes < 1:
             raise ValueError(f"mc_dropout_passes must be >= 1, got {self.mc_dropout_passes!r}")
-        if float(self.replay_ratio) < 0:
+        if self.replay_ratio < 0:
             raise ValueError(f"replay_ratio must be >= 0, got {self.replay_ratio!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
@@ -85,6 +90,10 @@ class SearchConfig:
             raise ValueError(f"variation must be 'nsga' or 'random', got {self.variation!r}")
         if self.refine_every_generations > 0 and self.evaluator != "surrogate":
             raise ValueError("refinement events require evaluator='surrogate'")
+        if not isinstance(self.mutation_rates, MutationRates):
+            raise ValueError(
+                f"mutation_rates must be an object of rates, got {self.mutation_rates!r}"
+            )
         _validate_backend(self.backend)
 
     def to_dict(self) -> dict:
@@ -114,11 +123,19 @@ class SearchConfig:
 
 
 def _validate_backend(backend: str) -> None:
+    if not isinstance(backend, str):
+        raise ValueError(f"backend must be a string, got {backend!r}")
     if backend == "ring":
         return
     if backend.startswith("analytic:"):
         name = backend.split(":", 1)[1]
-        if name in builtin_substrate_names() or name.endswith(".json"):
+        if name in builtin_substrate_names():
+            return
+        if name.endswith(".json"):
+            try:
+                load_substrate(name)
+            except (OSError, ValueError, TypeError) as exc:
+                raise ValueError(f"cannot load substrate file {name!r}: {exc}") from exc
             return
         raise ValueError(
             f"unknown substrate {name!r}; builtins are {builtin_substrate_names()}"

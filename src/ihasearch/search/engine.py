@@ -109,7 +109,9 @@ class SearchResult:
 
     ``evaluated`` lists every individual in the order it was scored (initial
     population first, then each generation's offspring), which is what the
-    archive-correctness and audit checks consume."""
+    archive-correctness and audit checks consume.  It holds one entry per
+    requested evaluation, repeats of a genome included, and
+    ``n_evaluations`` counts the same requests."""
 
     config: SearchConfig
     population: list[Individual]
@@ -234,22 +236,37 @@ class _SearchEngine:
             self.repair_fn = lambda g: repair(g, self.ranges)
         self.n_evaluations = 0
         self.evaluated: list[Individual] = []
+        # Per-run memo of what is a pure function of the genome: its id, the
+        # backend's hardware cost and, under evaluator="oracle", its label.
+        # Keyed by the genome value, which is exact (unlike the short id).
+        self._scored: dict[ArchGenome, tuple] = {}
 
     # -- evaluation ------------------------------------------------------
-    def _quality(self, genomes: list[ArchGenome]) -> np.ndarray:
-        if self.cfg.evaluator == "surrogate":
-            return np.asarray(self.model.predict_genomes(genomes), dtype=float)
-        return np.array([self.oracle_fn(g) for g in genomes], dtype=float)
+    def _score(self, genome: ArchGenome) -> tuple:
+        """(genome id, hardware cost, ring result, oracle label) of a genome,
+        computed on its first request in this run.  The label is None under
+        the surrogate evaluator, whose predictions are never memoised."""
+        hit = self._scored.get(genome)
+        if hit is None:
+            cost, ring = self.backend(genome)
+            label = float(self.oracle_fn(genome)) if self.cfg.evaluator == "oracle" else None
+            hit = self._scored[genome] = (genome_id(genome), cost, ring, label)
+        return hit
 
     def evaluate(self, genomes: list[ArchGenome], gen: int) -> list[Individual]:
+        """Score every requested genome; each request yields one Individual
+        born at ``gen``, and repeats of a genome reuse its memoised parts."""
         for g in genomes:
             problems = validate(g, self.ranges)
             if problems:
                 raise AssertionError(f"operator emitted an invalid genome: {problems}")
-        quality = self._quality(genomes)
+        scored = [self._score(g) for g in genomes]
+        if self.cfg.evaluator == "surrogate":
+            quality = np.asarray(self.model.predict_genomes(genomes), dtype=float)
+        else:
+            quality = [label for _, _, _, label in scored]
         out = []
-        for g, v in zip(genomes, quality):
-            cost, ring = self.backend(g)
+        for g, (gid, cost, ring, _), v in zip(genomes, scored, quality):
             v = float(v)
             if cost is None or not np.isfinite(v):
                 e = ttft = tpot = float("inf")
@@ -261,7 +278,7 @@ class _SearchEngine:
             out.append(
                 Individual(
                     genome=g,
-                    gid=genome_id(g),
+                    gid=gid,
                     val_loss=v,
                     e_tok_j=float(e),
                     ttft_s=float(ttft),
@@ -299,7 +316,9 @@ class _SearchEngine:
                 child = p1.genome
             if self.rng.random() < cfg.mutation_rate:
                 child = mutate(child, self.rng, cfg.mutation_rates, self.ranges, self.repair_fn)
-            offspring.append(self.repair_fn(child))
+            # crossover and mutate end in repair_fn and a clone is a parent,
+            # so every child is already on the search space
+            offspring.append(child)
         return offspring
 
     # -- refinement ------------------------------------------------------
@@ -410,7 +429,11 @@ def run_search(
     oracle_fn: Callable[[ArchGenome], float] | None = None,
 ) -> SearchResult:
     """Run the full generation loop and return population, archive, stats,
-    and the refinement-event log.  Deterministic given the config seed."""
+    and the refinement-event log.  Deterministic given the config seed.
+
+    ``oracle_fn`` must be a pure function of the genome, as ``synth_oracle``
+    is: a run computes the label of each distinct genome once and reuses it
+    for every repeat of that genome."""
     return _SearchEngine(config, surrogate, corpus, ranges, global_cfg, oracle_fn).run()
 
 

@@ -5,19 +5,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..metrics import ObjectiveVector, constrained_dominates, crowding_distance
-
-
-def _as_vectors(items: Sequence) -> list[ObjectiveVector]:
-    out = []
-    for it in items:
-        if isinstance(it, ObjectiveVector):
-            out.append(it)
-        elif hasattr(it, "objective_vector"):
-            out.append(it.objective_vector())
-        else:
-            out.append(ObjectiveVector(tuple(float(x) for x in it)))
-    return out
+from ..metrics import (
+    as_objective_vector,
+    constraint_dominance_matrix,
+    crowding_distance,
+    objective_arrays,
+)
 
 
 def fast_nondominated_sort(items: Sequence) -> list[list[int]]:
@@ -27,36 +20,23 @@ def fast_nondominated_sort(items: Sequence) -> list[list[int]]:
     plain value tuples (treated as feasible).  Front order and the index
     order inside each front are deterministic (ascending indices).
     """
-    vecs = _as_vectors(items)
-    n = len(vecs)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    n_dominators = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if constrained_dominates(vecs[i], vecs[j]):
-                dominated_by[i].append(j)
-                n_dominators[j] += 1
-            elif constrained_dominates(vecs[j], vecs[i]):
-                dominated_by[j].append(i)
-                n_dominators[i] += 1
+    dom = constraint_dominance_matrix(*objective_arrays(items))
+    # dominators not yet peeled off; peeled points are parked at -1
+    n_dominators = dom.sum(axis=0)
     fronts = []
-    current = [i for i in range(n) if n_dominators[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                n_dominators[j] -= 1
-                if n_dominators[j] == 0:
-                    nxt.append(j)
-        current = sorted(nxt)
+    current = np.flatnonzero(n_dominators == 0)
+    while current.size:
+        fronts.append(current.tolist())
+        n_dominators[current] = -1
+        n_dominators -= dom[current].sum(axis=0)
+        current = np.flatnonzero(n_dominators == 0)
     return fronts
 
 
 def rank_and_crowd(items: Sequence) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
     """Per-individual front rank (0-based) and within-front crowding
     distance, computed on the raw objective values."""
-    vecs = _as_vectors(items)
+    vecs = [as_objective_vector(it) for it in items]
     fronts = fast_nondominated_sort(vecs)
     rank = np.zeros(len(vecs), dtype=int)
     crowd = np.zeros(len(vecs), dtype=float)

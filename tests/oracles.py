@@ -101,6 +101,111 @@ def brute_nondominated_sort(points):
     return fronts
 
 
+def brute_constrained_dominates(a, b):
+    """Constraint domination of (values, feasible, violation) triples, case
+    by case: feasible beats infeasible, two infeasible points compare by
+    violation, two feasible points by plain domination."""
+    (av, af, aviol), (bv, bf, bviol) = a, b
+    if af and bf:
+        return brute_dominates(av, bv)
+    if af and not bf:
+        return True
+    if bf and not af:
+        return False
+    return aviol < bviol
+
+
+def brute_constrained_sort(points):
+    """Peel fronts of (values, feasible, violation) triples: each front is
+    every remaining point that no other remaining point dominates."""
+    remaining = list(range(len(points)))
+    fronts = []
+    while remaining:
+        front = [
+            j for j in remaining
+            if not any(brute_constrained_dominates(points[i], points[j])
+                       for i in remaining if i != j)
+        ]
+        fronts.append(front)
+        remaining = [i for i in remaining if i not in front]
+    return fronts
+
+
+def brute_crowding(values):
+    """Per-objective neighbour gaps over the objective's span; both ends of
+    each stable order get +inf; spans that are zero or not finite add
+    nothing; fronts of one or two points are all +inf."""
+    n = len(values)
+    if n <= 2:
+        return [math.inf] * n
+    dist = [0.0] * n
+    for j in range(len(values[0])):
+        order = sorted(range(n), key=lambda i: values[i][j])
+        lo, hi = values[order[0]][j], values[order[-1]][j]
+        dist[order[0]] = dist[order[-1]] = math.inf
+        if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+            continue
+        for k in range(1, n - 1):
+            i = order[k]
+            dist[i] = dist[i] + (values[order[k + 1]][j] - values[order[k - 1]][j]) / (hi - lo)
+    return dist
+
+
+def brute_survival(points, n_keep):
+    """Whole fronts while they fit; the front that overflows keeps its
+    largest crowding distances, ties by ascending index."""
+    if n_keep >= len(points):
+        return list(range(len(points)))
+    kept = []
+    for front in brute_constrained_sort(points):
+        if len(kept) + len(front) <= n_keep:
+            kept += front
+            if len(kept) == n_keep:
+                break
+            continue
+        crowd = brute_crowding([points[i][0] for i in front])
+        ranked = sorted(range(len(front)), key=lambda k: (-crowd[k], front[k]))
+        kept += [front[k] for k in ranked[: n_keep - len(kept)]]
+        break
+    return kept
+
+
+def brute_repair(genome, ranges):
+    """Literal grid projection of every field of every gene, written out
+    without the package's helpers; returns (global, layers) as plain int
+    tuples in LayerGene field order."""
+    g = genome.global_cfg
+    max_layers = max(1, g.max_layers)
+    glob = (max(1, g.d_model), max(1, g.block_size), max_layers)
+
+    def nearest(x, fr):
+        points = list(range(fr.lo, fr.hi + 1, fr.step))
+        # smallest distance, ties to the smaller grid value
+        return min(points, key=lambda p: (abs(p - int(x)), p))
+
+    def fix(gene):
+        n_h = nearest(gene.n_h, ranges.n_h)
+        cap = nearest(gene.n_kv, ranges.n_kv)
+        divisors = [d for d in range(1, min(cap, n_h) + 1) if n_h % d == 0]
+        return (
+            1 if gene.mask >= 1 else 0,
+            1 if gene.attn >= 1 else 0,
+            n_h,
+            max(divisors, default=1),
+            nearest(gene.d_qk, ranges.d_qk),
+            nearest(gene.d_v, ranges.d_v),
+            nearest(gene.d_mlp, ranges.d_mlp),
+        )
+
+    layers = [fix(gene) for gene in genome.layers[:max_layers]]
+    while len(layers) < max_layers:
+        layers.append((0, 1, ranges.n_h.lo, ranges.n_kv.lo, ranges.d_qk.lo,
+                       ranges.d_v.lo, ranges.d_mlp.lo))
+    if not any(layer[0] == 1 for layer in layers):
+        layers[0] = (1,) + layers[0][1:]
+    return glob, tuple(layers)
+
+
 def brute_hypervolume_2d(points, ref):
     """Inclusion-exclusion over box intersections."""
     boxes = [p for p in points if p[0] < ref[0] and p[1] < ref[1]]

@@ -220,6 +220,29 @@ class TestSearch:
         assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "x"),
                      "--backend", "warp-drive"]) == 2
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("crossover_rate", "0.5", "crossover_rate"),
+        ("val_loss_max", float("nan"), "val_loss_max"),
+        ("replay_ratio", float("inf"), "replay_ratio"),
+        ("backend", "analytic:missing.json", "missing.json"),
+        ("backend", 5, "backend"),
+        ("mutation_rates", 5, "mutation_rates"),
+    ])
+    def test_bad_field_value_exits_2(self, tmp_path, capsys, field, value, named):
+        cfg = write_cfg(tmp_path, **{field: value})
+        out = tmp_path / "x"
+        assert main(["search", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "archive.csv").exists()
+
+    def test_substrate_file_backend_runs(self, tmp_path, capsys):
+        from importlib import resources
+        spec = tmp_path / "mine.json"
+        spec.write_text((resources.files("ihasearch.hwcost") / "substrates"
+                         / "gemmini.json").read_text())
+        cfg = write_cfg(tmp_path, backend=f"analytic:{spec}")
+        assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
     def test_surrogate_run_with_refinement_events(self, tmp_path, capsys,
                                                   checkpoint, corpus_file):
         cfg = write_cfg(tmp_path, evaluator="surrogate", refine_every_generations=2,

@@ -1,4 +1,5 @@
 """Genome validation, repair, counting and serialization."""
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihasearch import genome as gn
+from oracles import brute_repair
 
 
 def make_genome(layers, d_model=768, block_size=1024, max_layers=None):
@@ -203,6 +205,84 @@ class TestValidateRepair:
         once = gn.repair(g)
         assert gn.validate(once) == []
         assert gn.repair(once) == once
+
+
+# Field values that reach both repair paths: on-grid ints (fast path), and
+# off-grid, negative, bool and numpy-int values (full projection).  The
+# valid-gene strategies put whole genes on the grids of each space.
+_FIELD = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 4, 6, 8, 12, 16, 64, 96, 512, 768, 1024, 4096]),
+    st.integers(-600, 5000),
+    st.booleans(),
+    st.integers(-4, 600).map(np.int64),
+)
+_VALID_GENE = st.builds(
+    gn.LayerGene,
+    mask=st.sampled_from([0, 1]),
+    attn=st.sampled_from([0, 1]),
+    n_h=st.just(12),
+    n_kv=st.sampled_from([1, 2, 3, 4, 6, 12]),
+    d_qk=st.sampled_from([64, 96, 512]),
+    d_v=st.sampled_from([64, 128]),
+    d_mlp=st.sampled_from([512, 768, 4096]),
+)
+_ANY_GENE = st.builds(gn.LayerGene, *([_FIELD] * 7))
+# a second space whose grids start at or below zero (repair is idempotent only
+# when every divisor of an n_h lies on the n_kv grid, as here)
+_ODD_RANGES = gn.SpaceRanges(
+    n_h=gn.FieldRange(0, 2, 9),
+    n_kv=gn.FieldRange(1, 1, 10),
+    d_qk=gn.FieldRange(-64, 32, 64),
+    d_v=gn.FieldRange(8, 8, 40),
+    d_mlp=gn.FieldRange(-5, 5, 30),
+)
+_ODD_GRID_GENE = st.builds(
+    gn.LayerGene,
+    *[st.sampled_from([0, 1])] * 2,
+    *[st.sampled_from(_ODD_RANGES.field(name).values()) for name in gn.NUMERIC_FIELDS],
+)
+
+
+def _brute_json(genome, ranges):
+    glob, layers = brute_repair(genome, ranges)
+    return gn.to_json(
+        gn.ArchGenome(gn.GlobalConfig(*glob), tuple(gn.LayerGene(*l) for l in layers))
+    )
+
+
+class TestRepairFastPath:
+    @given(
+        genes=st.lists(st.one_of(_VALID_GENE, _ODD_GRID_GENE, _ANY_GENE), max_size=9),
+        max_layers=st.integers(-1, 7),
+        ranges=st.sampled_from([gn.SpaceRanges(), _ODD_RANGES]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_projection_and_is_idempotent(self, genes, max_layers, ranges):
+        g = gn.ArchGenome(gn.GlobalConfig(768, 1024, max_layers), tuple(genes))
+        once = gn.repair(g, ranges)
+        assert gn.to_json(once) == _brute_json(g, ranges)
+        assert gn.to_json(gn.repair(once, ranges)) == gn.to_json(once)
+
+    def test_valid_gene_is_returned_as_is(self):
+        g = gn.repair(make_genome([ACTIVE, INACTIVE]))
+        assert g.layers[0] is ACTIVE and g.layers[1] is INACTIVE
+
+    @pytest.mark.parametrize("field", ["mask", "attn", "n_kv"])
+    def test_bool_fields_become_ints(self, field):
+        fixed = gn.repair(make_genome([dataclasses.replace(ACTIVE, **{field: True})]))
+        assert type(getattr(fixed.layers[0], field)) is int
+        assert f'"{field}":1' in gn.to_json(fixed)
+
+    def test_numpy_int_fields_become_ints(self):
+        gene = gn.LayerGene(*map(np.int64, dataclasses.astuple(ACTIVE)))
+        fixed = gn.repair(make_genome([gene]))
+        assert all(type(v) is int for v in dataclasses.astuple(fixed.layers[0]))
+        assert gn.to_json(fixed) == gn.to_json(make_genome([ACTIVE]))
+
+    def test_all_inactive_and_wrong_lengths(self):
+        for genes, max_layers in [([INACTIVE] * 3, 3), ([ACTIVE], 4), ([ACTIVE] * 6, 2)]:
+            g = make_genome(genes, max_layers=max_layers)
+            assert gn.to_json(gn.repair(g)) == _brute_json(g, gn.SpaceRanges())
 
 
 class TestRandomGenome:

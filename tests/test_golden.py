@@ -1,0 +1,84 @@
+"""Golden artifact hashes for small fixed search runs.
+
+Each case runs ``ihasearch search`` through ``main()`` and pins the sha256
+of the three deterministic artifacts.  A refactor that means to keep
+behaviour must leave every hash unchanged; a change that means to move
+numbers updates the table below and says so in CHANGES.md.
+
+The oracle cases cover NSGA variation in the IHA and grouped-query spaces
+and random variation; the ring case covers the multi-chip backend.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from ihasearch.cli import main
+
+ARTIFACTS = ("archive.csv", "generations.csv", "events.jsonl")
+
+_ORACLE = {
+    "population_size": 12,
+    "offspring_size": 16,
+    "generations": 6,
+    "refine_every_generations": 0,
+    "evaluator": "oracle",
+    "backend": "analytic:gemmini",
+    "seed": 5,
+}
+
+CASES = {
+    "nsga_iha": dict(_ORACLE, variation="nsga", space="iha"),
+    "random_iha": dict(_ORACLE, variation="random", space="iha"),
+    "nsga_gqa": dict(_ORACLE, variation="nsga", space="gqa"),
+    "ring_oracle": {
+        "population_size": 8,
+        "offspring_size": 6,
+        "generations": 3,
+        "refine_every_generations": 0,
+        "evaluator": "oracle",
+        "backend": "ring",
+        "val_loss_max": 3.5,
+        "prefill_tokens": 512,
+        "decode_tokens": 256,
+        "seed": 2,
+    },
+}
+
+GOLDEN = {
+    "nsga_gqa": {
+        "archive.csv": "e3aa22f7947435705a38f938366f084d8bb4b3e43f9b3d0f690e34069e9f6dde",
+        "generations.csv": "e88235feb84cf0b3bc45f21e7cca09b117dc6e91437640f23340f0de37c659c3",
+        "events.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "nsga_iha": {
+        "archive.csv": "bed780947d67c7851de2daa380accc669d19fe903e50fa8ce8f564e3915e85c1",
+        "generations.csv": "33016f8c96a66a3e991fe61cd13396547238e8c6190cf640add9838f3dda480a",
+        "events.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "random_iha": {
+        "archive.csv": "b7f3a1782958c43f0120f93fba72e540e67a540b2ae3619881ef84f9637d4621",
+        "generations.csv": "37f1a15dd68a73054f15cb7284d923b13174cf532bcb329249cfce8638b408f2",
+        "events.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "ring_oracle": {
+        "archive.csv": "12aa4f416651cac8bc82335574e4fc3418079c3ddad2d35a654397cca8ab5d11",
+        "generations.csv": "c88df68e396ac313c09171d956989dfc67178f9e853fd5d6d6cbf079241d1635",
+        "events.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+}
+
+
+def _artifact_hashes(tmp_path, cfg: dict) -> dict[str, str]:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["search", "--config", str(path), "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifact_hashes_pinned(case, tmp_path, capsys):
+    assert _artifact_hashes(tmp_path, CASES[case]) == GOLDEN[case]

@@ -1,12 +1,21 @@
 """Search-module tests: config codec, variation operators, NSGA ranking and
 survival against brute-force oracles, the generation loop, and the ablation
 suite."""
+import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_nondominated_sort, brute_pareto_front
+from oracles import (
+    brute_constrained_sort,
+    brute_nondominated_sort,
+    brute_pareto_front,
+    brute_survival,
+)
 from ihasearch.genome import (
     ArchGenome,
     GlobalConfig,
@@ -16,7 +25,7 @@ from ihasearch.genome import (
     random_genome,
     validate,
 )
-from ihasearch.metrics import ObjectiveVector, crowding_distance
+from ihasearch.metrics import ObjectiveVector, crowding_distance, pareto_front
 from ihasearch.search import (
     MutationRates,
     SearchConfig,
@@ -339,6 +348,36 @@ class TestNondominatedSort:
         assert fast_nondominated_sort(items) == [[0, 1], [2]]
 
 
+@st.composite
+def constrained_points(draw):
+    """Feasible and infeasible (values, feasible, violation) triples with
+    duplicate vectors, tied violations and infinite violations."""
+    m = draw(st.integers(1, 3))
+    value = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf])
+    point = st.one_of(
+        st.tuples(st.tuples(*[value] * m), st.just(True), st.just(0.0)),
+        st.tuples(st.tuples(*[value] * m), st.just(False),
+                  st.sampled_from([0.0, 0.5, 2.0, math.inf])),
+    )
+    return draw(st.lists(point, max_size=14))
+
+
+class TestConstrainedSortOracle:
+    @given(constrained_points())
+    @settings(max_examples=300, deadline=None)
+    def test_fronts_match_literal_peel(self, points):
+        items = [ObjectiveVector(v, f, viol) for v, f, viol in points]
+        brute = brute_constrained_sort(points)
+        assert fast_nondominated_sort(items) == brute
+        assert pareto_front(items) == (brute[0] if brute else [])
+
+    @given(constrained_points(), st.integers(0, 14))
+    @settings(max_examples=300, deadline=None)
+    def test_survival_matches_literal_fill(self, points, n_keep):
+        items = [ObjectiveVector(v, f, viol) for v, f, viol in points]
+        assert nsga_survival(items, n_keep) == brute_survival(points, n_keep)
+
+
 class TestSurvival:
     def test_single_front_keeps_most_spread(self):
         pts = [(0.0, 100.0), (1.0, 60.0), (2.0, 59.0), (3.0, 58.0), (100.0, 0.0)]
@@ -559,6 +598,85 @@ class TestRunSearch:
         for ind in res.archive.members:
             assert ind.ring is not None
             assert ind.ring.plan.n_chips >= 1
+
+
+class TestEvaluationMemo:
+    """Each distinct genome is scored once per run; every request still
+    yields its own Individual."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        import ihasearch.search.engine as engine
+
+        calls = collections.Counter()
+        original = getattr(engine, name)
+
+        def counted(genome, *args, **kwargs):
+            calls[genome] += 1
+            return original(genome, *args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+        return calls
+
+    @staticmethod
+    def _check_once_per_distinct(res, *counters):
+        cfg = res.config
+        requested = cfg.population_size + cfg.generations * cfg.offspring_size
+        assert res.n_evaluations == len(res.evaluated) == requested
+        distinct = {ind.genome for ind in res.evaluated}
+        assert len(distinct) < requested  # the run did repeat genomes
+        for calls in counters:
+            assert set(calls) == distinct
+            assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("space", ["iha", "gqa"])
+    def test_analytic_oracle(self, monkeypatch, space):
+        oracle = self._count(monkeypatch, "synth_oracle")
+        backend = self._count(monkeypatch, "substrate_cost")
+        ids = self._count(monkeypatch, "genome_id")
+        cfg = SearchConfig(
+            population_size=10, offspring_size=12, generations=6,
+            refine_every_generations=0, evaluator="oracle",
+            backend="analytic:gemmini", space=space, seed=4,
+        )
+        res = run_search(cfg)
+        self._check_once_per_distinct(res, oracle, backend, ids)
+        born = collections.Counter(ind.born_gen for ind in res.evaluated)
+        assert born == {0: 10, **{t: 12 for t in range(1, 7)}}
+
+    def test_ring_oracle(self, monkeypatch):
+        backend = self._count(monkeypatch, "ring_cost")
+        cfg = SearchConfig(
+            population_size=6, offspring_size=6, generations=3,
+            refine_every_generations=0, evaluator="oracle",
+            backend="ring", val_loss_max=3.5,
+            prefill_tokens=512, decode_tokens=256, seed=2,
+        )
+        self._check_once_per_distinct(run_search(cfg), backend)
+
+    def test_surrogate_predicts_every_request(self, monkeypatch, tiny_surrogate):
+        from ihasearch.surrogate import EncoderSurrogate
+
+        model, corpus = tiny_surrogate
+        seen = []
+        original = EncoderSurrogate.predict_genomes
+
+        def recording(self, genomes):
+            seen.extend(genomes)
+            return original(self, genomes)
+
+        monkeypatch.setattr(EncoderSurrogate, "predict_genomes", recording)
+        backend = self._count(monkeypatch, "substrate_cost")
+        cfg = SearchConfig(
+            population_size=6, offspring_size=6, generations=4,
+            refine_every_generations=2, refine_batch_size=4,
+            mc_dropout_passes=2, evaluator="surrogate",
+            backend="analytic:gemmini", seed=1,
+        )
+        res = run_search(cfg, surrogate=model, corpus=corpus)
+        assert seen == [ind.genome for ind in res.evaluated]
+        assert set(backend.values()) == {1}
+        assert set(backend) == {ind.genome for ind in res.evaluated}
 
 
 @pytest.fixture(scope="module")
