@@ -41,7 +41,7 @@ def main() -> None:
     print(f"whole model: {total_w / 1e6:.1f} MB of weights -> needs a ring")
 
     print(f"\n== step 2: sweep the {len(default_chip_grid())}-point chip grid ==")
-    picks = chip_grid_search(genome, workload)
+    picks, _ = chip_grid_search(genome, workload)
     print(f"Pareto-best (chip, plan) pairs: {len(picks)}")
     print(f"{'n_mac':>6} {'w_core_kb':>10} {'n_cores':>8} {'n_chips':>8} "
           f"{'ttft_s':>10} {'tpot_s':>10} {'e_tok_j':>10} {'area':>7}")

@@ -35,13 +35,10 @@ from .genome import (
     validate,
 )
 from .hwcost import (
-    StageLimits,
     Workload,
-    balanced_contiguous_pack,
-    build_chip,
+    best_ring_pick,
     chip_grid_search,
     default_chip_grid,
-    profile_model,
     write_plan_csv,
 )
 from .metrics import rank_report
@@ -332,18 +329,9 @@ def cmd_pack(args) -> int:
     spec = RunSpec(Path(args.out))
     manifest = spec.prepare(args.force)
 
-    profiles = profile_model(genome, workload)
-    max_w = max(p.weight_bytes for p in profiles)
-    feasible = 0
-    for n_mac, w_core, cap in grid:
-        chip = build_chip(n_mac, w_core, max_w, workload.ctx_peak)
-        limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
-        if balanced_contiguous_pack(profiles, limits, cap) is not None:
-            feasible += 1
-    print(f"grid: {len(grid)} chip configs, {feasible} feasible "
+    picks, n_feasible = chip_grid_search(genome, workload, grid=grid, top_k=args.top_k)
+    print(f"grid: {len(grid)} chip configs, {n_feasible} feasible "
           f"for genome {genome_id(genome)}")
-
-    picks = chip_grid_search(genome, workload, grid=grid, top_k=args.top_k)
     if not picks:
         print("warning: no chip configuration fits this model; nothing to pack")
         _write_manifest(manifest, _pack_manifest(args, genome, grid, workload))
@@ -357,9 +345,7 @@ def cmd_pack(args) -> int:
               f"{r.plan.n_chips:>8} {r.n_chips_max:>4} {r.cost.ttft_s:>11.4g} "
               f"{r.cost.tpot_s:>11.4g} {r.cost.e_tok_j:>11.4g} {r.total_area:>8.4g}")
 
-    # same reduction rule as the search backend: smallest objective product
-    # (min is stable, so ties keep the earlier, higher-crowding pick)
-    best = min(picks, key=lambda r: r.cost.e_tok_j * r.cost.ttft_s * r.cost.tpot_s)
+    best = best_ring_pick(picks)
     plan_path = spec.out_dir / "ring_plan.csv"
     write_plan_csv(best.plan, workload, str(plan_path))
     _write_manifest(manifest, _pack_manifest(args, genome, grid, workload))

@@ -159,11 +159,18 @@ def validate(genome: ArchGenome, ranges: SpaceRanges | None = None) -> list[Viol
     return out
 
 
-def _largest_divisor_at_most(n: int, cap: int) -> int:
-    for d in range(min(cap, n), 0, -1):
-        if n % d == 0:
-            return d
-    return 1
+def snap_n_kv(n_h: int, n_kv: int, grid: FieldRange) -> int:
+    """KV head count for n_h query heads: the largest divisor of n_h on the
+    n_kv grid that is <= ``grid.snap(n_kv)``, else the smallest divisor on
+    the grid.  A divisor is a positive d with n_h % d == 0.  Raises
+    ValueError when the grid holds no divisor of n_h."""
+    divisors = [d for d in grid.values() if d >= 1 and n_h % d == 0]
+    if not divisors:
+        raise ValueError(
+            f"n_kv grid [{grid.lo}:{grid.step}:{grid.hi}] holds no divisor of n_h={n_h}"
+        )
+    cap = grid.snap(n_kv)
+    return max((d for d in divisors if d <= cap), default=divisors[0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,7 +184,9 @@ def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
 
     Numeric fields are clamped and snapped to their grids (midpoint ties go
     to the smaller value), then n_kv is replaced by the largest divisor of
-    n_h that is <= the snapped n_kv.  Gate bits are clamped to {0,1}.  If no
+    n_h on its grid that is <= the snapped n_kv, or the smallest on-grid
+    divisor when none is (``snap_n_kv``; ValueError when the n_kv grid holds
+    no divisor of n_h).  Gate bits are clamped to {0,1}.  If no
     layer is left active, layer 0 is re-activated.  Gene lists of the wrong
     length are padded with inactive minimal genes or truncated.
     """
@@ -202,12 +211,11 @@ def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
         ):
             return gene
         n_h = ranges.n_h.snap(gene.n_h)
-        n_kv = _largest_divisor_at_most(n_h, ranges.n_kv.snap(gene.n_kv))
         return LayerGene(
             mask=1 if gene.mask >= 1 else 0,
             attn=1 if gene.attn >= 1 else 0,
             n_h=n_h,
-            n_kv=n_kv,
+            n_kv=snap_n_kv(n_h, gene.n_kv, ranges.n_kv),
             d_qk=ranges.d_qk.snap(gene.d_qk),
             d_v=ranges.d_v.snap(gene.d_v),
             d_mlp=ranges.d_mlp.snap(gene.d_mlp),

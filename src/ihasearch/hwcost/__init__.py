@@ -1,7 +1,10 @@
 """Hardware-cost backends: analytical substrate roofline and ring-dataflow co-search.
 
-Both backends share one interface: cost(genome, workload) -> (energy per
-token [J], TTFT [s], TPOT [s]).
+The two backends have different interfaces.  ``substrate_cost(genome, spec,
+workload)`` returns an ``HWCost`` (energy per token [J], TTFT [s], TPOT [s]).
+``ring_cost(genome, workload)`` returns that cost together with the chosen
+``RingResult``, or None when no chip on the grid fits the model.  The search
+engine's ``make_backend`` adapts both to one genome -> cost callable.
 """
 from .profiles import LayerProfile, Workload, profile_layer, profile_model
 from .substrate import (
@@ -19,6 +22,7 @@ from .ring import (
     ChipTemplate,
     RingPlan,
     RingResult,
+    best_ring_pick,
     build_chip,
     chip_grid_search,
     default_chip_grid,
@@ -42,6 +46,7 @@ __all__ = [
     "ChipTemplate",
     "RingPlan",
     "RingResult",
+    "best_ring_pick",
     "build_chip",
     "default_chip_grid",
     "chip_grid_search",

@@ -122,14 +122,6 @@ class RingPlan:
     def n_chips(self) -> int:
         return len(self.partition)
 
-    @property
-    def stage_resources(self) -> list[tuple[float, float, float, float]]:
-        """Per-stage (weight bytes, KV bytes at max ctx, decode ops, act bytes)."""
-        return [
-            stage_totals(list(self.profiles), list(stage), self.chip.max_ctx)
-            for stage in self.partition
-        ]
-
 
 @dataclass(frozen=True)
 class RingResult:
@@ -197,11 +189,12 @@ def chip_grid_search(
     top_k: int = 3,
     bytes_per_elem: int = 1,
     **chip_overrides,
-) -> list[RingResult]:
+) -> tuple[list[RingResult], int]:
     """Sweep the chip grid, pack and simulate each feasible point, and return
-    the top_k mutually non-dominated results by descending crowding distance.
+    the top_k mutually non-dominated results by descending crowding distance,
+    plus the number of grid points the model packed onto.
 
-    Returns an empty list when no grid point fits the model; the caller
+    The result list is empty when no grid point fits the model; the caller
     treats that as infinite hardware metrics.
     """
     wl = workload or Workload()
@@ -209,12 +202,14 @@ def chip_grid_search(
     max_w = max(p.weight_bytes for p in profiles)
     results: list[RingResult] = []
     seen: set = set()
+    n_feasible = 0
     for n_mac, w_core, cap in grid or default_chip_grid():
         chip = build_chip(n_mac, w_core, max_w, wl.ctx_peak, **chip_overrides)
         limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
         partition = balanced_contiguous_pack(profiles, limits, cap)
         if partition is None:
             continue
+        n_feasible += 1
         # grid points whose cap was not binding realize the same (chip, plan)
         # design; keep the first occurrence only
         key = (chip, tuple(tuple(s) for s in partition))
@@ -229,11 +224,18 @@ def chip_grid_search(
         )
         results.append(RingResult(chip, plan, ring_simulate(plan, wl), cap))
     if not results:
-        return []
+        return [], n_feasible
     front = pareto_front([r.objectives() for r in results])
     crowd = crowding_distance([results[i].objectives() for i in front])
     ranked = sorted(range(len(front)), key=lambda j: (-crowd[j], j))
-    return [results[front[j]] for j in ranked[:top_k]]
+    return [results[front[j]] for j in ranked[:top_k]], n_feasible
+
+
+def best_ring_pick(picks: list[RingResult]) -> RingResult:
+    """The pick with the smallest energy x TTFT x TPOT product (the three
+    search objectives shrink together).  Ties go to the earlier pick, which
+    ranks higher by crowding distance."""
+    return min(picks, key=lambda r: r.cost.e_tok_j * r.cost.ttft_s * r.cost.tpot_s)
 
 
 def ring_cost(
@@ -245,21 +247,14 @@ def ring_cost(
 ) -> tuple[HWCost, RingResult] | None:
     """Single-triple reduction of the grid search for use as a search backend.
 
-    Among the top_k non-dominated (chip, plan) pairs, returns the one with
-    the smallest energy x TTFT x TPOT product (the three search objectives
-    shrink together); None when nothing fits.
+    Among the top_k non-dominated (chip, plan) pairs, returns the
+    ``best_ring_pick`` with its cost; None when nothing fits.
     """
-    picks = chip_grid_search(genome, workload, None, top_k, bytes_per_elem, **chip_overrides)
+    picks, _ = chip_grid_search(genome, workload, None, top_k, bytes_per_elem, **chip_overrides)
     if not picks:
         return None
-    best = min(
-        range(len(picks)),
-        key=lambda i: (
-            picks[i].cost.e_tok_j * picks[i].cost.ttft_s * picks[i].cost.tpot_s,
-            i,
-        ),
-    )
-    return picks[best].cost, picks[best]
+    best = best_ring_pick(picks)
+    return best.cost, best
 
 
 def write_plan_csv(plan: RingPlan, workload: Workload, path: str) -> None:

@@ -115,27 +115,6 @@ def as_objective_vector(p) -> ObjectiveVector:
     return ObjectiveVector(tuple(float(v) for v in p))
 
 
-def dominates(a, b) -> bool:
-    """Plain objective domination: a <= b everywhere, strict somewhere."""
-    av, bv = as_objective_vector(a).values, as_objective_vector(b).values
-    if len(av) != len(bv):
-        raise ValueError("dimension mismatch")
-    return all(x <= y for x, y in zip(av, bv)) and any(x < y for x, y in zip(av, bv))
-
-
-def constrained_dominates(a, b) -> bool:
-    """Constraint domination: feasible beats infeasible; among infeasible,
-    lower violation wins; among feasible, plain domination."""
-    a, b = as_objective_vector(a), as_objective_vector(b)
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and b.feasible:
-        return False
-    if not a.feasible and not b.feasible:
-        return a.violation < b.violation
-    return dominates(a, b)
-
-
 def objective_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values (n, m), feasibility (n,) and violation (n,) of a point list;
     points are anything ``as_objective_vector`` accepts."""
@@ -153,7 +132,14 @@ def objective_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def constraint_dominance_matrix(
     values: np.ndarray, feasible: np.ndarray, violation: np.ndarray
 ) -> np.ndarray:
-    """(n, n) boolean matrix whose entry [i, j] is ``constrained_dominates(i, j)``."""
+    """(n, n) boolean matrix: entry [i, j] says point i constraint-dominates
+    point j (Deb et al. 2002).
+
+    A feasible point dominates every infeasible one; of two infeasible
+    points, the one with strictly lower violation dominates; of two feasible
+    points, i dominates j when its values are <= j's everywhere and < j's
+    somewhere.
+    """
     le = (values[:, None, :] <= values[None, :, :]).all(axis=2)
     lt = (values[:, None, :] < values[None, :, :]).any(axis=2)
     fi, fj = feasible[:, None], feasible[None, :]

@@ -25,9 +25,6 @@ from .config import SearchConfig
 from .nsga import fast_nondominated_sort, nsga_survival, rank_and_crowd
 from .operators import crossover, gqa_repair, mutate, tournament_select
 
-OBJECTIVE_NAMES = ("val_loss", "e_tok_j", "ttft_s", "tpot_s")
-
-
 @dataclass(frozen=True)
 class Individual:
     """One evaluated architecture: genome, the four minimization objectives,
@@ -83,11 +80,6 @@ class ParetoArchive:
 
     def __len__(self) -> int:
         return len(self._members)
-
-    def objectives_array(self) -> np.ndarray:
-        return np.array([ind.objectives for ind in self._members], dtype=float).reshape(
-            len(self._members), len(OBJECTIVE_NAMES)
-        )
 
     def quality_size_points(self) -> np.ndarray:
         """(val_loss, weight-parameter count) pairs for hypervolume tracking.
@@ -180,15 +172,15 @@ def acquisition_select(
     b: int,
     n_mc: int,
     rng: np.random.Generator,
-) -> list[ArchGenome]:
-    """Pick the refinement batch: up to floor(b/2) first-front members with
-    the lowest predicted loss (exploitation), topped up with the
-    highest-uncertainty members of the rest (exploration)."""
+) -> tuple[list[int], list[int]]:
+    """Pick the refinement batch as (exploit, explore) indices into ``pop``:
+    up to floor(b/2) first-front members with the lowest predicted loss
+    (exploitation), topped up with the highest-uncertainty members of the
+    rest (exploration).  Draws one MC-dropout seed from ``rng``."""
     genomes = [ind.genome for ind in pop]
     mu, sigma = surrogate.mc_predict_genomes(genomes, n_mc=n_mc, seed=int(rng.integers(2**31)))
     first = fast_nondominated_sort(pop)[0]
-    exploit_idx, explore_idx = acquisition_indices(len(pop), first, mu, sigma, b)
-    return [pop[i].genome for i in exploit_idx + explore_idx]
+    return acquisition_indices(len(pop), first, mu, sigma, b)
 
 
 def acquisition_indices(
@@ -244,10 +236,14 @@ class _SearchEngine:
     # -- evaluation ------------------------------------------------------
     def _score(self, genome: ArchGenome) -> tuple:
         """(genome id, hardware cost, ring result, oracle label) of a genome,
-        computed on its first request in this run.  The label is None under
-        the surrogate evaluator, whose predictions are never memoised."""
+        computed on its first request in this run after checking that the
+        genome is valid.  The label is None under the surrogate evaluator,
+        whose predictions are never memoised."""
         hit = self._scored.get(genome)
         if hit is None:
+            problems = validate(genome, self.ranges)
+            if problems:
+                raise AssertionError(f"operator emitted an invalid genome: {problems}")
             cost, ring = self.backend(genome)
             label = float(self.oracle_fn(genome)) if self.cfg.evaluator == "oracle" else None
             hit = self._scored[genome] = (genome_id(genome), cost, ring, label)
@@ -256,10 +252,6 @@ class _SearchEngine:
     def evaluate(self, genomes: list[ArchGenome], gen: int) -> list[Individual]:
         """Score every requested genome; each request yields one Individual
         born at ``gen``, and repeats of a genome reuse its memoised parts."""
-        for g in genomes:
-            problems = validate(g, self.ranges)
-            if problems:
-                raise AssertionError(f"operator emitted an invalid genome: {problems}")
         scored = [self._score(g) for g in genomes]
         if self.cfg.evaluator == "surrogate":
             quality = np.asarray(self.model.predict_genomes(genomes), dtype=float)
@@ -303,7 +295,7 @@ class _SearchEngine:
             ]
             return [self.repair_fn(g) for g in raw]
         vectors = [ind.objective_vector() for ind in population]
-        _, crowd, _ = rank_and_crowd(vectors)
+        crowd, _ = rank_and_crowd(vectors)
         pool_idx = tournament_select(vectors, crowd, self.rng, cfg.population_size)
         pool = [population[i] for i in pool_idx]
         offspring = []
@@ -324,13 +316,8 @@ class _SearchEngine:
     # -- refinement ------------------------------------------------------
     def refine(self, population: list[Individual], t: int, buffer: dict) -> dict:
         cfg = self.cfg
-        genomes = [ind.genome for ind in population]
-        mu, sigma = self.model.mc_predict_genomes(
-            genomes, n_mc=cfg.mc_dropout_passes, seed=int(self.rng.integers(2**31))
-        )
-        first = fast_nondominated_sort(population)[0]
-        exploit_idx, explore_idx = acquisition_indices(
-            len(population), first, mu, sigma, cfg.refine_batch_size
+        exploit_idx, explore_idx = acquisition_select(
+            population, self.model, cfg.refine_batch_size, cfg.mc_dropout_passes, self.rng
         )
         selected = exploit_idx + explore_idx
         labels = [float(self.oracle_fn(population[i].genome)) for i in selected]

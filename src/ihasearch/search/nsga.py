@@ -33,20 +33,16 @@ def fast_nondominated_sort(items: Sequence) -> list[list[int]]:
     return fronts
 
 
-def rank_and_crowd(items: Sequence) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """Per-individual front rank (0-based) and within-front crowding
-    distance, computed on the raw objective values."""
+def rank_and_crowd(items: Sequence) -> tuple[np.ndarray, list[list[int]]]:
+    """Per-individual within-front crowding distance, computed on the raw
+    objective values, and the fronts from ``fast_nondominated_sort``."""
     vecs = [as_objective_vector(it) for it in items]
     fronts = fast_nondominated_sort(vecs)
-    rank = np.zeros(len(vecs), dtype=int)
     crowd = np.zeros(len(vecs), dtype=float)
-    for r, front in enumerate(fronts):
+    for front in fronts:
         vals = np.array([vecs[i].values for i in front], dtype=float)
-        dist = crowding_distance(vals)
-        for i, d in zip(front, dist):
-            rank[i] = r
-            crowd[i] = d
-    return rank, crowd, fronts
+        crowd[front] = crowding_distance(vals)
+    return crowd, fronts
 
 
 def nsga_survival(items: Sequence, n_keep: int) -> list[int]:
@@ -57,7 +53,7 @@ def nsga_survival(items: Sequence, n_keep: int) -> list[int]:
         raise ValueError(f"n_keep must be >= 0, got {n_keep}")
     if n_keep >= len(items):
         return list(range(len(items)))
-    _, crowd, fronts = rank_and_crowd(items)
+    crowd, fronts = rank_and_crowd(items)
     kept: list[int] = []
     for front in fronts:
         if len(kept) + len(front) <= n_keep:

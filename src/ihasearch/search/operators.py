@@ -12,8 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..genome import NUMERIC_FIELDS, ArchGenome, LayerGene, SpaceRanges, repair
-from ..metrics import constrained_dominates
+from ..genome import NUMERIC_FIELDS, ArchGenome, LayerGene, SpaceRanges, repair, snap_n_kv
+from ..metrics import constraint_dominance_matrix, objective_arrays
 from .config import MutationRates
 
 RepairFn = Callable[[ArchGenome], ArchGenome]
@@ -39,13 +39,14 @@ def tournament_select(
         raise ValueError("crowding must have one entry per individual")
     if n_winners is None:
         n_winners = n
+    dom = constraint_dominance_matrix(*objective_arrays(vectors))
     winners = []
     for _ in range(n_winners):
         i = int(rng.integers(n))
         j = int(rng.integers(n))
-        if constrained_dominates(vectors[i], vectors[j]):
+        if dom[i, j]:
             winners.append(i)
-        elif constrained_dominates(vectors[j], vectors[i]):
+        elif dom[j, i]:
             winners.append(j)
         elif crowding[j] > crowding[i]:
             winners.append(j)
@@ -155,8 +156,8 @@ def gqa_allowed_heads(d_model: int, ranges: SpaceRanges | None = None) -> list[i
 def gqa_repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
     """Repair, then project every layer onto the grouped-query subspace:
     n_h snaps to the nearest expressible head count (ties toward fewer
-    heads), d_qk = d_v = d_model / n_h, and n_kv becomes its largest
-    divisor not above the current value.  Idempotent."""
+    heads), d_qk = d_v = d_model / n_h, and n_kv is re-snapped to a divisor
+    of the new n_h as ``repair`` does (``snap_n_kv``).  Idempotent."""
     ranges = ranges or SpaceRanges()
     fixed = repair(genome, ranges)
     allowed = gqa_allowed_heads(fixed.global_cfg.d_model, ranges)
@@ -167,7 +168,7 @@ def gqa_repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGen
 
     def project(gene: LayerGene) -> LayerGene:
         n_h = min(allowed, key=lambda h: (abs(h - gene.n_h), h))
-        n_kv = max(d for d in range(1, n_h + 1) if n_h % d == 0 and d <= max(1, gene.n_kv))
+        n_kv = snap_n_kv(n_h, gene.n_kv, ranges.n_kv)
         d_head = fixed.global_cfg.d_model // n_h
         return replace(gene, n_h=n_h, n_kv=n_kv, d_qk=d_head, d_v=d_head)
 

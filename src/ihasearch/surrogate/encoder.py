@@ -364,14 +364,29 @@ class EncoderSurrogate:
             meta = json.loads(bytes(z["meta"]).decode())
             if meta.get("format") != "ihasearch-encoder-v1":
                 raise ValueError(f"not an encoder checkpoint: {path}")
+            try:
+                config = EncoderConfig(**meta["config"])
+            except TypeError as exc:
+                raise ValueError(f"bad encoder config in {path}: {exc}") from exc
+            names, shapes = meta["names"], meta["shapes"]
+            sizes = [int(np.prod(shape)) if shape else 1 for shape in shapes]
             theta = z["theta"]
+            if len(names) != len(shapes) or theta.shape != (sum(sizes),):
+                raise ValueError(
+                    f"theta holds {theta.size} values for {len(names)} names; "
+                    f"the {len(shapes)} stored shapes need {sum(sizes)}"
+                )
             params = {}
             off = 0
-            for name, shape in zip(meta["names"], meta["shapes"]):
-                size = int(np.prod(shape)) if shape else 1
+            for name, shape, size in zip(names, shapes, sizes):
                 params[name] = theta[off : off + size].reshape(shape).copy()
                 off += size
             norm = None
             if meta["normalizer"]:
+                for key in ("norm_lo", "norm_hi"):
+                    if z[key].shape != (config.n_fields,):
+                        raise ValueError(
+                            f"{key} has shape {z[key].shape}; expected ({config.n_fields},)"
+                        )
                 norm = FieldNormalizer(z["norm_lo"].copy(), z["norm_hi"].copy())
-        return cls(EncoderConfig(**meta["config"]), params, norm)
+        return cls(config, params, norm)

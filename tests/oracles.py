@@ -186,12 +186,16 @@ def brute_repair(genome, ranges):
     def fix(gene):
         n_h = nearest(gene.n_h, ranges.n_h)
         cap = nearest(gene.n_kv, ranges.n_kv)
-        divisors = [d for d in range(1, min(cap, n_h) + 1) if n_h % d == 0]
+        # positive divisors of n_h on the n_kv grid; the largest <= cap, else
+        # the smallest
+        kv_grid = range(ranges.n_kv.lo, ranges.n_kv.hi + 1, ranges.n_kv.step)
+        divisors = [d for d in kv_grid if d >= 1 and n_h % d == 0]
+        below = [d for d in divisors if d <= cap]
         return (
             1 if gene.mask >= 1 else 0,
             1 if gene.attn >= 1 else 0,
             n_h,
-            max(divisors, default=1),
+            max(below) if below else min(divisors),
             nearest(gene.d_qk, ranges.d_qk),
             nearest(gene.d_v, ranges.d_v),
             nearest(gene.d_mlp, ranges.d_mlp),

@@ -305,10 +305,11 @@ class TestCriterion10ChipGridContract:
 
     @staticmethod
     def _all_grid_candidates(genome, workload):
-        """Mirror the sweep with public APIs: every feasible (chip, plan)."""
+        """Mirror the sweep with public APIs: every feasible (chip, plan), and
+        how many grid points packed."""
         profiles = profile_model(genome, workload)
         max_w = max(p.weight_bytes for p in profiles)
-        seen, out = set(), []
+        seen, out, n_feasible = set(), [], 0
         for n_mac, w_core, cap in default_chip_grid():
             chip = build_chip(n_mac, w_core, max_w, workload.ctx_peak)
             limits = StageLimits(chip.weight_cap, chip.kv_cap,
@@ -316,6 +317,7 @@ class TestCriterion10ChipGridContract:
             part = balanced_contiguous_pack(profiles, limits, cap)
             if part is None:
                 continue
+            n_feasible += 1
             key = (chip, tuple(tuple(s) for s in part))
             if key in seen:
                 continue
@@ -325,7 +327,7 @@ class TestCriterion10ChipGridContract:
                             hop_bytes=genome.global_cfg.d_model)
             cost = ring_simulate(plan, workload)
             out.append((cost.ttft_s, cost.tpot_s, cost.e_tok_j, chip.area * plan.n_chips))
-        return out
+        return out, n_feasible
 
     def test_top_k_mutually_nondominated_and_on_front(self):
         rng = np.random.default_rng(11)
@@ -337,11 +339,12 @@ class TestCriterion10ChipGridContract:
         genomes = [smol] + [gn.random_genome(rng=rng) for _ in range(5)]
         checked = 0
         for genome in genomes:
-            picks = chip_grid_search(genome, workload)
+            picks, n_feasible = chip_grid_search(genome, workload)
             objs = [r.objectives() for r in picks]
             for a, b in itertools.permutations(objs, 2):
                 assert not brute_dominates(a, b)
-            candidates = self._all_grid_candidates(genome, workload)
+            candidates, n_packed = self._all_grid_candidates(genome, workload)
+            assert n_feasible == n_packed
             front_idx = brute_pareto_front(candidates)
             assert len(picks) == min(3, len(front_idx))
             front = {candidates[i] for i in front_idx}

@@ -423,6 +423,47 @@ class TestSurrogateEval:
                      "--checkpoint", str(bad)]) == 2
 
 
+def _tampered_checkpoint(src: Path, dst: Path, **replace) -> Path:
+    with np.load(src) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays.update(replace)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+    return dst
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint whose arrays do not match its own metadata is rejected
+    with exit 2 by every subcommand that loads one."""
+
+    @pytest.fixture(params=["long_theta", "short_normalizer", "unknown_config_key"])
+    def tampered(self, request, tmp_path, checkpoint) -> Path:
+        with np.load(checkpoint) as z:
+            theta, lo = z["theta"], z["norm_lo"]
+            meta = json.loads(bytes(z["meta"]).decode())
+        meta["config"]["n_experts"] = 2
+        replace = {
+            "long_theta": {"theta": np.append(theta, 0.0)},
+            "short_normalizer": {"norm_lo": lo[:3]},
+            "unknown_config_key": {
+                "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            },
+        }[request.param]
+        return _tampered_checkpoint(checkpoint, tmp_path / "tampered.npz", **replace)
+
+    def test_surrogate_eval_exit2(self, capsys, corpus_file, tampered):
+        assert main(["surrogate", "eval", "--corpus", str(corpus_file),
+                     "--checkpoint", str(tampered)]) == 2
+        assert "does not parse" in capsys.readouterr().err
+
+    def test_search_exit2(self, tmp_path, capsys, tampered):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMALL_SEARCH_CFG, evaluator="surrogate")))
+        assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--surrogate", str(tampered)]) == 2
+        assert "cannot load surrogate checkpoint" in capsys.readouterr().err
+
+
 class TestSurrogateMc:
     def test_outputs_and_determinism(self, capsys, checkpoint, candidates_file):
         argv = ["surrogate", "mc", "--checkpoint", str(checkpoint),

@@ -227,11 +227,11 @@ _VALID_GENE = st.builds(
     d_mlp=st.sampled_from([512, 768, 4096]),
 )
 _ANY_GENE = st.builds(gn.LayerGene, *([_FIELD] * 7))
-# a second space whose grids start at or below zero (repair is idempotent only
-# when every divisor of an n_h lies on the n_kv grid, as here)
+# a second space whose grids start at or below zero and whose n_kv grid lacks
+# some divisors of the n_h values (8 has 1 and 4 on it, 6 only 1)
 _ODD_RANGES = gn.SpaceRanges(
     n_h=gn.FieldRange(0, 2, 9),
-    n_kv=gn.FieldRange(1, 1, 10),
+    n_kv=gn.FieldRange(1, 3, 10),
     d_qk=gn.FieldRange(-64, 32, 64),
     d_v=gn.FieldRange(8, 8, 40),
     d_mlp=gn.FieldRange(-5, 5, 30),
@@ -262,6 +262,7 @@ class TestRepairFastPath:
         once = gn.repair(g, ranges)
         assert gn.to_json(once) == _brute_json(g, ranges)
         assert gn.to_json(gn.repair(once, ranges)) == gn.to_json(once)
+        assert gn.validate(once, ranges) == []
 
     def test_valid_gene_is_returned_as_is(self):
         g = gn.repair(make_genome([ACTIVE, INACTIVE]))
@@ -278,6 +279,28 @@ class TestRepairFastPath:
         fixed = gn.repair(make_genome([gene]))
         assert all(type(v) is int for v in dataclasses.astuple(fixed.layers[0]))
         assert gn.to_json(fixed) == gn.to_json(make_genome([ACTIVE]))
+
+    def test_n_kv_stays_on_its_grid(self):
+        # n_h snaps to 8 and n_kv to 10; 8 is a divisor of 8 but off the n_kv
+        # grid {1, 4, 7, 10}, so the largest on-grid divisor is 4
+        g = make_genome([gn.LayerGene(1, 1, 12, 12, 64, 8, 30)])
+        once = gn.repair(g, _ODD_RANGES)
+        assert once.layers[0].n_h == 8 and once.layers[0].n_kv == 4
+        assert gn.repair(once, _ODD_RANGES) == once
+        assert gn.validate(once, _ODD_RANGES) == []
+
+    def test_n_kv_falls_back_to_smallest_on_grid_divisor(self):
+        # 15's divisors on the grid 2..16 are 3, 5 and 15, all above the
+        # snapped n_kv of 2
+        ranges = gn.SpaceRanges(n_kv=gn.FieldRange(2, 1, 16))
+        g = make_genome([gn.LayerGene(1, 1, 15, 2, 64, 64, 512)])
+        assert gn.repair(g, ranges).layers[0].n_kv == 3
+
+    def test_n_kv_grid_without_a_divisor_raises(self):
+        ranges = gn.SpaceRanges(n_kv=gn.FieldRange(2, 2, 8))
+        g = make_genome([gn.LayerGene(1, 1, 7, 1, 64, 64, 512)])
+        with pytest.raises(ValueError, match="no divisor of n_h=7"):
+            gn.repair(g, ranges)
 
     def test_all_inactive_and_wrong_lengths(self):
         for genes, max_layers in [([INACTIVE] * 3, 3), ([ACTIVE], 4), ([ACTIVE] * 6, 2)]:

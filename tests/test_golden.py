@@ -6,7 +6,9 @@ behaviour must leave every hash unchanged; a change that means to move
 numbers updates the table below and says so in CHANGES.md.
 
 The oracle cases cover NSGA variation in the IHA and grouped-query spaces
-and random variation; the ring case covers the multi-chip backend.
+and random variation; the ring case covers the multi-chip backend; the
+surrogate case covers the encoder evaluator with refinement events, using a
+tiny encoder trained in the test and passed as a checkpoint plus corpus.
 """
 from __future__ import annotations
 
@@ -16,6 +18,13 @@ import json
 import pytest
 
 from ihasearch.cli import main
+from ihasearch.surrogate import (
+    EncoderConfig,
+    make_synthetic_corpus,
+    save_corpus,
+    split_corpus,
+    train,
+)
 
 ARTIFACTS = ("archive.csv", "generations.csv", "events.jsonl")
 
@@ -47,6 +56,19 @@ CASES = {
     },
 }
 
+SURROGATE_REFINE = {
+    "population_size": 6,
+    "offspring_size": 6,
+    "generations": 3,
+    "refine_every_generations": 1,
+    "refine_batch_size": 2,
+    "mc_dropout_passes": 2,
+    "replay_ratio": 4.0,
+    "evaluator": "surrogate",
+    "backend": "analytic:gemmini",
+    "seed": 4,
+}
+
 GOLDEN = {
     "nsga_gqa": {
         "archive.csv": "e3aa22f7947435705a38f938366f084d8bb4b3e43f9b3d0f690e34069e9f6dde",
@@ -63,6 +85,11 @@ GOLDEN = {
         "generations.csv": "37f1a15dd68a73054f15cb7284d923b13174cf532bcb329249cfce8638b408f2",
         "events.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
+    "surrogate_refine": {
+        "archive.csv": "9814e30482703fa3476383db3952aab3a93ebeb4428ae31076330ebd885ec9de",
+        "generations.csv": "26fab98ce58a34b06b02474d01c642a66b64d124d704c1d671ba99a74953f493",
+        "events.jsonl": "e1f74a5fc30e09a506707564ddbb05733ae03da1e2a2503bf933dfb2bdf1eb71",
+    },
     "ring_oracle": {
         "archive.csv": "12aa4f416651cac8bc82335574e4fc3418079c3ddad2d35a654397cca8ab5d11",
         "generations.csv": "c88df68e396ac313c09171d956989dfc67178f9e853fd5d6d6cbf079241d1635",
@@ -71,14 +98,38 @@ GOLDEN = {
 }
 
 
-def _artifact_hashes(tmp_path, cfg: dict) -> dict[str, str]:
+def _artifact_hashes(tmp_path, cfg: dict, *extra: str) -> dict[str, str]:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
-    assert main(["search", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["search", "--config", str(path), "--out", str(out), *extra]) == 0
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifact_hashes_pinned(case, tmp_path, capsys):
     assert _artifact_hashes(tmp_path, CASES[case]) == GOLDEN[case]
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A 3-epoch, 2-block encoder on 24 synthetic rows, saved with its corpus."""
+    root = tmp_path_factory.mktemp("tiny_encoder")
+    genomes, labels = make_synthetic_corpus(24, seed=3)
+    corpus = split_corpus(genomes, labels, test_frac=0.25, seed=0)
+    cfg = EncoderConfig(d_enc=16, n_blocks=2, n_heads=2, ffn_mult=2, p_drop=0.2, max_layers=40)
+    model, _ = train(corpus, config=cfg, epochs=3, seed=100)
+    model.save(str(root / "encoder.npz"))
+    save_corpus(str(root / "corpus.jsonl"), genomes, labels)
+    return root
+
+
+def test_surrogate_refinement_hashes_pinned(tiny_checkpoint, tmp_path, capsys):
+    hashes = _artifact_hashes(
+        tmp_path, SURROGATE_REFINE,
+        "--surrogate", str(tiny_checkpoint / "encoder.npz"),
+        "--corpus", str(tiny_checkpoint / "corpus.jsonl"),
+    )
+    events = (tmp_path / "run" / "events.jsonl").read_text().splitlines()
+    assert len(events) >= 2
+    assert hashes == GOLDEN["surrogate_refine"]

@@ -1,5 +1,6 @@
 """Layer profiling, substrate roofline, packing (vs exhaustive oracle), ring."""
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ihasearch.hwcost import (
     RingPlan,
     Workload,
     balanced_contiguous_pack,
+    best_ring_pick,
     build_chip,
     builtin_substrate_names,
     chip_grid_search,
@@ -24,7 +26,7 @@ from ihasearch.hwcost import (
     write_plan_csv,
 )
 from ihasearch.hwcost.packing import StageLimits, bottleneck_ops
-from ihasearch.hwcost.profiles import LayerProfile
+from ihasearch.hwcost.profiles import HWCost, LayerProfile
 
 from oracles import brute_best_bottleneck, brute_dominates
 
@@ -320,8 +322,8 @@ class TestChipGridSearch:
     def test_results_mutually_nondominated(self):
         rng = np.random.default_rng(1)
         g = gn.random_genome(rng=rng)
-        res = chip_grid_search(g, Workload(512, 256))
-        assert 0 < len(res) <= 3
+        res, n_feasible = chip_grid_search(g, Workload(512, 256))
+        assert 0 < len(res) <= min(3, n_feasible)
         objs = [r.objectives() for r in res]
         for i, a in enumerate(objs):
             for j, b in enumerate(objs):
@@ -335,25 +337,35 @@ class TestChipGridSearch:
         tiny = gn.GlobalConfig(d_model=64, block_size=1024, max_layers=4)
         pad = gn.LayerGene(0, 1, 1, 1, 64, 64, 512)
         g = gn.ArchGenome(tiny, (gene, pad, pad, pad))
-        assert chip_grid_search(g, Workload(512, 256)) == []
+        assert chip_grid_search(g, Workload(512, 256)) == ([], 0)
         assert ring_cost(g, Workload(512, 256)) is None
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         g = gn.random_genome(rng=rng)
-        a = chip_grid_search(g, Workload(512, 256))
-        b = chip_grid_search(g, Workload(512, 256))
+        a, _ = chip_grid_search(g, Workload(512, 256))
+        b, _ = chip_grid_search(g, Workload(512, 256))
         assert [r.objectives() for r in a] == [r.objectives() for r in b]
         assert [r.plan.partition for r in a] == [r.plan.partition for r in b]
 
     def test_ring_cost_picks_member_of_topk(self):
         rng = np.random.default_rng(4)
         g = gn.random_genome(rng=rng)
-        picks = chip_grid_search(g, Workload(512, 256))
+        picks, _ = chip_grid_search(g, Workload(512, 256))
         cost, chosen = ring_cost(g, Workload(512, 256))
         assert chosen.objectives() in [r.objectives() for r in picks]
         products = [r.cost.e_tok_j * r.cost.ttft_s * r.cost.tpot_s for r in picks]
         assert cost.e_tok_j * cost.ttft_s * cost.tpot_s == pytest.approx(min(products))
+        assert chosen == best_ring_pick(picks)
+
+    def test_best_ring_pick_ties_go_to_the_earlier_pick(self):
+        a, b, c = (
+            SimpleNamespace(cost=HWCost(*abc))
+            for abc in [(2.0, 3.0, 1.0), (1.0, 6.0, 1.0), (1.0, 1.0, 1.0)]
+        )
+        assert best_ring_pick([a, b]) is a
+        assert best_ring_pick([b, a]) is b
+        assert best_ring_pick([a, b, c]) is c
 
 
 class TestPlanExport:

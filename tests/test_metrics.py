@@ -142,10 +142,14 @@ class TestPareto:
         feas = mx.ObjectiveVector((2.0, 2.0))
         infeas = mx.ObjectiveVector((0.0, 0.0), feasible=False, violation=3.0)
         worse_infeas = mx.ObjectiveVector((0.0, 0.0), feasible=False, violation=4.0)
-        assert mx.constrained_dominates(feas, infeas)
-        assert not mx.constrained_dominates(infeas, feas)
-        assert mx.constrained_dominates(infeas, worse_infeas)
-        assert not mx.constrained_dominates(feas, mx.ObjectiveVector((1.0, 3.0)))
+        other = mx.ObjectiveVector((1.0, 3.0))
+        dom = mx.constraint_dominance_matrix(
+            *mx.objective_arrays([feas, infeas, worse_infeas, other])
+        )
+        assert dom[0, 1] and not dom[1, 0]  # feasible beats infeasible
+        assert dom[1, 2] and not dom[2, 1]  # lower violation wins
+        assert not dom[0, 3] and not dom[3, 0]  # feasible, mutually non-dominated
+        assert not dom.diagonal().any()
 
 
 class TestHypervolume:

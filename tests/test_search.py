@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_constrained_dominates,
     brute_constrained_sort,
     brute_nondominated_sort,
     brute_pareto_front,
@@ -25,7 +26,13 @@ from ihasearch.genome import (
     random_genome,
     validate,
 )
-from ihasearch.metrics import ObjectiveVector, crowding_distance, pareto_front
+from ihasearch.metrics import (
+    ObjectiveVector,
+    constraint_dominance_matrix,
+    crowding_distance,
+    objective_arrays,
+    pareto_front,
+)
 from ihasearch.search import (
     MutationRates,
     SearchConfig,
@@ -371,6 +378,33 @@ class TestConstrainedSortOracle:
         assert fast_nondominated_sort(items) == brute
         assert pareto_front(items) == (brute[0] if brute else [])
 
+    @given(constrained_points())
+    @settings(max_examples=300, deadline=None)
+    def test_dominance_matrix_matches_literal_rule(self, points):
+        items = [ObjectiveVector(v, f, viol) for v, f, viol in points]
+        dom = constraint_dominance_matrix(*objective_arrays(items))
+        assert dom.shape == (len(points), len(points))
+        for i, a in enumerate(points):
+            for j, b in enumerate(points):
+                assert dom[i, j] == brute_constrained_dominates(a, b)
+
+    @given(constrained_points().filter(bool), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tournament_matches_literal_rule(self, points, data):
+        items = [ObjectiveVector(v, f, viol) for v, f, viol in points]
+        n = len(items)
+        crowd = data.draw(st.lists(st.sampled_from([0.0, 1.0, math.inf]), min_size=n, max_size=n))
+        winners = tournament_select(items, crowd, np.random.default_rng(n), 2 * n)
+        draws = np.random.default_rng(n)
+        for w in winners:
+            i, j = int(draws.integers(n)), int(draws.integers(n))
+            if brute_constrained_dominates(points[i], points[j]):
+                assert w == i
+            elif brute_constrained_dominates(points[j], points[i]):
+                assert w == j
+            else:
+                assert w == (j if crowd[j] > crowd[i] else i)
+
     @given(constrained_points(), st.integers(0, 14))
     @settings(max_examples=300, deadline=None)
     def test_survival_matches_literal_fill(self, points, n_keep):
@@ -456,10 +490,12 @@ class TestAcquisition:
             backend="analytic:gemmini", seed=12,
         )
         res = run_search(cfg)
-        batch = acquisition_select(res.population, model, b=4, n_mc=1,
-                                   rng=np.random.default_rng(0))
-        assert 1 <= len(batch) <= 4
-        assert all(isinstance(g, ArchGenome) for g in batch)
+        exploit, explore = acquisition_select(res.population, model, b=4, n_mc=1,
+                                              rng=np.random.default_rng(0))
+        assert 1 <= len(exploit) + len(explore) <= 4
+        assert len(exploit) <= 2
+        assert not set(exploit) & set(explore)
+        assert all(0 <= i < len(res.population) for i in exploit + explore)
 
 
 class TestRunSearch:
@@ -634,25 +670,43 @@ class TestEvaluationMemo:
         oracle = self._count(monkeypatch, "synth_oracle")
         backend = self._count(monkeypatch, "substrate_cost")
         ids = self._count(monkeypatch, "genome_id")
+        checks = self._count(monkeypatch, "validate")
         cfg = SearchConfig(
             population_size=10, offspring_size=12, generations=6,
             refine_every_generations=0, evaluator="oracle",
             backend="analytic:gemmini", space=space, seed=4,
         )
         res = run_search(cfg)
-        self._check_once_per_distinct(res, oracle, backend, ids)
+        self._check_once_per_distinct(res, oracle, backend, ids, checks)
         born = collections.Counter(ind.born_gen for ind in res.evaluated)
         assert born == {0: 10, **{t: 12 for t in range(1, 7)}}
 
     def test_ring_oracle(self, monkeypatch):
         backend = self._count(monkeypatch, "ring_cost")
+        checks = self._count(monkeypatch, "validate")
         cfg = SearchConfig(
             population_size=6, offspring_size=6, generations=3,
             refine_every_generations=0, evaluator="oracle",
             backend="ring", val_loss_max=3.5,
             prefill_tokens=512, decode_tokens=256, seed=2,
         )
-        self._check_once_per_distinct(run_search(cfg), backend)
+        self._check_once_per_distinct(run_search(cfg), backend, checks)
+
+    def test_invalid_genome_raises_and_is_not_memoised(self):
+        from ihasearch.search.engine import _SearchEngine
+
+        cfg = SearchConfig(
+            population_size=4, offspring_size=4, generations=1,
+            refine_every_generations=0, evaluator="oracle",
+            backend="analytic:gemmini", seed=0,
+        )
+        engine = _SearchEngine(cfg, None, None, None, None, None)
+        bad = stack([gene(n_h=8, n_kv=3)])
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="invalid genome"):
+                engine.evaluate([bad], gen=0)
+            assert bad not in engine._scored
+        assert engine.n_evaluations == 0
 
     def test_surrogate_predicts_every_request(self, monkeypatch, tiny_surrogate):
         from ihasearch.surrogate import EncoderSurrogate
