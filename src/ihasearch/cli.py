@@ -312,11 +312,20 @@ def _load_grid(path: str | None) -> list[tuple[int, int, int]]:
     if path is None:
         return default_chip_grid()
     doc = _read_json_file(path, "chip grid")
-    try:
-        axes = (doc["n_mac"], doc["w_core_kb"], doc["n_chips_max"])
-    except KeyError as exc:
-        raise InputError(f"chip grid file needs key {exc}") from exc
-    grid = [tuple(int(v) for v in triple) for triple in itertools.product(*axes)]
+    if not isinstance(doc, dict):
+        raise InputError("chip grid file must hold a JSON object")
+    axes = []
+    for name in ("n_mac", "w_core_kb", "n_chips_max"):
+        if name not in doc:
+            raise InputError(f"chip grid file needs key {name!r}")
+        values = doc[name]
+        if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values
+        ):
+            raise InputError(f"chip grid {name} must be a list of positive integers, "
+                             f"got {values!r}")
+        axes.append(values)
+    grid = list(itertools.product(*axes))
     if not grid:
         raise InputError("chip grid file describes an empty grid")
     return grid

@@ -113,6 +113,17 @@ class ArchGenome:
     def n_active(self) -> int:
         return sum(g.mask == 1 for g in self.layers)
 
+    @functools.cached_property
+    def _content_digests(self) -> tuple[str, int]:
+        """(genome_id, genome_hash64), both from one canonical JSON encoding.
+        Kept on the instance, so a genome is serialized once however many
+        of the two it is asked for."""
+        data = to_json(self).encode()
+        return (
+            hashlib.sha1(data).hexdigest()[:12],
+            int.from_bytes(hashlib.sha256(data).digest()[:8], "big"),
+        )
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -355,10 +366,12 @@ def from_json(text: str) -> ArchGenome:
 
 
 def genome_id(genome: ArchGenome) -> str:
-    """Stable 12-hex content id of the canonical JSON form."""
-    return hashlib.sha1(to_json(genome).encode()).hexdigest()[:12]
+    """Stable 12-hex content id: the first 12 hex digits of the SHA-1 of
+    the canonical JSON form."""
+    return genome._content_digests[0]
 
 
 def genome_hash64(genome: ArchGenome) -> int:
-    """64-bit content hash used to seed per-genome noise streams."""
-    return int.from_bytes(hashlib.sha256(to_json(genome).encode()).digest()[:8], "big")
+    """64-bit content hash used to seed per-genome noise streams: the first
+    8 bytes (big-endian) of the SHA-256 of the canonical JSON form."""
+    return genome._content_digests[1]

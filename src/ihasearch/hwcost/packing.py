@@ -9,6 +9,9 @@ decode time (the token-pipeline bottleneck).
 The greedy scan produces the minimum possible number of contiguous stages
 for a given budget (all constraints are additive and monotone), so capping
 the stage count at the ring's maximum depth keeps the binary search exact.
+The search's probes run the same scan but only count stages, stopping once
+the count passes the cap; the partition itself is built once, by
+greedy_contiguous_partition at the smallest feasible budget.
 """
 from dataclasses import dataclass
 
@@ -63,6 +66,35 @@ def greedy_contiguous_partition(
     return stages
 
 
+def _fits_in_stages(
+    layers: list[tuple[float, float, float]],
+    limits: StageLimits,
+    ops_budget: float,
+    n_stages_max: int,
+) -> bool:
+    """Whether greedy_contiguous_partition, run on per-layer (weight bytes,
+    KV bytes at ctx, decode ops), returns a partition of at most
+    n_stages_max stages (activation bytes are not checked).  The same sums
+    and comparisons, without building the stages; stops once the count
+    passes n_stages_max."""
+    weight_cap, kv_cap = limits.weight_cap, limits.kv_cap
+    n = 1
+    w = k = o = 0.0
+    for dw, dk, do in layers:
+        if w + dw <= weight_cap and k + dk <= kv_cap and o + do <= ops_budget:
+            w, k, o = w + dw, k + dk, o + do
+            continue
+        # a layer too big for any stage reaches this branch: every sum
+        # above is at least the layer's own term
+        if dw > weight_cap or dk > kv_cap or do > ops_budget:
+            return False
+        n += 1
+        if n > n_stages_max:
+            return False
+        w, k, o = dw, dk, do
+    return True
+
+
 def balanced_contiguous_pack(
     profiles: list[LayerProfile],
     limits: StageLimits,
@@ -73,31 +105,34 @@ def balanced_contiguous_pack(
     Binary search over the integer ops budget B in [max ops, sum ops]; a
     budget is feasible when the greedy partition exists and fits in
     n_chips_max stages.  Because the greedy scan minimizes the stage count,
-    feasibility is monotone in B and the search is exact.
+    feasibility is monotone in B and the search is exact.  Each probe only
+    counts the greedy scan's stages; greedy_contiguous_partition runs once,
+    at the smallest feasible budget, to build the returned partition.
     """
     if not profiles:
         raise ValueError("profiles must be non-empty")
     if n_chips_max < 1:
         raise ValueError("n_chips_max must be >= 1")
-    for prof in profiles:
-        if (
-            prof.weight_bytes > limits.weight_cap
-            or prof.kv_bytes_per_token * limits.ctx_tokens > limits.kv_cap
-            or prof.act_bytes > limits.act_cap
-        ):
+    layers = [
+        (p.weight_bytes, p.kv_bytes_per_token * limits.ctx_tokens, p.decode_ops)
+        for p in profiles
+    ]
+    for prof, (w, k, _) in zip(profiles, layers):
+        if w > limits.weight_cap or k > limits.kv_cap or prof.act_bytes > limits.act_cap:
             return None
-    lo = max(p.decode_ops for p in profiles)
-    hi = sum(p.decode_ops for p in profiles)
+    lo = max(o for _, _, o in layers)
+    hi = sum(o for _, _, o in layers)
     best = None
     while lo <= hi:
         budget = (lo + hi) // 2
-        part = greedy_contiguous_partition(profiles, limits, budget)
-        if part is not None and len(part) <= n_chips_max:
-            best = part
+        if _fits_in_stages(layers, limits, budget, n_chips_max):
+            best = budget
             hi = budget - 1
         else:
             lo = budget + 1
-    return best
+    if best is None:
+        return None
+    return greedy_contiguous_partition(profiles, limits, best)
 
 
 def stage_totals(profiles: list[LayerProfile], stage: list[int], ctx_tokens: float):
@@ -107,8 +142,3 @@ def stage_totals(profiles: list[LayerProfile], stage: list[int], ctx_tokens: flo
     o = sum(profiles[i].decode_ops for i in stage)
     a = max(profiles[i].act_bytes for i in stage)
     return w, k, o, a
-
-
-def bottleneck_ops(profiles: list[LayerProfile], partition: list[list[int]]) -> float:
-    """Largest per-stage decode-ops total: the pipeline bottleneck."""
-    return max(sum(profiles[i].decode_ops for i in stage) for stage in partition)

@@ -5,7 +5,9 @@ contiguous stages (one chip each) with weights held stationary; tokens hop
 around the ring once per decode step.  The co-search sweeps a 45-point chip
 grid, packs the model onto each feasible template, simulates the ring, and
 returns the top non-dominated (chip, plan) pairs on
-(TTFT, TPOT, energy/token, total area).
+(TTFT, TPOT, energy/token, total area).  A chip's stage limits do not depend
+on its MAC count, so the model is packed once per distinct (stage limits,
+chip cap) pair: 15 packs for the 45-point default grid.
 """
 import csv
 from dataclasses import dataclass
@@ -91,6 +93,8 @@ def build_chip(
     holds the largest single layer, then factors it as n_dxt * n_vac with
     n_vac >= n_dxt.
     """
+    if w_core_kb <= 0:
+        raise ValueError("chip dimensions must be positive")
     per_core = w_core_kb * 1024
     n_cores = 1
     while n_cores * per_core < max_layer_weight_bytes:
@@ -199,27 +203,34 @@ def chip_grid_search(
     """
     wl = workload or Workload()
     profiles = profile_model(genome, wl, bytes_per_elem)
+    layer_profiles = tuple(profiles)
     max_w = max(p.weight_bytes for p in profiles)
     results: list[RingResult] = []
     seen: set = set()
+    # the stage limits do not depend on n_mac, so grid points that differ
+    # only in n_mac share one pack
+    packs: dict = {}
     n_feasible = 0
     for n_mac, w_core, cap in grid or default_chip_grid():
         chip = build_chip(n_mac, w_core, max_w, wl.ctx_peak, **chip_overrides)
         limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
-        partition = balanced_contiguous_pack(profiles, limits, cap)
+        if (limits, cap) not in packs:
+            part = balanced_contiguous_pack(profiles, limits, cap)
+            packs[limits, cap] = None if part is None else tuple(tuple(s) for s in part)
+        partition = packs[limits, cap]
         if partition is None:
             continue
         n_feasible += 1
         # grid points whose cap was not binding realize the same (chip, plan)
         # design; keep the first occurrence only
-        key = (chip, tuple(tuple(s) for s in partition))
+        key = (chip, partition)
         if key in seen:
             continue
         seen.add(key)
         plan = RingPlan(
             chip=chip,
-            partition=tuple(tuple(s) for s in partition),
-            profiles=tuple(profiles),
+            partition=partition,
+            profiles=layer_profiles,
             hop_bytes=genome.global_cfg.d_model * bytes_per_elem,
         )
         results.append(RingResult(chip, plan, ring_simulate(plan, wl), cap))

@@ -259,3 +259,9 @@ def brute_best_bottleneck(profiles, w_cap, k_cap, a_cap, t_ctx, n_chips_max):
         if ok and (best is None or worst < best[0]):
             best = (worst, stages)
     return best
+
+
+def bottleneck_ops(profiles, partition):
+    """Largest per-stage decode-ops total of a partition (LayerProfile
+    list): the token-pipeline bottleneck."""
+    return max(sum(profiles[i].decode_ops for i in stage) for stage in partition)

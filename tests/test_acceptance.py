@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bottleneck_ops,
     brute_best_bottleneck,
     brute_dominates,
     brute_k_at_x,
@@ -47,6 +48,7 @@ from ihasearch.genome import (
 from ihasearch.hwcost import (
     LayerProfile,
     RingPlan,
+    RingResult,
     StageLimits,
     Workload,
     balanced_contiguous_pack,
@@ -56,8 +58,14 @@ from ihasearch.hwcost import (
     profile_model,
     ring_simulate,
 )
-from ihasearch.hwcost.packing import bottleneck_ops
-from ihasearch.metrics import k_at_x, kendall_tau, mae_at_top, spearman_rho
+from ihasearch.metrics import (
+    crowding_distance,
+    k_at_x,
+    kendall_tau,
+    mae_at_top,
+    pareto_front,
+    spearman_rho,
+)
 from ihasearch.search import (
     Individual,
     ParetoArchive,
@@ -304,13 +312,14 @@ class TestCriterion10ChipGridContract:
         assert len(set(grid)) == 45  # full cross product, no repeats
 
     @staticmethod
-    def _all_grid_candidates(genome, workload):
-        """Mirror the sweep with public APIs: every feasible (chip, plan), and
-        how many grid points packed."""
+    def _all_grid_candidates(genome, workload, grid=None):
+        """Mirror the sweep with public APIs, packing at every grid point:
+        every feasible (chip, plan) as a RingResult, and how many grid
+        points packed."""
         profiles = profile_model(genome, workload)
         max_w = max(p.weight_bytes for p in profiles)
         seen, out, n_feasible = set(), [], 0
-        for n_mac, w_core, cap in default_chip_grid():
+        for n_mac, w_core, cap in grid or default_chip_grid():
             chip = build_chip(n_mac, w_core, max_w, workload.ctx_peak)
             limits = StageLimits(chip.weight_cap, chip.kv_cap,
                                  chip.scratch_bytes, chip.max_ctx)
@@ -325,9 +334,39 @@ class TestCriterion10ChipGridContract:
             plan = RingPlan(chip=chip, partition=tuple(tuple(s) for s in part),
                             profiles=tuple(profiles),
                             hop_bytes=genome.global_cfg.d_model)
-            cost = ring_simulate(plan, workload)
-            out.append((cost.ttft_s, cost.tpot_s, cost.e_tok_j, chip.area * plan.n_chips))
+            out.append(RingResult(chip, plan, ring_simulate(plan, workload), cap))
         return out, n_feasible
+
+    @staticmethod
+    def _ranked_picks(results, top_k):
+        """chip_grid_search's pick rule applied to a candidate list: the
+        Pareto front by descending crowding distance, ties to the earlier."""
+        if not results:
+            return []
+        front = pareto_front([r.objectives() for r in results])
+        crowd = crowding_distance([results[i].objectives() for i in front])
+        ranked = sorted(range(len(front)), key=lambda j: (-crowd[j], j))
+        return [results[front[j]] for j in ranked[:top_k]]
+
+    @pytest.mark.parametrize("workload", [Workload(512, 256), Workload(100, 33), Workload(1, 1)],
+                             ids=["512-256", "100-33", "1-1"])
+    def test_grid_search_equals_per_point_sweep(self, workload):
+        """Packing once per distinct stage limits and cap changes no pick,
+        no pick order and no feasible count.  Sub-grids of one w_core_kb
+        each put plans on the front that larger grids dominate."""
+        grids = [None] + [[t for t in default_chip_grid() if t[1] == w] for w in (24, 96, 384)]
+        rng = np.random.default_rng(23)
+        genomes = [gn.random_genome(rng=rng) for _ in range(6)]
+        for i, g in enumerate(genomes[:3]):  # shallower stacks too
+            keep = i + 1
+            genomes.append(ArchGenome(g.global_cfg, tuple(
+                dataclasses.replace(l, mask=int(j < keep)) for j, l in enumerate(g.layers))))
+        for genome, grid in itertools.product(genomes, grids):
+            candidates, n_packed = self._all_grid_candidates(genome, workload, grid)
+            for top_k in (3, 45):
+                picks, n_feasible = chip_grid_search(genome, workload, grid, top_k)
+                assert n_feasible == n_packed
+                assert picks == self._ranked_picks(candidates, top_k)
 
     def test_top_k_mutually_nondominated_and_on_front(self):
         rng = np.random.default_rng(11)
@@ -343,7 +382,8 @@ class TestCriterion10ChipGridContract:
             objs = [r.objectives() for r in picks]
             for a, b in itertools.permutations(objs, 2):
                 assert not brute_dominates(a, b)
-            candidates, n_packed = self._all_grid_candidates(genome, workload)
+            results, n_packed = self._all_grid_candidates(genome, workload)
+            candidates = [r.objectives() for r in results]
             assert n_feasible == n_packed
             front_idx = brute_pareto_front(candidates)
             assert len(picks) == min(3, len(front_idx))

@@ -349,6 +349,25 @@ class TestPack:
         assert main(["pack", "--genome", str(genome_file),
                      "--out", str(tmp_path / "x"), "--grid", str(grid)]) == 2
 
+    @pytest.mark.parametrize("axis,values", [
+        ("w_core_kb", [0]),  # used to hang in build_chip's core-count loop
+        ("w_core_kb", [-24]),
+        ("n_mac", [0]),  # used to exit 3
+        ("n_chips_max", [0]),  # used to exit 3
+        ("n_mac", [True]),
+        ("n_chips_max", [8.5]),
+        ("w_core_kb", ["96"]),
+        ("n_mac", 16),
+    ])
+    def test_bad_grid_value_exit2(self, tmp_path, capsys, genome_file, axis, values):
+        doc = {"n_mac": [16, 64], "w_core_kb": [96], "n_chips_max": [8]}
+        doc[axis] = values
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(doc))
+        assert main(["pack", "--genome", str(genome_file),
+                     "--out", str(tmp_path / "x"), "--grid", str(grid)]) == 2
+        assert axis in capsys.readouterr().err
+
 
 # --------------------------------------------------------------------------
 # surrogate

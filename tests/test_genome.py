@@ -1,5 +1,6 @@
 """Genome validation, repair, counting and serialization."""
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -359,3 +360,13 @@ class TestSerialization:
         g2 = make_genome([gn.LayerGene(1, 1, 8, 2, 64, 64, 1280)])
         assert gn.genome_id(g) != gn.genome_id(g2)
         assert len(gn.genome_id(g)) == 12
+
+    def test_id_and_hash64_are_digests_of_the_canonical_json(self):
+        rng = np.random.default_rng(12)
+        for g in [make_genome([ACTIVE])] + [gn.random_genome(rng=rng) for _ in range(5)]:
+            data = gn.to_json(g).encode()
+            assert gn.genome_id(g) == hashlib.sha1(data).hexdigest()[:12]
+            assert gn.genome_hash64(g) == int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+        # pinned values: the id names genome files, the hash seeds oracle noise
+        g = make_genome([ACTIVE])
+        assert (gn.genome_id(g), gn.genome_hash64(g)) == ("4f79c9d61307", 15461220520269722588)

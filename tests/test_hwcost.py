@@ -4,8 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ihasearch import genome as gn
+from ihasearch.hwcost import packing, ring
 from ihasearch.hwcost import (
     ChipTemplate,
     RingPlan,
@@ -25,10 +28,10 @@ from ihasearch.hwcost import (
     substrate_cost,
     write_plan_csv,
 )
-from ihasearch.hwcost.packing import StageLimits, bottleneck_ops
+from ihasearch.hwcost.packing import StageLimits
 from ihasearch.hwcost.profiles import HWCost, LayerProfile
 
-from oracles import brute_best_bottleneck, brute_dominates
+from oracles import bottleneck_ops, brute_best_bottleneck, brute_dominates
 
 GLOBAL = gn.GlobalConfig()
 REF_GENE = gn.LayerGene(mask=1, attn=1, n_h=9, n_kv=3, d_qk=64, d_v=96, d_mlp=1536)
@@ -243,6 +246,97 @@ class TestBalancedPack:
         assert agree > 10  # sanity: the sweep hit non-trivial cases
 
 
+def _segment_sums(values):
+    return [sum(values[i:j]) for i in range(len(values)) for j in range(i + 1, len(values) + 1)]
+
+
+@st.composite
+def probe_cases(draw):
+    """Layers, caps, a budget and a stage cap for the count-only probe.  Caps
+    and budgets are often exact sums of consecutive layers, so stages fill a
+    cap exactly; budgets are often just below one layer's ops, where the
+    greedy scan fails on that layer alone.  Ops are half-integers and the KV
+    context may be fractional, so sums are not integers."""
+    n = draw(st.integers(1, 8))
+    ints = st.lists(st.integers(0, 20), min_size=n, max_size=n)
+    weights, kappas = draw(ints), draw(ints)
+    ops = [o / 2 for o in draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))]
+    ctx = draw(st.sampled_from([1.0, 0.5, 2.5]))
+
+    def cap_of(values):
+        return draw(st.one_of(st.sampled_from(_segment_sums(values)), st.integers(0, 100)))
+
+    weight_cap, kv_cap = cap_of(weights), cap_of([k * ctx for k in kappas])
+    budget = draw(st.one_of(
+        st.sampled_from(_segment_sums(ops)),
+        st.sampled_from([o - d for o in ops for d in (0.5, 1.0)]),
+        st.integers(0, 200).map(float),
+    ))
+    profiles = [LayerProfile(w, k, o, 0) for w, k, o in zip(weights, kappas, ops)]
+    return profiles, StageLimits(weight_cap, kv_cap, 0, ctx), budget, draw(st.integers(1, n + 1))
+
+
+def literal_balanced_pack(profiles, limits, n_chips_max):
+    """The pack's binary search written out with a full greedy partition at
+    every probe."""
+    for p in profiles:
+        if (p.weight_bytes > limits.weight_cap
+                or p.kv_bytes_per_token * limits.ctx_tokens > limits.kv_cap
+                or p.act_bytes > limits.act_cap):
+            return None
+    lo = max(p.decode_ops for p in profiles)
+    hi = sum(p.decode_ops for p in profiles)
+    best = None
+    while lo <= hi:
+        budget = (lo + hi) // 2
+        part = greedy_contiguous_partition(profiles, limits, budget)
+        if part is not None and len(part) <= n_chips_max:
+            best, hi = part, budget - 1
+        else:
+            lo = budget + 1
+    return best
+
+
+class TestCountOnlyPack:
+    @given(probe_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_probe_accepts_exactly_when_greedy_fits(self, case):
+        profiles, limits, budget, n_max = case
+        part = greedy_contiguous_partition(profiles, limits, budget)
+        layers = [(p.weight_bytes, p.kv_bytes_per_token * limits.ctx_tokens, p.decode_ops)
+                  for p in profiles]
+        got = packing._fits_in_stages(layers, limits, budget, n_max)
+        assert got == (part is not None and len(part) <= n_max)
+
+    @given(probe_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_pack_matches_literal_search(self, case):
+        profiles, limits, _, n_max = case
+        assert balanced_contiguous_pack(profiles, limits, n_max) == literal_balanced_pack(
+            profiles, limits, n_max)
+
+    def test_budget_below_a_half_integer_layer(self):
+        # lo = 10.5, hi = 11.0: the first probe, (lo + hi) // 2 = 10.0, is
+        # below the first layer's ops, so the greedy scan fails on that layer
+        # alone; the next probe, 11.0, holds both layers in one stage
+        layers = [prof(1, 0, 10.5, 0), prof(1, 0, 0.5, 0)]
+        for cap in (1, 2):
+            assert balanced_contiguous_pack(layers, ROOMY, cap) == [[0, 1]]
+            assert literal_balanced_pack(layers, ROOMY, cap) == [[0, 1]]
+
+    def test_one_greedy_partition_per_feasible_pack(self, monkeypatch):
+        calls = []
+        greedy = packing.greedy_contiguous_partition
+        monkeypatch.setattr(packing, "greedy_contiguous_partition",
+                            lambda *a: calls.append(a[2]) or greedy(*a))
+        layers = [prof(10, 1, 30, 1)] * 3
+        roomy = StageLimits(1000, 1000, 1000, 1.0)
+        assert balanced_contiguous_pack(layers, roomy, 2) == [[0, 1], [2]]
+        assert calls == [60]
+        assert balanced_contiguous_pack(layers, StageLimits(15, 1000, 1000, 1.0), 2) is None
+        assert calls == [60]
+
+
 class TestChipTemplate:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -257,6 +351,12 @@ class TestChipTemplate:
     def test_reference_area_is_one(self):
         chip = ChipTemplate(n_mac=16, w_core_kb=24, n_dxt=8, n_vac=16, max_ctx=512)
         assert chip.area == 1.0
+
+    def test_build_chip_rejects_non_positive_core_memory(self):
+        # the core-count doubling loop would never end
+        for w_core_kb in (0, -24):
+            with pytest.raises(ValueError):
+                build_chip(16, w_core_kb, 1, 512)
 
     def test_build_chip_core_growth_and_split(self):
         chip = build_chip(16, 24, max_layer_weight_bytes=1, max_ctx=512)
@@ -357,6 +457,26 @@ class TestChipGridSearch:
         products = [r.cost.e_tok_j * r.cost.ttft_s * r.cost.tpot_s for r in picks]
         assert cost.e_tok_j * cost.ttft_s * cost.tpot_s == pytest.approx(min(products))
         assert chosen == best_ring_pick(picks)
+
+    def test_one_pack_per_distinct_stage_limits_and_cap(self, monkeypatch):
+        packs, greedy_calls = [], []
+        pack, greedy = ring.balanced_contiguous_pack, packing.greedy_contiguous_partition
+
+        def counting_pack(*args):
+            out = pack(*args)
+            packs.append(out is not None)
+            return out
+
+        monkeypatch.setattr(ring, "balanced_contiguous_pack", counting_pack)
+        monkeypatch.setattr(packing, "greedy_contiguous_partition",
+                            lambda *a: greedy_calls.append(1) or greedy(*a))
+        g = gn.random_genome(rng=np.random.default_rng(1))
+        picks, n_feasible = chip_grid_search(g, Workload(512, 256))
+        assert picks and n_feasible > 0
+        assert len(packs) == 15
+        # each pack that fits is shared by the 3 n_mac values
+        assert n_feasible == 3 * sum(packs)
+        assert len(greedy_calls) == sum(packs)
 
     def test_best_ring_pick_ties_go_to_the_earlier_pick(self):
         a, b, c = (

@@ -641,17 +641,18 @@ class TestEvaluationMemo:
     yields its own Individual."""
 
     @staticmethod
-    def _count(monkeypatch, name):
-        import ihasearch.search.engine as engine
+    def _count(monkeypatch, name, module="ihasearch.search.engine"):
+        import importlib
 
+        owner = importlib.import_module(module)
         calls = collections.Counter()
-        original = getattr(engine, name)
+        original = getattr(owner, name)
 
         def counted(genome, *args, **kwargs):
             calls[genome] += 1
             return original(genome, *args, **kwargs)
 
-        monkeypatch.setattr(engine, name, counted)
+        monkeypatch.setattr(owner, name, counted)
         return calls
 
     @staticmethod
@@ -671,13 +672,15 @@ class TestEvaluationMemo:
         backend = self._count(monkeypatch, "substrate_cost")
         ids = self._count(monkeypatch, "genome_id")
         checks = self._count(monkeypatch, "validate")
+        # the id and the oracle's noise seed share one canonical JSON
+        dumps = self._count(monkeypatch, "to_json", module="ihasearch.genome")
         cfg = SearchConfig(
             population_size=10, offspring_size=12, generations=6,
             refine_every_generations=0, evaluator="oracle",
             backend="analytic:gemmini", space=space, seed=4,
         )
         res = run_search(cfg)
-        self._check_once_per_distinct(res, oracle, backend, ids, checks)
+        self._check_once_per_distinct(res, oracle, backend, ids, checks, dumps)
         born = collections.Counter(ind.born_gen for ind in res.evaluated)
         assert born == {0: 10, **{t: 12 for t in range(1, 7)}}
 
