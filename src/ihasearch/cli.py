@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .attention import AttnWeights, attention_rows_stochastic, iha_forward, random_weights
@@ -254,8 +255,11 @@ def cmd_search(args) -> int:
              cfg.evaluator, cfg.backend, cfg.seed)
     res = run_search(cfg, surrogate=surrogate, corpus=corpus)
 
+    # byte-identical artifacts hold within one numeric stack, so a search
+    # manifest names the numpy and scipy versions it ran on
     _write_manifest(manifest, {"subcommand": "search", "config": cfg.to_dict(),
-                               "seed": cfg.seed})
+                               "seed": cfg.seed, "numpy": np.__version__,
+                               "scipy": scipy.__version__})
     _write_csv(
         spec.out_dir / "generations.csv",
         ["gen", "best_val_loss", "archive_size", "hypervolume"],

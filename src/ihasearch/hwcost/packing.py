@@ -4,7 +4,9 @@ greedy_contiguous_partition is the inner feasibility test: scan layers in
 order, extending the open stage while the weight, KV and ops budgets all
 hold.  balanced_contiguous_pack binary-searches the scalar per-stage ops
 budget for the smallest feasible value, which minimizes the longest-stage
-decode time (the token-pipeline bottleneck).
+decode time (the token-pipeline bottleneck).  The budgets it searches are
+the sums of contiguous layer runs, added from the run's first layer as the
+scan adds them, so the search is exact for non-integer ops too.
 
 The greedy scan produces the minimum possible number of contiguous stages
 for a given budget (all constraints are additive and monotone), so capping
@@ -14,6 +16,7 @@ the count passes the cap; the partition itself is built once, by
 greedy_contiguous_partition at the smallest feasible budget.
 """
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .profiles import LayerProfile
 
@@ -102,12 +105,16 @@ def balanced_contiguous_pack(
 ) -> list[list[int]] | None:
     """Partition minimizing the bottleneck stage ops, or None if infeasible.
 
-    Binary search over the integer ops budget B in [max ops, sum ops]; a
-    budget is feasible when the greedy partition exists and fits in
-    n_chips_max stages.  Because the greedy scan minimizes the stage count,
-    feasibility is monotone in B and the search is exact.  Each probe only
-    counts the greedy scan's stages; greedy_contiguous_partition runs once,
-    at the smallest feasible budget, to build the returned partition.
+    The smallest feasible budget is the ops sum of some stage, so the
+    candidates are the distinct sums of contiguous layer runs that are at
+    least the largest layer's ops, each added from the run's first layer in
+    scan order (the floats the greedy scan compares).  Binary search over
+    them, sorted; a budget is feasible when the greedy partition exists and
+    fits in n_chips_max stages.  Because the greedy scan minimizes the stage
+    count, feasibility is monotone in the budget and the search is exact.
+    Each probe only counts the greedy scan's stages;
+    greedy_contiguous_partition runs once, at the smallest feasible budget,
+    to build the returned partition.
     """
     if not profiles:
         raise ValueError("profiles must be non-empty")
@@ -120,16 +127,21 @@ def balanced_contiguous_pack(
     for prof, (w, k, _) in zip(profiles, layers):
         if w > limits.weight_cap or k > limits.kv_cap or prof.act_bytes > limits.act_cap:
             return None
-    lo = max(o for _, _, o in layers)
-    hi = sum(o for _, _, o in layers)
+    ops = [o for _, _, o in layers]
+    floor = max(ops)
+    sums = set()
+    for start in range(len(ops)):
+        sums.update(accumulate(ops[start:]))
+    budgets = sorted(b for b in sums if b >= floor)
+    lo, hi = 0, len(budgets) - 1
     best = None
     while lo <= hi:
-        budget = (lo + hi) // 2
-        if _fits_in_stages(layers, limits, budget, n_chips_max):
-            best = budget
-            hi = budget - 1
+        mid = (lo + hi) // 2
+        if _fits_in_stages(layers, limits, budgets[mid], n_chips_max):
+            best = budgets[mid]
+            hi = mid - 1
         else:
-            lo = budget + 1
+            lo = mid + 1
     if best is None:
         return None
     return greedy_contiguous_partition(profiles, limits, best)

@@ -60,7 +60,7 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         for name in ("population_size", "offspring_size", "generations",
-                     "prefill_tokens", "decode_tokens"):
+                     "mc_dropout_passes", "prefill_tokens", "decode_tokens"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive int, got {v!r}")
@@ -76,12 +76,10 @@ class SearchConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"{name} must be a non-negative int, got {v!r}")
-        if not isinstance(self.mc_dropout_passes, int) or self.mc_dropout_passes < 1:
-            raise ValueError(f"mc_dropout_passes must be >= 1, got {self.mc_dropout_passes!r}")
         if self.replay_ratio < 0:
             raise ValueError(f"replay_ratio must be >= 0, got {self.replay_ratio!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
         if self.evaluator not in EVALUATORS:
             raise ValueError(f"evaluator must be one of {EVALUATORS}, got {self.evaluator!r}")
         if self.space not in ("iha", "gqa"):

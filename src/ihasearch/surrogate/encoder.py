@@ -10,6 +10,31 @@ attention probability matrices and the feed-forward outputs, nothing else.
 Everything runs in float64; backward passes are exact analytic gradients of
 the mean-L1 objective (verified against central finite differences in the
 test suite).
+
+Active length.  A padded position adds exact zeros to every output: the -1e30
+key bias makes its attention weights 0.0, the pool masks it out, and its
+gradients are 0.0.  So forward computes only the first
+Lt = min(L, max(24, 8 * ceil(last / 8))) positions of a (B, L) batch, where
+last is one past the highest position active in any row, and backward works
+from that trimmed cache.  Predictions, losses, gradients and the dropout
+generator's state stay identical to the bit to a full-length pass (the test
+suite checks this against a full-length reference) because four rules hold:
+
+1. Dropout masks are drawn at the full (B, H, L, L) and (B, L, d) shapes and
+   sliced, so the generator's stream does not change.
+2. Lt is a multiple of 8.  numpy's contiguous sums unroll by 8, so any other
+   length regroups the softmax and dscores row sums.
+3. Lt is at least 24.  numpy runs (B, L, K) @ (K, N) as one GEMM per sample
+   with M = L rows, and OpenBLAS rounds differently for M <= 18 when the
+   weight is transposed.
+4. The weight-gradient contractions run over all B * L rows, with the
+   trimmed rows scattered into zeros.  OpenBLAS splits K = B * L into
+   blocks; dropping interior zero rows would move the block edges.
+
+Within Lt, the GELU's erf (the costliest elementwise op) is evaluated on
+active rows only, and padded rows get a CDF of 0.0.  A position's values
+reach other positions only as an attention key or value, where its weight is
+exactly 0.0, so any finite value leaves every output unchanged.
 """
 from __future__ import annotations
 
@@ -23,6 +48,7 @@ from .features import FIELD_ORDER, FieldNormalizer, N_FIELDS
 
 _LN_EPS = 1e-5
 _NEG = -1e30  # additive key-mask bias; exact -inf breaks (0 * -inf) in backward paths
+_MIN_ACTIVE = 24  # floor of the computed length; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -53,11 +79,38 @@ def _gelu(u: np.ndarray) -> np.ndarray:
     return u * _gelu_cdf(u)
 
 
+def _gelu_cdf_rows(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_gelu_cdf on the (B,L) rows of u that `rows` selects, 0.0 elsewhere."""
+    cdf = np.zeros_like(u)
+    cdf[rows] = _gelu_cdf(u[rows])
+    return cdf
+
+
 def _gelu_grad(u: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
     if cdf is None:
         cdf = _gelu_cdf(u)
     phi = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
     return cdf + u * phi
+
+
+def active_length(mask: np.ndarray) -> int:
+    """Positions of a (B, L) batch that forward computes: one past the last
+    position active in any row, rounded up to a multiple of 8, floored at 24
+    and capped at L (see the module docstring for why each step is exact)."""
+    L = mask.shape[1]
+    last = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
+    return min(L, max(_MIN_ACTIVE, -(-last // 8) * 8))
+
+
+def _padded(x: np.ndarray, length: int) -> np.ndarray:
+    """(B,Lt,d) -> (B,length,d), the positions past Lt filled with zeros:
+    the weight-gradient contractions run over every position (rule 4)."""
+    B, Lt, d = x.shape
+    if Lt == length:
+        return x
+    out = np.zeros((B, length, d))
+    out[:, :Lt] = x
+    return out
 
 
 def _contract(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -155,62 +208,68 @@ class EncoderSurrogate:
     ):
         """Predictions (B,) for padded token batches. train=True activates
         dropout and requires an rng; want_cache keeps every intermediate for
-        the backward pass."""
+        the backward pass.  Only the first active_length(mask) positions are
+        computed (see the module docstring)."""
         c = self.config
         p = self.params
         tokens = np.asarray(tokens, dtype=float)
         mask = np.asarray(mask, dtype=float)
         self._check_inputs(tokens, mask)
-        if train and c.p_drop > 0 and rng is None:
+        dropout = train and c.p_drop > 0
+        if dropout and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
         B, L, _ = tokens.shape
         keep = 1.0 - c.p_drop if train else 1.0
+        Lt = active_length(mask)
+        counts = mask.sum(axis=1)
+        tokens, mask = tokens[:, :Lt], mask[:, :Lt]
+        active = mask != 0
 
-        z = tokens @ p["lift_w"] + p["lift_b"].sum(axis=0) + p["pos"][:L]
-        key_bias = (1.0 - mask)[:, None, None, :] * _NEG  # (B,1,1,L)
-        cache: dict = {"tokens": tokens, "mask": mask, "blocks": []}
+        z = tokens @ p["lift_w"] + p["lift_b"].sum(axis=0) + p["pos"][:Lt]
+        key_bias = (1.0 - mask)[:, None, None, :] * _NEG  # (B,1,1,Lt)
+        cache: dict = {"tokens": tokens, "mask": mask, "length": L, "blocks": []}
         for i in range(c.n_blocks):
             pre = f"b{i}."
-            bc: dict = {"z_in": z}
             zh1, ln1c = _layer_norm(z, p[pre + "ln1_g"], p[pre + "ln1_b"])
-            bc["zh1"], bc["ln1"] = zh1, ln1c
-            q = (zh1 @ p[pre + "wq"] + p[pre + "bq"]).reshape(B, L, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
-            k = (zh1 @ p[pre + "wk"] + p[pre + "bk"]).reshape(B, L, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
-            v = (zh1 @ p[pre + "wv"] + p[pre + "bv"]).reshape(B, L, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+            bc: dict = {"zh1": zh1, "ln1": ln1c}
+            q = (zh1 @ p[pre + "wq"] + p[pre + "bq"]).reshape(B, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+            k = (zh1 @ p[pre + "wk"] + p[pre + "bk"]).reshape(B, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+            v = (zh1 @ p[pre + "wv"] + p[pre + "bv"]).reshape(B, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
             scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(c.d_head) + key_bias
             shifted = scores - scores.max(axis=-1, keepdims=True)
             e = np.exp(shifted)
             probs = e / e.sum(axis=-1, keepdims=True)
-            if train and c.p_drop > 0:
-                dm = (rng.random(probs.shape) >= c.p_drop).astype(float)
+            if dropout:
+                # drawn at the full length so the generator's stream is unchanged
+                draw = rng.random((B, c.n_heads, L, L))[:, :, :Lt, :Lt]
+                dm = (draw >= c.p_drop).astype(float)
                 probs_used = probs * dm / keep
             else:
                 dm = None
                 probs_used = probs
-            o = (probs_used @ v).transpose(0, 2, 1, 3).reshape(B, L, c.d_enc)
+            o = (probs_used @ v).transpose(0, 2, 1, 3).reshape(B, Lt, c.d_enc)
             attn_out = o @ p[pre + "wo"] + p[pre + "bo"]
             h = z + attn_out
-            bc.update(q=q, k=k, v=v, probs=probs, attn_drop=dm, o=o)
+            bc.update(q=q, k=k, v=v, probs=probs, probs_used=probs_used, attn_drop=dm, o=o)
 
             zh2, ln2c = _layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"])
             u = zh2 @ p[pre + "w1"] + p[pre + "b1"]
-            cdf = _gelu_cdf(u)
+            cdf = _gelu_cdf_rows(u, active)
             a = u * cdf
             ff = a @ p[pre + "w2"] + p[pre + "b2"]
-            if train and c.p_drop > 0:
-                dm2 = (rng.random(ff.shape) >= c.p_drop).astype(float)
+            if dropout:
+                dm2 = (rng.random((B, L, c.d_enc))[:, :Lt] >= c.p_drop).astype(float)
                 ff_used = ff * dm2 / keep
             else:
                 dm2 = None
                 ff_used = ff
             z = h + ff_used
-            bc.update(h=h, zh2=zh2, ln2=ln2c, u=u, cdf=cdf, a=a, ffn_drop=dm2)
+            bc.update(zh2=zh2, ln2=ln2c, u=u, cdf=cdf, a=a, ffn_drop=dm2)
             cache["blocks"].append(bc)
 
-        counts = mask.sum(axis=1)
         pooled = (z * mask[..., None]).sum(axis=1) / counts[:, None]
         y = pooled @ p["head_w"] + p["head_b"][0]
-        cache.update(z_final=z, pooled=pooled, counts=counts, keep=keep)
+        cache.update(pooled=pooled, counts=counts, keep=keep)
         if want_cache:
             return y, cache
         return y
@@ -223,7 +282,8 @@ class EncoderSurrogate:
         p = self.params
         mask = cache["mask"]
         keep = cache["keep"]
-        B, L = mask.shape
+        L = cache["length"]
+        B, Lt = mask.shape
         grads: dict[str, np.ndarray] = {}
 
         grads["head_w"] = cache["pooled"].T @ dy
@@ -235,28 +295,24 @@ class EncoderSurrogate:
             pre = f"b{i}."
             bc = cache["blocks"][i]
             # z_out = h + dropout(ffn(ln2(h)))
-            dff_used = dz
-            dh = dz.copy()
-            dff = dff_used * bc["ffn_drop"] / keep if bc["ffn_drop"] is not None else dff_used
-            grads[pre + "w2"] = _contract(bc["a"], dff)
+            dff = dz * bc["ffn_drop"] / keep if bc["ffn_drop"] is not None else dz
+            grads[pre + "w2"] = _contract(_padded(bc["a"], L), _padded(dff, L))
             grads[pre + "b2"] = dff.sum(axis=(0, 1))
             da = dff @ p[pre + "w2"].T
             du = da * _gelu_grad(bc["u"], bc["cdf"])
-            grads[pre + "w1"] = _contract(bc["zh2"], du)
+            grads[pre + "w1"] = _contract(_padded(bc["zh2"], L), _padded(du, L))
             grads[pre + "b1"] = du.sum(axis=(0, 1))
             dzh2 = du @ p[pre + "w1"].T
             dx, dg, db = _layer_norm_backward(dzh2, bc["ln2"], p[pre + "ln2_g"])
             grads[pre + "ln2_g"], grads[pre + "ln2_b"] = dg, db
-            dh = dh + dx
+            dh = dz + dx
 
             # h = z_in + attn_out
-            dattn = dh
-            grads[pre + "wo"] = _contract(bc["o"], dattn)
-            grads[pre + "bo"] = dattn.sum(axis=(0, 1))
-            do = (dattn @ p[pre + "wo"].T).reshape(B, L, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
-            probs_used = bc["probs"] * bc["attn_drop"] / keep if bc["attn_drop"] is not None else bc["probs"]
+            grads[pre + "wo"] = _contract(_padded(bc["o"], L), _padded(dh, L))
+            grads[pre + "bo"] = dh.sum(axis=(0, 1))
+            do = (dh @ p[pre + "wo"].T).reshape(B, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
             dprobs_used = do @ bc["v"].transpose(0, 1, 3, 2)
-            dv = probs_used.transpose(0, 1, 3, 2) @ do
+            dv = bc["probs_used"].transpose(0, 1, 3, 2) @ do
             dprobs = dprobs_used * bc["attn_drop"] / keep if bc["attn_drop"] is not None else dprobs_used
             dscores = bc["probs"] * (dprobs - (dprobs * bc["probs"]).sum(axis=-1, keepdims=True))
             dscores = dscores / np.sqrt(c.d_head)
@@ -264,13 +320,13 @@ class EncoderSurrogate:
             dk = dscores.transpose(0, 1, 3, 2) @ bc["q"]
 
             def flat(t):
-                return t.transpose(0, 2, 1, 3).reshape(B, L, c.d_enc)
+                return t.transpose(0, 2, 1, 3).reshape(B, Lt, c.d_enc)
 
             dqf, dkf, dvf = flat(dq), flat(dk), flat(dv)
-            zh1 = bc["zh1"]
-            grads[pre + "wq"] = _contract(zh1, dqf)
-            grads[pre + "wk"] = _contract(zh1, dkf)
-            grads[pre + "wv"] = _contract(zh1, dvf)
+            zh1 = _padded(bc["zh1"], L)
+            grads[pre + "wq"] = _contract(zh1, _padded(dqf, L))
+            grads[pre + "wk"] = _contract(zh1, _padded(dkf, L))
+            grads[pre + "wv"] = _contract(zh1, _padded(dvf, L))
             grads[pre + "bq"] = dqf.sum(axis=(0, 1))
             grads[pre + "bk"] = dkf.sum(axis=(0, 1))
             grads[pre + "bv"] = dvf.sum(axis=(0, 1))
@@ -280,8 +336,8 @@ class EncoderSurrogate:
             dz = dh + dx
 
         grads["pos"] = np.zeros_like(p["pos"])
-        grads["pos"][:L] = dz.sum(axis=0)
-        grads["lift_w"] = _contract(cache["tokens"], dz)
+        grads["pos"][:Lt] = dz.sum(axis=0)
+        grads["lift_w"] = _contract(_padded(cache["tokens"], L), _padded(dz, L))
         db_shared = dz.sum(axis=(0, 1))
         grads["lift_b"] = np.tile(db_shared, (c.n_fields, 1))
         return grads

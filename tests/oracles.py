@@ -265,3 +265,195 @@ def bottleneck_ops(profiles, partition):
     """Largest per-stage decode-ops total of a partition (LayerProfile
     list): the token-pipeline bottleneck."""
     return max(sum(profiles[i].decode_ops for i in stage) for stage in partition)
+
+
+# --- full-length encoder reference --------------------------------------------
+# The encoder's forward and backward as they were before the active-length
+# trim, copied literally: every batch runs at its padded length L.  The trimmed
+# encoder must reproduce these bytes exactly (see the encoder module
+# docstring for why it can).
+
+_ENC_LN_EPS = 1e-5
+_ENC_NEG = -1e30
+
+
+def _enc_gelu_cdf(u):
+    from scipy.special import erf
+
+    return 0.5 * (1.0 + erf(u / np.sqrt(2.0)))
+
+
+def _enc_gelu_grad(u, cdf):
+    phi = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+    return cdf + u * phi
+
+
+def _enc_contract(x, g):
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _enc_layer_norm(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _ENC_LN_EPS)
+    xhat = (x - mu) * inv
+    return xhat * g + b, (xhat, inv)
+
+
+def _enc_layer_norm_backward(dy, cache, g):
+    xhat, inv = cache
+    dg = (dy * xhat).sum(axis=(0, 1))
+    db = dy.sum(axis=(0, 1))
+    dxhat = dy * g
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dg, db
+
+
+def reference_encoder_forward(model, tokens, mask, train=False, rng=None, want_cache=False):
+    """Full-length forward of an ``EncoderSurrogate``: every padded position
+    of the (B, L) batch is computed."""
+    c = model.config
+    p = model.params
+    tokens = np.asarray(tokens, dtype=float)
+    mask = np.asarray(mask, dtype=float)
+    B, L, _ = tokens.shape
+    keep = 1.0 - c.p_drop if train else 1.0
+
+    z = tokens @ p["lift_w"] + p["lift_b"].sum(axis=0) + p["pos"][:L]
+    key_bias = (1.0 - mask)[:, None, None, :] * _ENC_NEG
+    cache = {"tokens": tokens, "mask": mask, "blocks": []}
+    for i in range(c.n_blocks):
+        pre = f"b{i}."
+        bc = {"z_in": z}
+        zh1, ln1c = _enc_layer_norm(z, p[pre + "ln1_g"], p[pre + "ln1_b"])
+        bc["zh1"], bc["ln1"] = zh1, ln1c
+        q = (zh1 @ p[pre + "wq"] + p[pre + "bq"]).reshape(B, L, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+        k = (zh1 @ p[pre + "wk"] + p[pre + "bk"]).reshape(B, L, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+        v = (zh1 @ p[pre + "wv"] + p[pre + "bv"]).reshape(B, L, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(c.d_head) + key_bias
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        probs = e / e.sum(axis=-1, keepdims=True)
+        if train and c.p_drop > 0:
+            dm = (rng.random(probs.shape) >= c.p_drop).astype(float)
+            probs_used = probs * dm / keep
+        else:
+            dm = None
+            probs_used = probs
+        o = (probs_used @ v).transpose(0, 2, 1, 3).reshape(B, L, c.d_enc)
+        attn_out = o @ p[pre + "wo"] + p[pre + "bo"]
+        h = z + attn_out
+        bc.update(q=q, k=k, v=v, probs=probs, attn_drop=dm, o=o)
+
+        zh2, ln2c = _enc_layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"])
+        u = zh2 @ p[pre + "w1"] + p[pre + "b1"]
+        cdf = _enc_gelu_cdf(u)
+        a = u * cdf
+        ff = a @ p[pre + "w2"] + p[pre + "b2"]
+        if train and c.p_drop > 0:
+            dm2 = (rng.random(ff.shape) >= c.p_drop).astype(float)
+            ff_used = ff * dm2 / keep
+        else:
+            dm2 = None
+            ff_used = ff
+        z = h + ff_used
+        bc.update(h=h, zh2=zh2, ln2=ln2c, u=u, cdf=cdf, a=a, ffn_drop=dm2)
+        cache["blocks"].append(bc)
+
+    counts = mask.sum(axis=1)
+    pooled = (z * mask[..., None]).sum(axis=1) / counts[:, None]
+    y = pooled @ p["head_w"] + p["head_b"][0]
+    cache.update(z_final=z, pooled=pooled, counts=counts, keep=keep)
+    if want_cache:
+        return y, cache
+    return y
+
+
+def reference_encoder_backward(model, cache, dy):
+    """Full-length gradients of sum_b dy_b * y_b for every parameter."""
+    c = model.config
+    p = model.params
+    mask = cache["mask"]
+    keep = cache["keep"]
+    B, L = mask.shape
+    grads = {}
+
+    grads["head_w"] = cache["pooled"].T @ dy
+    grads["head_b"] = np.array([dy.sum()])
+    dpooled = dy[:, None] * p["head_w"][None, :]
+    dz = dpooled[:, None, :] * (mask / cache["counts"][:, None])[..., None]
+
+    for i in reversed(range(c.n_blocks)):
+        pre = f"b{i}."
+        bc = cache["blocks"][i]
+        dff_used = dz
+        dh = dz.copy()
+        dff = dff_used * bc["ffn_drop"] / keep if bc["ffn_drop"] is not None else dff_used
+        grads[pre + "w2"] = _enc_contract(bc["a"], dff)
+        grads[pre + "b2"] = dff.sum(axis=(0, 1))
+        da = dff @ p[pre + "w2"].T
+        du = da * _enc_gelu_grad(bc["u"], bc["cdf"])
+        grads[pre + "w1"] = _enc_contract(bc["zh2"], du)
+        grads[pre + "b1"] = du.sum(axis=(0, 1))
+        dzh2 = du @ p[pre + "w1"].T
+        dx, dg, db = _enc_layer_norm_backward(dzh2, bc["ln2"], p[pre + "ln2_g"])
+        grads[pre + "ln2_g"], grads[pre + "ln2_b"] = dg, db
+        dh = dh + dx
+
+        dattn = dh
+        grads[pre + "wo"] = _enc_contract(bc["o"], dattn)
+        grads[pre + "bo"] = dattn.sum(axis=(0, 1))
+        do = (dattn @ p[pre + "wo"].T).reshape(B, L, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+        probs_used = bc["probs"] * bc["attn_drop"] / keep if bc["attn_drop"] is not None else bc["probs"]
+        dprobs_used = do @ bc["v"].transpose(0, 1, 3, 2)
+        dv = probs_used.transpose(0, 1, 3, 2) @ do
+        dprobs = dprobs_used * bc["attn_drop"] / keep if bc["attn_drop"] is not None else dprobs_used
+        dscores = bc["probs"] * (dprobs - (dprobs * bc["probs"]).sum(axis=-1, keepdims=True))
+        dscores = dscores / np.sqrt(c.d_head)
+        dq = dscores @ bc["k"]
+        dk = dscores.transpose(0, 1, 3, 2) @ bc["q"]
+
+        def flat(t):
+            return t.transpose(0, 2, 1, 3).reshape(B, L, c.d_enc)
+
+        dqf, dkf, dvf = flat(dq), flat(dk), flat(dv)
+        zh1 = bc["zh1"]
+        grads[pre + "wq"] = _enc_contract(zh1, dqf)
+        grads[pre + "wk"] = _enc_contract(zh1, dkf)
+        grads[pre + "wv"] = _enc_contract(zh1, dvf)
+        grads[pre + "bq"] = dqf.sum(axis=(0, 1))
+        grads[pre + "bk"] = dkf.sum(axis=(0, 1))
+        grads[pre + "bv"] = dvf.sum(axis=(0, 1))
+        dzh1 = dqf @ p[pre + "wq"].T + dkf @ p[pre + "wk"].T + dvf @ p[pre + "wv"].T
+        dx, dg, db = _enc_layer_norm_backward(dzh1, bc["ln1"], p[pre + "ln1_g"])
+        grads[pre + "ln1_g"], grads[pre + "ln1_b"] = dg, db
+        dz = dh + dx
+
+    grads["pos"] = np.zeros_like(p["pos"])
+    grads["pos"][:L] = dz.sum(axis=0)
+    grads["lift_w"] = _enc_contract(cache["tokens"], dz)
+    db_shared = dz.sum(axis=(0, 1))
+    grads["lift_b"] = np.tile(db_shared, (c.n_fields, 1))
+    return grads
+
+
+def reference_encoder_loss_and_grads(model, tokens, mask, labels, train=False, rng=None):
+    y, cache = reference_encoder_forward(model, tokens, mask, train=train, rng=rng, want_cache=True)
+    resid = y - np.asarray(labels, dtype=float)
+    loss = float(np.abs(resid).mean())
+    dy = np.sign(resid) / resid.shape[0]
+    return loss, reference_encoder_backward(model, cache, dy)
+
+
+def reference_encoder_mc_predict(model, tokens, mask, n_mc=10, seed=0):
+    if model.config.p_drop == 0 or n_mc == 1:
+        mu = reference_encoder_forward(model, tokens, mask)
+        return mu, np.zeros_like(mu)
+    rng = np.random.default_rng(seed)
+    draws = np.stack([reference_encoder_forward(model, tokens, mask, train=True, rng=rng)
+                      for _ in range(n_mc)])
+    return draws.mean(axis=0), draws.std(axis=0)

@@ -6,13 +6,19 @@ schemas, and byte-level determinism of repeated runs.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
+import tempfile
 import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from ihasearch.cli import main
 from ihasearch.genome import (
@@ -24,7 +30,14 @@ from ihasearch.genome import (
     genome_id,
     to_json,
 )
-from ihasearch.surrogate import EncoderSurrogate, make_synthetic_corpus, save_corpus
+from ihasearch.surrogate import (
+    EncoderConfig,
+    EncoderSurrogate,
+    make_synthetic_corpus,
+    save_corpus,
+    split_corpus,
+    train,
+)
 
 SMALL_SEARCH_CFG = {
     "population_size": 8,
@@ -130,6 +143,7 @@ class TestSearch:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "search"
         assert manifest["version"]
+        assert (manifest["numpy"], manifest["scipy"]) == (np.__version__, scipy.__version__)
         assert manifest["config"]["population_size"] == 8
         assert manifest["seed"] == 3
 
@@ -227,6 +241,8 @@ class TestSearch:
         ("backend", "analytic:missing.json", "missing.json"),
         ("backend", 5, "backend"),
         ("mutation_rates", 5, "mutation_rates"),
+        ("seed", -3, "seed"),
+        ("mc_dropout_passes", True, "mc_dropout_passes"),
     ])
     def test_bad_field_value_exits_2(self, tmp_path, capsys, field, value, named):
         cfg = write_cfg(tmp_path, **{field: value})
@@ -270,6 +286,92 @@ class TestSearch:
         cfg = write_cfg(tmp_path)
         assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
         assert "boom" in capsys.readouterr().err
+
+
+# Generated config fields: a valid value, with each run-size field capped so
+# that a search stays a few evaluations long, or a broken one (wrong type,
+# out of range, non-finite, unknown name).
+_BAD = st.sampled_from([None, "1", [], {}, True, float("nan"), float("inf")])
+_RATE = st.floats(0.0, 1.0)
+_CONFIG_FIELDS = {  # name: (valid, broken)
+    "population_size": (st.integers(1, 4), st.one_of(st.integers(-1, 0), st.just(2.0), _BAD)),
+    "offspring_size": (st.integers(1, 4), st.one_of(st.integers(-1, 0), _BAD)),
+    "generations": (st.integers(1, 2), st.one_of(st.integers(-1, 0), _BAD)),
+    "crossover_rate": (_RATE, st.one_of(st.sampled_from([-0.1, 1.5]), _BAD)),
+    "mutation_rate": (_RATE, st.one_of(st.sampled_from([-0.1, 1.5]), _BAD)),
+    "refine_every_generations": (st.integers(0, 2), st.one_of(st.just(-1), _BAD)),
+    "refine_batch_size": (st.integers(0, 3), st.one_of(st.just(-1), _BAD)),
+    "mc_dropout_passes": (st.integers(1, 3), st.one_of(st.integers(-1, 0), _BAD)),
+    "replay_ratio": (st.one_of(st.floats(0.0, 8.0), st.just(1e300)),
+                     st.one_of(st.just(-1.0), _BAD)),
+    "val_loss_max": (st.floats(-1.0, 6.0), _BAD),
+    "prefill_tokens": (st.one_of(st.integers(1, 4096), st.just(10**12)),
+                       st.one_of(st.integers(-1, 0), _BAD)),
+    "decode_tokens": (st.integers(1, 4096), st.one_of(st.integers(-1, 0), _BAD)),
+    "backend": (st.sampled_from(["ring", "analytic:gemmini", "analytic:eyeriss"]),
+                st.one_of(st.sampled_from(["analytic:missing", "analytic:missing.json",
+                                           "analytic:", "gemmini"]), _BAD)),
+    "evaluator": (st.sampled_from(["oracle", "surrogate"]),
+                  st.one_of(st.just("labels"), _BAD)),
+    "space": (st.sampled_from(["iha", "gqa"]), st.one_of(st.just("mha"), _BAD)),
+    "variation": (st.sampled_from(["nsga", "random"]), st.one_of(st.just("grid"), _BAD)),
+    "seed": (st.integers(0, 2**64), st.one_of(st.just(-3), st.just(1.5), _BAD)),
+    "mutation_rates": (
+        st.dictionaries(st.sampled_from(["deletion", "duplication", "rotation", "perturbation"]),
+                        _RATE, max_size=4),
+        st.one_of(st.fixed_dictionaries({"swap": _RATE}),
+                  st.fixed_dictionaries({"deletion": st.sampled_from([-0.1, 1.5])}),
+                  _BAD.filter(lambda v: v != {}))),  # {} means every default rate
+}
+
+
+@st.composite
+def fuzzed_search_configs(draw):
+    """(config dict, whether a field is broken).  The dict never asks for
+    more than 4 parents, 4 offspring and 2 generations; each listed field is
+    valid or, one time in four, broken."""
+    evaluator = draw(st.sampled_from(["oracle", "surrogate"]))
+    refine = draw(st.integers(0, 2)) if evaluator == "surrogate" else 0
+    doc = {"population_size": 4, "offspring_size": 4, "generations": 2,
+           "evaluator": evaluator, "refine_every_generations": refine}
+    any_broken = False
+    for name in draw(st.lists(st.sampled_from(sorted(_CONFIG_FIELDS)), max_size=8, unique=True)):
+        valid, broken = _CONFIG_FIELDS[name]
+        is_broken = draw(st.integers(0, 3)) == 0
+        doc[name] = draw(broken if is_broken else valid)
+        any_broken |= is_broken
+    if draw(st.integers(0, 9)) == 0:
+        doc["unknown_field"] = 1
+        any_broken = True
+    return doc, any_broken
+
+
+@pytest.fixture(scope="module")
+def tiny_surrogate_files(tmp_path_factory) -> tuple[Path, Path]:
+    root = tmp_path_factory.mktemp("tiny_surrogate")
+    genomes, labels = make_synthetic_corpus(12, seed=2)
+    cfg = EncoderConfig(d_enc=8, n_blocks=1, n_heads=2, ffn_mult=1)
+    model, _ = train(split_corpus(genomes, labels, seed=0), config=cfg, epochs=1)
+    model.save(str(root / "encoder.npz"))
+    save_corpus(str(root / "corpus.jsonl"), genomes, labels)
+    return root / "encoder.npz", root / "corpus.jsonl"
+
+
+class TestSearchConfigFuzz:
+    @given(case=fuzzed_search_configs(), with_surrogate=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_is_0_or_2(self, tiny_surrogate_files, case, with_surrogate):
+        """Never 3; and never a silent 0 when a field is broken."""
+        doc, broken = case
+        checkpoint, corpus = tiny_surrogate_files
+        extra = ["--surrogate", str(checkpoint), "--corpus", str(corpus)] if with_surrogate else []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["search", "--config", str(path), "--out", str(Path(tmp) / "run"), *extra])
+        event(f"exit {code}")
+        assert code in ((2,) if broken else (0, 2)), doc
 
 
 # --------------------------------------------------------------------------

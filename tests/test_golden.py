@@ -7,8 +7,10 @@ numbers updates the table below and says so in CHANGES.md.
 
 The oracle cases cover NSGA variation in the IHA and grouped-query spaces
 and random variation; the ring case covers the multi-chip backend; the
-surrogate case covers the encoder evaluator with refinement events, using a
-tiny encoder trained in the test and passed as a checkpoint plus corpus.
+surrogate cases cover the encoder evaluator with refinement events, using an
+encoder trained in the test and passed as a checkpoint plus corpus: a tiny
+one, and one at the default ``EncoderConfig()`` size, whose checkpoint bytes
+are pinned too.
 """
 from __future__ import annotations
 
@@ -90,6 +92,12 @@ GOLDEN = {
         "generations.csv": "26fab98ce58a34b06b02474d01c642a66b64d124d704c1d671ba99a74953f493",
         "events.jsonl": "e1f74a5fc30e09a506707564ddbb05733ae03da1e2a2503bf933dfb2bdf1eb71",
     },
+    "surrogate_default": {
+        "encoder.npz": "5e226fb484ba4ec02956471c5ec04e418877658c59c65d7ba68c3eabe2d70f95",
+        "archive.csv": "514bb892cddda6d444602bc2b4651b99717f1399bdc204901cd72d5a0714479c",
+        "generations.csv": "9c46ec8a775aa6118cd956c8558309d86c0ac473e7db339ef46f2939ebd4d9ac",
+        "events.jsonl": "60d9055b2daf8ac3d6d0ba60a2e13b883af7505795d7d74c1748d122a873147b",
+    },
     "ring_oracle": {
         "archive.csv": "12aa4f416651cac8bc82335574e4fc3418079c3ddad2d35a654397cca8ab5d11",
         "generations.csv": "c88df68e396ac313c09171d956989dfc67178f9e853fd5d6d6cbf079241d1635",
@@ -133,3 +141,29 @@ def test_surrogate_refinement_hashes_pinned(tiny_checkpoint, tmp_path, capsys):
     events = (tmp_path / "run" / "events.jsonl").read_text().splitlines()
     assert len(events) >= 2
     assert hashes == GOLDEN["surrogate_refine"]
+
+
+@pytest.fixture(scope="module")
+def default_checkpoint(tmp_path_factory):
+    """One epoch of the default-size encoder on 40 synthetic rows (one
+    32-row training batch)."""
+    root = tmp_path_factory.mktemp("default_encoder")
+    genomes, labels = make_synthetic_corpus(40, seed=7)
+    corpus = split_corpus(genomes, labels, test_frac=0.2, seed=0)
+    model, _ = train(corpus, config=EncoderConfig(), epochs=1, seed=101)
+    model.save(str(root / "encoder.npz"))
+    save_corpus(str(root / "corpus.jsonl"), genomes, labels)
+    return root
+
+
+def test_default_encoder_refinement_hashes_pinned(default_checkpoint, tmp_path, capsys):
+    checkpoint = default_checkpoint / "encoder.npz"
+    hashes = {"encoder.npz": hashlib.sha256(checkpoint.read_bytes()).hexdigest()}
+    hashes.update(_artifact_hashes(
+        tmp_path, SURROGATE_REFINE,
+        "--surrogate", str(checkpoint),
+        "--corpus", str(default_checkpoint / "corpus.jsonl"),
+    ))
+    events = (tmp_path / "run" / "events.jsonl").read_text().splitlines()
+    assert len(events) == 2
+    assert hashes == GOLDEN["surrogate_default"]

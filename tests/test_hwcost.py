@@ -276,25 +276,15 @@ def probe_cases(draw):
     return profiles, StageLimits(weight_cap, kv_cap, 0, ctx), budget, draw(st.integers(1, n + 1))
 
 
-def literal_balanced_pack(profiles, limits, n_chips_max):
-    """The pack's binary search written out with a full greedy partition at
-    every probe."""
-    for p in profiles:
-        if (p.weight_bytes > limits.weight_cap
-                or p.kv_bytes_per_token * limits.ctx_tokens > limits.kv_cap
-                or p.act_bytes > limits.act_cap):
-            return None
-    lo = max(p.decode_ops for p in profiles)
-    hi = sum(p.decode_ops for p in profiles)
-    best = None
-    while lo <= hi:
-        budget = (lo + hi) // 2
-        part = greedy_contiguous_partition(profiles, limits, budget)
-        if part is not None and len(part) <= n_chips_max:
-            best, hi = part, budget - 1
-        else:
-            lo = budget + 1
-    return best
+def exhaustive_balanced_pack(profiles, limits, n_chips_max):
+    """The smallest bottleneck over every contiguous partition (brute force),
+    then the greedy scan at that bottleneck."""
+    raw = [(p.weight_bytes, p.kv_bytes_per_token, p.decode_ops, p.act_bytes) for p in profiles]
+    best = brute_best_bottleneck(raw, limits.weight_cap, limits.kv_cap, limits.act_cap,
+                                 limits.ctx_tokens, n_chips_max)
+    if best is None:
+        return None
+    return greedy_contiguous_partition(profiles, limits, best[0])
 
 
 class TestCountOnlyPack:
@@ -310,19 +300,25 @@ class TestCountOnlyPack:
 
     @given(probe_cases())
     @settings(max_examples=300, deadline=None)
-    def test_pack_matches_literal_search(self, case):
+    def test_pack_matches_exhaustive_search(self, case):
         profiles, limits, _, n_max = case
-        assert balanced_contiguous_pack(profiles, limits, n_max) == literal_balanced_pack(
+        assert balanced_contiguous_pack(profiles, limits, n_max) == exhaustive_balanced_pack(
             profiles, limits, n_max)
 
     def test_budget_below_a_half_integer_layer(self):
-        # lo = 10.5, hi = 11.0: the first probe, (lo + hi) // 2 = 10.0, is
-        # below the first layer's ops, so the greedy scan fails on that layer
-        # alone; the next probe, 11.0, holds both layers in one stage
+        # one stage of 11.0 or two of 10.5 and 0.5: the largest layer's
+        # 10.5 is the bottleneck when two stages are allowed
         layers = [prof(1, 0, 10.5, 0), prof(1, 0, 0.5, 0)]
-        for cap in (1, 2):
-            assert balanced_contiguous_pack(layers, ROOMY, cap) == [[0, 1]]
-            assert literal_balanced_pack(layers, ROOMY, cap) == [[0, 1]]
+        for cap, want in ((1, [[0, 1]]), (2, [[0], [1]])):
+            assert balanced_contiguous_pack(layers, ROOMY, cap) == want
+            assert exhaustive_balanced_pack(layers, ROOMY, cap) == want
+
+    def test_non_integer_bottleneck_between_integers(self):
+        # the one stage holds 11.5 ops; an integer-only budget search probes
+        # 11.0 alone, finds it infeasible, and returns None
+        layers = [prof(1, 0, 10.5, 0), prof(1, 0, 1.0, 0)]
+        assert balanced_contiguous_pack(layers, ROOMY, 1) == [[0, 1]]
+        assert exhaustive_balanced_pack(layers, ROOMY, 1) == [[0, 1]]
 
     def test_one_greedy_partition_per_feasible_pack(self, monkeypatch):
         calls = []

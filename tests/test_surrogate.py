@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ihasearch import genome as gn
 from ihasearch.surrogate import (
     EncoderConfig,
@@ -14,6 +17,7 @@ from ihasearch.surrogate import (
     raw_tokens,
     synth_oracle,
 )
+from ihasearch.surrogate.encoder import active_length
 from ihasearch.surrogate.features import FIELD_ORDER, featurize_batch
 
 
@@ -149,6 +153,99 @@ class TestMcDropout:
         toks, masks = featurize_batch([genome_with(3)])
         _, sd = m.mc_predict(toks, masks, n_mc=1, seed=0)
         np.testing.assert_array_equal(sd, np.zeros_like(sd))
+
+
+ENCODER_CONFIGS = {
+    "default": EncoderConfig(),
+    "golden_tiny": EncoderConfig(d_enc=16, n_blocks=2, n_heads=2, ffn_mult=2, p_drop=0.2, max_layers=40),
+    "three_heads": EncoderConfig(d_enc=24, n_blocks=1, n_heads=3, ffn_mult=3, p_drop=0.35, max_layers=40),
+}
+
+
+def trained_like_model(name: str, seed: int) -> EncoderSurrogate:
+    """Initial parameters plus noise, so that layer-norm gains and every
+    bias take both signs, as after training."""
+    model = EncoderSurrogate.init(ENCODER_CONFIGS[name], seed=seed)
+    rng = np.random.default_rng(seed)
+    for key, value in model.params.items():
+        model.params[key] = value + rng.normal(0.0, 0.3, value.shape)
+    return model
+
+
+def padded_batch(rng, batch: int, longest: int, holes: bool, max_layers: int = 40):
+    """Tokens and mask of `batch` rows; one row is `longest` positions long,
+    the others 1..longest.  With holes, positions before a row's end may be
+    inactive too (its first position always stays active)."""
+    lengths = rng.integers(1, longest + 1, size=batch)
+    lengths[rng.integers(batch)] = longest
+    mask = (np.arange(max_layers)[None, :] < lengths[:, None]).astype(float)
+    if holes:
+        drop = rng.random(mask.shape) < 0.3
+        drop[:, 0] = False
+        drop[np.arange(batch), lengths - 1] = False
+        mask[drop] = 0.0
+    tokens = rng.random((batch, max_layers, 9)) * mask[..., None]
+    return tokens, mask
+
+
+def assert_matches_full_length_reference(model, tokens, mask, train: bool, seed: int):
+    """Predictions, loss, every gradient, the MC mean and spread and the
+    generator's next draw are byte-identical to the full-length reference."""
+    labels = np.random.default_rng(seed + 1).normal(2.0, 1.0, tokens.shape[0])
+    trim_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    y = model.forward(tokens, mask, train=train, rng=trim_rng)
+    y_ref = oracles.reference_encoder_forward(model, tokens, mask, train=train, rng=ref_rng)
+    assert y.tobytes() == y_ref.tobytes()
+    loss, grads = model.loss_and_grads(tokens, mask, labels, train=train, rng=trim_rng)
+    loss_ref, grads_ref = oracles.reference_encoder_loss_and_grads(
+        model, tokens, mask, labels, train=train, rng=ref_rng)
+    assert loss == loss_ref
+    assert sorted(grads) == sorted(grads_ref)
+    for name, g in grads.items():
+        assert g.tobytes() == grads_ref[name].tobytes(), name
+    assert trim_rng.random() == ref_rng.random()
+    mc = model.mc_predict(tokens, mask, n_mc=2, seed=seed)
+    mc_ref = oracles.reference_encoder_mc_predict(model, tokens, mask, n_mc=2, seed=seed)
+    assert mc[0].tobytes() == mc_ref[0].tobytes() and mc[1].tobytes() == mc_ref[1].tobytes()
+
+
+class TestActiveLengthTrim:
+    @pytest.mark.parametrize("last, want", [(1, 24), (5, 24), (24, 24), (25, 32), (27, 32),
+                                            (32, 32), (33, 40), (40, 40)])
+    def test_active_length(self, last, want):
+        mask = np.zeros((3, 40))
+        mask[:, 0] = 1.0
+        mask[1, last - 1] = 1.0  # a hole before the last active position
+        assert active_length(mask) == want
+
+    def test_short_batches_are_not_trimmed(self):
+        mask = np.zeros((2, 16))
+        mask[:, :3] = 1.0
+        assert active_length(mask) == 16
+
+    # Each case breaks one exactness rule of the trim when that rule is
+    # dropped: longest 5 needs the floor of 24, longest 27 the rounding to
+    # 8, 32-row training batches the full-length contractions and dropout
+    # draws.
+    @pytest.mark.parametrize("config", sorted(ENCODER_CONFIGS))
+    @pytest.mark.parametrize("batch, longest, train", [(32, 5, True), (32, 27, True), (48, 33, False),
+                                                       (1, 12, True), (3, 20, False)])
+    def test_matches_reference_on_fixed_cases(self, config, batch, longest, train):
+        rng = np.random.default_rng(batch * 100 + longest)
+        tokens, mask = padded_batch(rng, batch, longest, holes=False)
+        assert_matches_full_length_reference(trained_like_model(config, longest), tokens, mask,
+                                             train, seed=longest)
+
+    @given(config=st.sampled_from(sorted(ENCODER_CONFIGS)),
+           batch=st.sampled_from([1, 2, 3, 24, 32, 48]),
+           longest=st.integers(1, 40), holes=st.booleans(), train=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference(self, config, batch, longest, holes, train, seed):
+        rng = np.random.default_rng(seed)
+        tokens, mask = padded_batch(rng, batch, longest, holes)
+        assert_matches_full_length_reference(trained_like_model(config, seed % 7), tokens, mask,
+                                             train, seed)
 
 
 class TestCheckpoint:
