@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from .metrics import rank_report
 from .search import SearchConfig, run_search
 from .surrogate import (
     EncoderSurrogate,
-    load_corpus,
+    parse_corpus_row,
     split_corpus,
     train,
 )
@@ -84,10 +85,45 @@ def _write_manifest(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# Flag types: a value out of range is a usage error (exit 2), not a crash
+# or a vacuous run later on.
+
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text!r}")
+        return value
+    return parse
+
+
+def _finite_float_in(lo: float, hi: float):
+    """A finite float strictly between lo and hi."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and lo < value < hi):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number in ({lo:g}, {hi:g}), got {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE_INT = _int_at_least(1)
+_NON_NEGATIVE_INT = _int_at_least(0)
+_FRACTION = _finite_float_in(0.0, 1.0)
+_POSITIVE_FLOAT = _finite_float_in(0.0, math.inf)
+
+
 def _read_json_file(path: str, what: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
     try:
         return json.loads(text)
@@ -296,20 +332,50 @@ def cmd_search(args) -> int:
 # pack
 # --------------------------------------------------------------------------
 
-def _load_genome_checked(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read genome {path!r}: {exc}") from exc
-    try:
-        genome = from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"genome {path!r} does not parse: {exc}") from exc
+# what from_json / from_dict raise on a document that is not a genome
+_PARSE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
+
+
+def _require_valid(genome, where: str):
     problems = validate(genome)
     if problems:
         details = "; ".join(str(p) for p in problems)
-        raise InputError(f"genome {path!r} is invalid: {details}")
+        raise InputError(f"{where} is invalid: {details}")
     return genome
+
+
+def _load_genome_checked(path: str):
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read genome {path!r}: {exc}") from exc
+    try:
+        genome = from_json(text)
+    except _PARSE_ERRORS as exc:
+        raise InputError(f"genome {path!r} does not parse: {exc}") from exc
+    return _require_valid(genome, f"genome {path!r}")
+
+
+def _load_genome_rows(path: str, what: str, parse) -> list[tuple]:
+    """parse(line) of every non-blank line of a JSONL file: a tuple whose
+    first item is a genome.  A line that does not parse or holds an invalid
+    genome is an input error that names the line."""
+    rows = []
+    try:
+        with open(path) as fh:
+            for n, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                where = f"line {n} of {what} {path!r}"
+                try:
+                    row = parse(line)
+                except _PARSE_ERRORS as exc:
+                    raise InputError(f"{where} does not parse: {exc}") from exc
+                _require_valid(row[0], where)
+                rows.append(row)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+    return rows
 
 
 def _load_grid(path: str | None) -> list[tuple[int, int, int]]:
@@ -384,15 +450,10 @@ def _pack_manifest(args, genome, grid, workload) -> dict:
 # --------------------------------------------------------------------------
 
 def _load_corpus_checked(path: str, min_rows: int = 2):
-    try:
-        genomes, labels = load_corpus(path)
-    except OSError as exc:
-        raise InputError(f"cannot read corpus {path!r}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"corpus {path!r} does not parse: {exc}") from exc
-    if len(genomes) < min_rows:
-        raise InputError(f"corpus {path!r} has {len(genomes)} rows; need >= {min_rows}")
-    return genomes, labels
+    rows = _load_genome_rows(path, "corpus", parse_corpus_row)
+    if len(rows) < min_rows:
+        raise InputError(f"corpus {path!r} has {len(rows)} rows; need >= {min_rows}")
+    return [g for g, _ in rows], np.array([y for _, y in rows])
 
 
 def _split_checked(genomes, labels, test_frac: float, seed: int):
@@ -469,19 +530,8 @@ def cmd_surrogate_eval(args) -> int:
 
 def cmd_surrogate_mc(args) -> int:
     model = _load_model_checked(args.checkpoint)
-    try:
-        lines = Path(args.genomes).read_text().splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read genome list {args.genomes!r}: {exc}") from exc
-    genomes = []
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            genomes.append(from_json(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"line {i + 1} of {args.genomes!r} is not a genome: {exc}") from exc
+    rows = _load_genome_rows(args.genomes, "genome list", lambda line: (from_json(line),))
+    genomes = [row[0] for row in rows]
     if not genomes:
         raise InputError(f"genome list {args.genomes!r} is empty")
     mu, sigma = model.mc_predict_genomes(genomes, n_mc=args.n_mc, seed=args.mc_seed)
@@ -620,9 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoder checkpoint (.npz); required for evaluator=surrogate")
     p.add_argument("--corpus", default=None,
                    help="labeled corpus JSONL; required when refinement is enabled")
-    p.add_argument("--test-frac", type=float, default=0.2,
+    p.add_argument("--test-frac", type=_FRACTION, default=0.2,
                    help="held-out fraction when splitting --corpus")
-    p.add_argument("--split-seed", type=int, default=0,
+    p.add_argument("--split-seed", type=_NON_NEGATIVE_INT, default=0,
                    help="seed for the --corpus split")
     p.set_defaults(func=cmd_search)
 
@@ -631,9 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--grid", default=None,
                    help="JSON file with n_mac / w_core_kb / n_chips_max axes")
-    p.add_argument("--prefill-tokens", type=int, default=512)
-    p.add_argument("--decode-tokens", type=int, default=256)
-    p.add_argument("--top-k", type=int, default=3)
+    p.add_argument("--prefill-tokens", type=_POSITIVE_INT, default=512)
+    p.add_argument("--decode-tokens", type=_POSITIVE_INT, default=256)
+    p.add_argument("--top-k", type=_POSITIVE_INT, default=3)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_pack)
 
@@ -643,37 +693,37 @@ def build_parser() -> argparse.ArgumentParser:
     q = ssub.add_parser("train", help="fit the encoder on a labeled corpus")
     q.add_argument("--corpus", required=True, help="corpus JSONL file")
     q.add_argument("--out", required=True, help="output directory")
-    q.add_argument("--epochs", type=int, default=200)
-    q.add_argument("--batch-size", type=int, default=32)
-    q.add_argument("--lr", type=float, default=1e-4)
-    q.add_argument("--seed", type=int, default=100)
-    q.add_argument("--test-frac", type=float, default=0.2)
-    q.add_argument("--split-seed", type=int, default=0)
+    q.add_argument("--epochs", type=_NON_NEGATIVE_INT, default=200)
+    q.add_argument("--batch-size", type=_POSITIVE_INT, default=32)
+    q.add_argument("--lr", type=_POSITIVE_FLOAT, default=1e-4)
+    q.add_argument("--seed", type=_NON_NEGATIVE_INT, default=100)
+    q.add_argument("--test-frac", type=_FRACTION, default=0.2)
+    q.add_argument("--split-seed", type=_NON_NEGATIVE_INT, default=0)
     q.add_argument("--force", action="store_true")
     q.set_defaults(func=cmd_surrogate_train)
 
     q = ssub.add_parser("eval", help="ranking metrics on the held-out split")
     q.add_argument("--corpus", required=True)
     q.add_argument("--checkpoint", required=True, help="encoder .npz checkpoint")
-    q.add_argument("--test-frac", type=float, default=0.2)
-    q.add_argument("--split-seed", type=int, default=0)
+    q.add_argument("--test-frac", type=_FRACTION, default=0.2)
+    q.add_argument("--split-seed", type=_NON_NEGATIVE_INT, default=0)
     q.set_defaults(func=cmd_surrogate_eval)
 
     q = ssub.add_parser("mc", help="MC-dropout mean/std for listed genomes")
     q.add_argument("--checkpoint", required=True)
     q.add_argument("--genomes", required=True, help="JSONL file, one genome per line")
-    q.add_argument("--n-mc", type=int, default=10)
-    q.add_argument("--mc-seed", type=int, default=0)
+    q.add_argument("--n-mc", type=_POSITIVE_INT, default=10)
+    q.add_argument("--mc-seed", type=_NON_NEGATIVE_INT, default=0)
     q.set_defaults(func=cmd_surrogate_mc)
 
     p = sub.add_parser("count", help="design-space sizes and expansion ratio")
-    p.add_argument("--d-model", type=int, default=768)
+    p.add_argument("--d-model", type=_POSITIVE_INT, default=768)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("check-iha", help="attention kernel property suite")
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--trials", type=_POSITIVE_INT, default=25)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-10)
     p.set_defaults(func=cmd_check_iha)
 
     return parser

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -113,6 +114,24 @@ class ArchGenome:
     def n_active(self) -> int:
         return sum(g.mask == 1 for g in self.layers)
 
+    # The cached values below are pure functions of the frozen fields and
+    # live on the instance, so they die with the genome.
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The value the generated dataclass hash returns, computed once: a
+        memo lookup does not re-hash every gene."""
+        return hash((self.global_cfg, self.layers))
+
+    @functools.cached_property
+    def _body_params(self) -> int:
+        """Weight count of the active layers (``count_params`` at vocab_size=0)."""
+        d = self.global_cfg.d_model
+        return sum(layer_param_count(g, d) for g in self.active_layers())
+
     @functools.cached_property
     def _content_digests(self) -> tuple[str, int]:
         """(genome_id, genome_hash64), both from one canonical JSON encoding.
@@ -138,6 +157,31 @@ class Violation:
         return f"{where}: {self.field}: {self.rule}"
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_sets(ranges: SpaceRanges) -> tuple[frozenset[int], ...]:
+    """Grid points of each numeric field, in NUMERIC_FIELDS order."""
+    return tuple(frozenset(ranges.field(name).values()) for name in NUMERIC_FIELDS)
+
+
+def _gene_on_space(gene: LayerGene, grids: tuple[frozenset[int], ...]) -> bool:
+    """True when a gene is its own repair projection, which also means it
+    breaks no per-gene rule of ``validate``: every field an exact int, gate
+    bits in {0,1}, every numeric field on its grid (``_grid_sets``, active
+    or not) and 1 <= n_kv dividing n_h.  A bool or numpy int does not
+    qualify, because it serializes differently from the int repair makes."""
+    on_n_h, on_n_kv, on_d_qk, on_d_v, on_d_mlp = grids
+    return (
+        type(gene.mask) is int and type(gene.attn) is int
+        and type(gene.n_h) is int and type(gene.n_kv) is int
+        and type(gene.d_qk) is int and type(gene.d_v) is int
+        and type(gene.d_mlp) is int
+        and gene.mask in (0, 1) and gene.attn in (0, 1)
+        and gene.n_h in on_n_h and gene.n_kv in on_n_kv
+        and gene.d_qk in on_d_qk and gene.d_v in on_d_v and gene.d_mlp in on_d_mlp
+        and 1 <= gene.n_kv <= gene.n_h and gene.n_h % gene.n_kv == 0
+    )
+
+
 def validate(genome: ArchGenome, ranges: SpaceRanges | None = None) -> list[Violation]:
     """Return all rule violations; an empty list means the genome is well formed.
 
@@ -146,6 +190,7 @@ def validate(genome: ArchGenome, ranges: SpaceRanges | None = None) -> list[Viol
     membership of each numeric field plus n_kv | n_h.
     """
     ranges = ranges or SpaceRanges()
+    grids = _grid_sets(ranges)
     out: list[Violation] = []
     g = genome.global_cfg
     for name in ("d_model", "block_size", "max_layers"):
@@ -156,6 +201,8 @@ def validate(genome: ArchGenome, ranges: SpaceRanges | None = None) -> list[Viol
     if not any(gene.mask == 1 for gene in genome.layers):
         out.append(Violation(None, "mask", "at least one layer must be active"))
     for i, gene in enumerate(genome.layers):
+        if _gene_on_space(gene, grids):
+            continue
         for bit in ("mask", "attn"):
             if getattr(gene, bit) not in (0, 1):
                 out.append(Violation(i, bit, "must be 0 or 1"))
@@ -184,12 +231,6 @@ def snap_n_kv(n_h: int, n_kv: int, grid: FieldRange) -> int:
     return max((d for d in divisors if d <= cap), default=divisors[0])
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_sets(ranges: SpaceRanges) -> tuple[frozenset[int], ...]:
-    """Grid points of each numeric field, in NUMERIC_FIELDS order."""
-    return tuple(frozenset(ranges.field(name).values()) for name in NUMERIC_FIELDS)
-
-
 def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
     """Project a genome onto the valid space. Idempotent.
 
@@ -204,22 +245,10 @@ def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
     ranges = ranges or SpaceRanges()
     g = genome.global_cfg
     gcfg = GlobalConfig(max(1, g.d_model), max(1, g.block_size), max(1, g.max_layers))
-    on_n_h, on_n_kv, on_d_qk, on_d_v, on_d_mlp = _grid_sets(ranges)
+    grids = _grid_sets(ranges)
 
     def fix(gene: LayerGene) -> LayerGene:
-        # Fast path: a gene already on the valid space is its own projection.
-        # Only exact ints qualify; a bool or numpy int would serialize
-        # differently from the int the full projection returns.
-        if (
-            type(gene.mask) is int and type(gene.attn) is int
-            and type(gene.n_h) is int and type(gene.n_kv) is int
-            and type(gene.d_qk) is int and type(gene.d_v) is int
-            and type(gene.d_mlp) is int
-            and gene.mask in (0, 1) and gene.attn in (0, 1)
-            and gene.n_h in on_n_h and gene.n_kv in on_n_kv
-            and gene.d_qk in on_d_qk and gene.d_v in on_d_v and gene.d_mlp in on_d_mlp
-            and 1 <= gene.n_kv <= gene.n_h and gene.n_h % gene.n_kv == 0
-        ):
+        if _gene_on_space(gene, grids):
             return gene
         n_h = ranges.n_h.snap(gene.n_h)
         return LayerGene(
@@ -266,8 +295,7 @@ def count_params(genome: ArchGenome, vocab_size: int = DEFAULT_VOCAB_SIZE) -> in
     vocab_size * d_model embedding plus, per active layer, the four attention
     projections when attn=1 and the two MLP matrices.
     """
-    d = genome.global_cfg.d_model
-    return vocab_size * d + sum(layer_param_count(g, d) for g in genome.active_layers())
+    return vocab_size * genome.global_cfg.d_model + genome._body_params
 
 
 def count_attention_configs(variant: str, d_model: int = 768, ranges: SpaceRanges | None = None) -> int:
@@ -300,20 +328,19 @@ def random_genome(
     rng = rng if rng is not None else np.random.default_rng()
     gcfg = global_cfg or GlobalConfig()
 
-    def draw(r: FieldRange) -> int:
-        return int(rng.choice(r.values()))
-
+    # One draw per genome: per gene, mask and attn in {0,1} and a grid index
+    # per numeric field, in LayerGene field order.  rng.choice(values)
+    # consumes the generator stream as rng.integers(len(values)) does, so
+    # the vector draw equals one scalar draw per field of every gene.
+    # Indices become grid values in Python ints, which cannot overflow.
+    grids = [ranges.field(name) for name in NUMERIC_FIELDS]
+    los = [0, 0] + [r.lo for r in grids]
+    steps = [1, 1] + [r.step for r in grids]
+    n = max(gcfg.max_layers, 0)
+    index = rng.integers(0, np.tile([2, 2] + [len(r) for r in grids], n)).reshape(n, 7)
     layers = tuple(
-        LayerGene(
-            mask=int(rng.integers(0, 2)),
-            attn=int(rng.integers(0, 2)),
-            n_h=draw(ranges.n_h),
-            n_kv=draw(ranges.n_kv),
-            d_qk=draw(ranges.d_qk),
-            d_v=draw(ranges.d_v),
-            d_mlp=draw(ranges.d_mlp),
-        )
-        for _ in range(gcfg.max_layers)
+        LayerGene(*[lo + i * step for i, lo, step in zip(row, los, steps)])
+        for row in index.tolist()
     )
     return repair(ArchGenome(gcfg, layers), ranges)
 
@@ -356,8 +383,19 @@ def from_dict(doc: dict) -> ArchGenome:
     )
 
 
+# json.dumps(to_dict(g), sort_keys=True, separators=(",", ":")) spelled out
+# for genomes whose fields are all exact ints, which it writes as %d does.
+_GLOBAL_JSON = '{"global":{"block_size":%d,"d_model":%d,"max_layers":%d},"layers":['
+_LAYER_JSON = '{"attn":%d,"d_mlp":%d,"d_qk":%d,"d_v":%d,"mask":%d,"n_h":%d,"n_kv":%d}'
+
+
 def to_json(genome: ArchGenome) -> str:
     """Canonical single-line JSON: sorted keys, compact separators."""
+    g = genome.global_cfg
+    head = (g.block_size, g.d_model, g.max_layers)
+    rows = [(l.attn, l.d_mlp, l.d_qk, l.d_v, l.mask, l.n_h, l.n_kv) for l in genome.layers]
+    if set(map(type, itertools.chain(head, *rows))) == {int}:
+        return _GLOBAL_JSON % head + ",".join([_LAYER_JSON % row for row in rows]) + "]}"
     return json.dumps(to_dict(genome), sort_keys=True, separators=(",", ":"))
 
 

@@ -82,18 +82,6 @@ def rank_report(pred, truth) -> dict[str, float]:
     }
 
 
-def aggregate_reports(reports: list[dict[str, float]]) -> dict[str, dict[str, float]]:
-    """mean +- std (population) per field over repeated seeds."""
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    keys = reports[0].keys()
-    out = {}
-    for k in keys:
-        vals = np.array([r[k] for r in reports], dtype=float)
-        out[k] = {"mean": float(vals.mean()), "std": float(vals.std())}
-    return out
-
-
 # --- Pareto ------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -222,10 +222,14 @@ class _SearchEngine:
             self.model = None
         if config.refine_every_generations > 0 and corpus is None:
             raise ValueError("refinement events need the original training corpus for replay")
+        # The closures capture the ranges, not the engine: an engine that
+        # referred to itself would outlive its run, memo and all, until the
+        # next full garbage collection.
+        ranges = self.ranges
         if config.space == "gqa":
-            self.repair_fn = lambda g: gqa_repair(g, self.ranges)
+            self.repair_fn = lambda g: gqa_repair(g, ranges)
         else:
-            self.repair_fn = lambda g: repair(g, self.ranges)
+            self.repair_fn = lambda g: repair(g, ranges)
         self.n_evaluations = 0
         self.evaluated: list[Individual] = []
         # Per-run memo of what is a pure function of the genome: its id, the

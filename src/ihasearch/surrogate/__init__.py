@@ -10,6 +10,7 @@ from .training import (
     TrainHistory,
     fine_tune,
     load_corpus,
+    parse_corpus_row,
     replay_counts,
     save_corpus,
     split_corpus,
@@ -33,6 +34,7 @@ __all__ = [
     "replay_counts",
     "split_corpus",
     "load_corpus",
+    "parse_corpus_row",
     "save_corpus",
     "MlpBaseline",
     "train_mlp",

@@ -46,16 +46,24 @@ def save_corpus(path: str, genomes, labels) -> None:
             fh.write(json.dumps({"genome": to_dict(g), "val_loss": float(y)}, sort_keys=True) + "\n")
 
 
+def parse_corpus_row(line: str) -> tuple[ArchGenome, float]:
+    """One corpus record.  The label must be a JSON number (NaN allowed),
+    not a string or bool that float() would take."""
+    doc = json.loads(line)
+    label = doc["val_loss"]
+    if type(label) not in (int, float):
+        raise ValueError(f"val_loss must be a JSON number, got {label!r}")
+    return from_dict(doc["genome"]), float(label)
+
+
 def load_corpus(path: str):
     genomes, labels = [], []
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            genomes.append(from_dict(doc["genome"]))
-            labels.append(float(doc["val_loss"]))
+            if line.strip():
+                genome, label = parse_corpus_row(line)
+                genomes.append(genome)
+                labels.append(label)
     return genomes, np.array(labels)
 
 

@@ -4,9 +4,12 @@ Everything here is written the slow, literal way on purpose: plain loops over
 definitions, no shared code with the package implementations.
 """
 import itertools
+import json
 import math
 
 import numpy as np
+
+from ihasearch import genome as gn
 
 
 def brute_kendall_tau_b(pred, truth):
@@ -457,3 +460,73 @@ def reference_encoder_mc_predict(model, tokens, mask, n_mc=10, seed=0):
     draws = np.stack([reference_encoder_forward(model, tokens, mask, train=True, rng=rng)
                       for _ in range(n_mc)])
     return draws.mean(axis=0), draws.std(axis=0)
+
+
+# --- per-genome bookkeeping references ----------------------------------------
+# The genome module's canonical JSON, validation and random draw as they were
+# before they were made cheap (template JSON, one validity predicate, one
+# vectorised draw per genome), copied literally.  The package must reproduce
+# their outputs byte for byte.
+
+
+def reference_to_json(genome):
+    """Canonical single-line JSON: sorted keys, compact separators."""
+    return json.dumps(gn.to_dict(genome), sort_keys=True, separators=(",", ":"))
+
+
+def reference_validate(genome, ranges=None):
+    """Every rule violation, checked field by field on every gene."""
+    ranges = ranges or gn.SpaceRanges()
+    out = []
+    g = genome.global_cfg
+    for name in ("d_model", "block_size", "max_layers"):
+        if getattr(g, name) < 1:
+            out.append(gn.Violation(None, name, "must be >= 1"))
+    if len(genome.layers) != g.max_layers:
+        out.append(gn.Violation(None, "layers", f"expected {g.max_layers} genes, got {len(genome.layers)}"))
+    if not any(gene.mask == 1 for gene in genome.layers):
+        out.append(gn.Violation(None, "mask", "at least one layer must be active"))
+    for i, gene in enumerate(genome.layers):
+        for bit in ("mask", "attn"):
+            if getattr(gene, bit) not in (0, 1):
+                out.append(gn.Violation(i, bit, "must be 0 or 1"))
+        if gene.mask != 1:
+            continue  # inactive layers are not constrained further
+        for name in gn.NUMERIC_FIELDS:
+            if not ranges.field(name).contains(getattr(gene, name)):
+                r = ranges.field(name)
+                out.append(gn.Violation(i, name, f"not on grid [{r.lo}:{r.step}:{r.hi}]"))
+        if gene.n_kv >= 1 and gene.n_h >= 1 and gene.n_h % gene.n_kv != 0:
+            out.append(gn.Violation(i, "n_kv", f"{gene.n_kv} does not divide n_h={gene.n_h}"))
+    return out
+
+
+def reference_random_genome(ranges=None, rng=None, global_cfg=None):
+    """Uniform independent draw of every field of every gene, one generator
+    call per field, then repair."""
+    ranges = ranges or gn.SpaceRanges()
+    rng = rng if rng is not None else np.random.default_rng()
+    gcfg = global_cfg or gn.GlobalConfig()
+
+    def draw(r):
+        return int(rng.choice(r.values()))
+
+    layers = tuple(
+        gn.LayerGene(
+            mask=int(rng.integers(0, 2)),
+            attn=int(rng.integers(0, 2)),
+            n_h=draw(ranges.n_h),
+            n_kv=draw(ranges.n_kv),
+            d_qk=draw(ranges.d_qk),
+            d_v=draw(ranges.d_v),
+            d_mlp=draw(ranges.d_mlp),
+        )
+        for _ in range(gcfg.max_layers)
+    )
+    return gn.repair(gn.ArchGenome(gcfg, layers), ranges)
+
+
+def reference_count_params(genome, vocab_size):
+    """Embedding plus every active layer's weights, summed gene by gene."""
+    d = genome.global_cfg.d_model
+    return vocab_size * d + sum(gn.layer_param_count(g, d) for g in genome.active_layers())

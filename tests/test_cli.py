@@ -614,3 +614,231 @@ class TestSurrogateMc:
         assert main(["surrogate", "mc", "--checkpoint", str(checkpoint),
                      "--genomes", str(bad)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# flag ranges, loaded genomes and the fuzz of every other subcommand
+# --------------------------------------------------------------------------
+
+def run_main(argv) -> int:
+    """main's return value, or the code of the SystemExit argparse raises
+    on a bad flag; output is swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def _invalid_genome_doc() -> dict:
+    """A default-space genome whose first layer is active with n_kv=7, n_h=16."""
+    doc = json.loads(to_json(make_synthetic_corpus(1, seed=3)[0][0]))
+    doc["layers"][0].update(mask=1, n_h=16, n_kv=7)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory, tiny_surrogate_files) -> dict[str, Path]:
+    """Input files by name, each one either well formed or broken in one way
+    (the broken ones start with "bad_")."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    checkpoint, corpus = tiny_surrogate_files
+    rows = corpus.read_text().splitlines()
+    paths = {"checkpoint": checkpoint, "corpus": corpus}
+
+    def write(name: str, text: str) -> None:
+        paths[name] = root / name
+        paths[name].write_text(text)
+
+    genomes, _ = make_synthetic_corpus(2, seed=5)
+    write("genome", to_json(genomes[0]) + "\n")
+    write("genome_list", "".join(to_json(g) + "\n" for g in genomes))
+    write("grid", json.dumps({"n_mac": [64], "w_core_kb": [192], "n_chips_max": [32]}))
+    bad_row = json.loads(rows[4])
+    bad_row["genome"] = _invalid_genome_doc()
+    write("bad_corpus_invalid_genome", "\n".join(rows[:4] + [json.dumps(bad_row)] + rows[5:]))
+    for name, label in [("string", "3.1"), ("bool", True)]:
+        row = json.loads(rows[1])
+        row["val_loss"] = label
+        write(f"bad_corpus_{name}_label", "\n".join(rows[:1] + [json.dumps(row)] + rows[2:]))
+    write("bad_corpus_unparseable", rows[0] + "\n{not json\n")
+    write("bad_checkpoint", "nonsense")
+    write("bad_genome_invalid", json.dumps(_invalid_genome_doc()))
+    write("bad_genome_unparseable", "{}")
+    write("bad_genome_infinite", to_json(genomes[0]).replace('"d_model":768', '"d_model":Infinity'))
+    write("bad_genome_list_invalid", to_json(genomes[0]) + "\n\n"
+          + json.dumps(_invalid_genome_doc()) + "\n")
+    write("bad_genome_list_empty", "\n")
+    write("bad_grid", json.dumps({"n_mac": [0], "w_core_kb": [192], "n_chips_max": [32]}))
+    paths["bad_missing"] = root / "missing.jsonl"
+    return paths
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("argv", [
+        ["pack", "--genome", "@genome", "--out", "@out", "--prefill-tokens", "-1"],  # was exit 3
+        ["pack", "--genome", "@genome", "--out", "@out", "--decode-tokens", "0"],  # was exit 3
+        ["pack", "--genome", "@genome", "--out", "@out", "--top-k", "0"],  # was a silent 0
+        ["count", "--d-model", "0"],  # was a silent 0
+        ["count", "--d-model", "-768"],
+        ["check-iha", "--tol", "nan"],  # was exit 3
+        ["check-iha", "--trials", "-1"],  # was a vacuous pass
+        ["check-iha", "--seed", "-1"],  # was exit 3
+        ["surrogate", "train", "--corpus", "@corpus", "--out", "@out", "--batch-size", "0"],
+        ["surrogate", "train", "--corpus", "@corpus", "--out", "@out", "--test-frac", "1.5"],
+        ["surrogate", "train", "--corpus", "@corpus", "--out", "@out", "--test-frac", "-0.1"],
+        ["surrogate", "train", "--corpus", "@corpus", "--out", "@out", "--lr", "nan"],
+        ["surrogate", "train", "--corpus", "@corpus", "--out", "@out", "--epochs", "-1"],
+        ["surrogate", "eval", "--corpus", "@corpus", "--checkpoint", "@checkpoint",
+         "--split-seed", "-1"],
+        ["surrogate", "mc", "--checkpoint", "@checkpoint", "--genomes", "@genome_list",
+         "--n-mc", "0"],
+        ["surrogate", "mc", "--checkpoint", "@checkpoint", "--genomes", "@genome_list",
+         "--mc-seed", "-1"],
+    ])
+    def test_out_of_range_flag_exits_2(self, tmp_path, cli_inputs, argv):
+        files = dict(cli_inputs, out=tmp_path / "out")
+        assert run_main([str(files[a[1:]]) if a.startswith("@") else a for a in argv]) == 2
+
+    def test_help_text_names_the_range(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["count", "--d-model", "x"])
+        assert "must be an integer >= 1, got 'x'" in capsys.readouterr().err
+
+
+class TestLoadedGenomesValidated:
+    @pytest.mark.parametrize("sub", ["train", "eval"])
+    def test_corpus_with_invalid_genome_names_its_line(self, tmp_path, capsys, cli_inputs, sub):
+        argv = ["surrogate", sub, "--corpus", str(cli_inputs["bad_corpus_invalid_genome"])]
+        argv += (["--out", str(tmp_path / "x")] if sub == "train"
+                 else ["--checkpoint", str(cli_inputs["checkpoint"])])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "line 5 of corpus" in err and "n_kv: 7 does not divide n_h=16" in err
+
+    @pytest.mark.parametrize("name", ["bad_corpus_string_label", "bad_corpus_bool_label"])
+    def test_label_must_be_a_json_number(self, tmp_path, capsys, cli_inputs, name):
+        assert main(["surrogate", "train", "--corpus", str(cli_inputs[name]),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "line 2 of corpus" in capsys.readouterr().err
+
+    def test_search_refinement_corpus_is_validated(self, tmp_path, capsys, cli_inputs):
+        cfg = write_cfg(tmp_path, evaluator="surrogate", refine_every_generations=1)
+        assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--surrogate", str(cli_inputs["checkpoint"]),
+                     "--corpus", str(cli_inputs["bad_corpus_invalid_genome"])]) == 2
+        assert "line 5 of corpus" in capsys.readouterr().err
+
+    def test_mc_genome_list_invalid_genome_names_its_line(self, capsys, cli_inputs):
+        assert main(["surrogate", "mc", "--checkpoint", str(cli_inputs["checkpoint"]),
+                     "--genomes", str(cli_inputs["bad_genome_list_invalid"])]) == 2
+        err = capsys.readouterr().err
+        assert "line 3 of genome list" in err and "n_kv" in err
+
+    def test_non_finite_genome_field_exits_2(self, tmp_path, capsys, cli_inputs):
+        # int(Infinity) raises OverflowError, which used to exit 3
+        assert main(["pack", "--genome", str(cli_inputs["bad_genome_infinite"]),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "does not parse" in capsys.readouterr().err
+
+    def test_nan_label_still_loads_and_is_dropped(self, tmp_path, capsys, cli_inputs):
+        rows = cli_inputs["corpus"].read_text().splitlines()
+        row = json.loads(rows[0])
+        row["val_loss"] = float("nan")
+        corpus = tmp_path / "nan.jsonl"
+        corpus.write_text("\n".join([json.dumps(row)] + rows[1:]) + "\n")
+        assert main(["surrogate", "eval", "--corpus", str(corpus),
+                     "--checkpoint", str(cli_inputs["checkpoint"])]) == 0
+
+
+# Subcommand flags as (valid, broken) argv strategies.  Sizes are capped: at
+# most 1 epoch, 2 trials or 2 MC passes, and the 12-row corpus.  A file flag
+# names an entry of cli_inputs; the broken ones start with "bad_", and the
+# binary checkpoint stands in for an undecodable text file.
+def _int_flag(lo, hi, broken=("0", "-1", "x", "1.5", "")):
+    return st.integers(lo, hi).map(str), st.sampled_from(list(broken))
+
+
+_BAD_FRACTION = st.sampled_from(["0", "1", "1.5", "-0.1", "nan", "inf", "x"])
+_SEED = _int_flag(0, 2**32, broken=("-1", "x", "1.5"))
+_SUBCOMMAND_FLAGS = {
+    ("count",): {"--d-model": _int_flag(1, 4096, broken=("0", "-768", "x", "1e3"))},
+    ("check-iha",): {
+        "--trials": _int_flag(1, 2),
+        "--seed": _SEED,
+        "--tol": (st.sampled_from(["1e-10", "1e-6", "0.5", "1e3"]),
+                  st.sampled_from(["nan", "inf", "-inf", "0", "-1e-10", "x"])),
+    },
+    ("pack",): {
+        "--genome": (st.just("@genome"), st.sampled_from(
+            ["@bad_genome_invalid", "@bad_genome_unparseable", "@bad_genome_infinite",
+             "@bad_missing", "@checkpoint"])),
+        "--grid": (st.just("@grid"), st.sampled_from(["@bad_grid", "@bad_missing", "@checkpoint"])),
+        "--prefill-tokens": _int_flag(1, 2048),
+        "--decode-tokens": _int_flag(1, 2048),
+        "--top-k": _int_flag(1, 5),
+    },
+    ("surrogate", "train"): {
+        "--corpus": (st.just("@corpus"), st.sampled_from(
+            ["@bad_corpus_invalid_genome", "@bad_corpus_string_label",
+             "@bad_corpus_bool_label", "@bad_corpus_unparseable", "@bad_missing",
+             "@checkpoint"])),
+        "--epochs": _int_flag(0, 1, broken=("-1", "x")),
+        "--batch-size": _int_flag(1, 16),
+        "--lr": (st.floats(1e-6, 1e-2).map(repr),
+                 st.sampled_from(["nan", "inf", "0", "-1e-3", "x"])),
+        "--seed": _SEED,
+        "--test-frac": (st.floats(0.1, 0.5).map(repr), _BAD_FRACTION),
+        "--split-seed": _SEED,
+    },
+    ("surrogate", "eval"): {
+        "--corpus": (st.just("@corpus"), st.sampled_from(
+            ["@bad_corpus_invalid_genome", "@bad_corpus_string_label", "@bad_missing"])),
+        "--checkpoint": (st.just("@checkpoint"), st.sampled_from(["@bad_checkpoint", "@bad_missing"])),
+        "--test-frac": (st.floats(0.1, 0.5).map(repr), _BAD_FRACTION),
+        "--split-seed": _SEED,
+    },
+    ("surrogate", "mc"): {
+        "--checkpoint": (st.just("@checkpoint"), st.sampled_from(["@bad_checkpoint", "@bad_missing"])),
+        "--genomes": (st.just("@genome_list"), st.sampled_from(
+            ["@bad_genome_list_invalid", "@bad_genome_list_empty", "@bad_corpus_unparseable",
+             "@bad_missing", "@checkpoint"])),
+        "--n-mc": _int_flag(1, 2),
+        "--mc-seed": _SEED,
+    },
+}
+# flags always given: the required ones, and those whose default would make
+# a run long (200 epochs, 25 trials, 10 MC passes)
+_ALWAYS = {"--genome", "--corpus", "--checkpoint", "--genomes", "--epochs", "--trials", "--n-mc"}
+_WRITES_OUT = {("pack",), ("surrogate", "train")}
+
+
+@st.composite
+def fuzzed_subcommands(draw):
+    """(argv without --out, whether a flag is broken, whether it writes
+    --out).  The flags in _ALWAYS are always given; each other flag is left
+    out or given.  A given flag is valid or, one time in four, broken."""
+    sub = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    flags = _SUBCOMMAND_FLAGS[sub]
+    argv, any_broken = list(sub), False
+    for flag in sorted(flags):
+        if flag not in _ALWAYS and not draw(st.booleans()):
+            continue
+        valid, broken = flags[flag]
+        is_broken = draw(st.integers(0, 3)) == 0
+        argv += [flag, draw(broken if is_broken else valid)]
+        any_broken |= is_broken
+    return argv, any_broken, sub in _WRITES_OUT
+
+
+class TestSubcommandFuzz:
+    @given(case=fuzzed_subcommands())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_is_0_or_2(self, cli_inputs, case):
+        """Never 3; and never a silent 0 when a flag or an input file is broken."""
+        argv, broken, writes_out = case
+        argv = [str(cli_inputs[a[1:]]) if a.startswith("@") else a for a in argv]
+        with tempfile.TemporaryDirectory() as tmp:
+            code = run_main(argv + (["--out", str(Path(tmp) / "out")] if writes_out else []))
+        event(f"{' '.join(a for a in argv[:2] if not a.startswith('-'))} exit {code}")
+        assert code in ((2,) if broken else (0, 2)), argv

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihasearch import genome as gn
-from oracles import brute_repair
+from oracles import (
+    brute_repair,
+    reference_count_params,
+    reference_random_genome,
+    reference_to_json,
+    reference_validate,
+)
 
 
 def make_genome(layers, d_model=768, block_size=1024, max_layers=None):
@@ -370,3 +376,138 @@ class TestSerialization:
         # pinned values: the id names genome files, the hash seeds oracle noise
         g = make_genome([ACTIVE])
         assert (gn.genome_id(g), gn.genome_hash64(g)) == ("4f79c9d61307", 15461220520269722588)
+
+
+# --- per-genome bookkeeping against the literal references ------------------
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the references raise what json.dumps raises
+        return type(exc)
+
+
+# every kind of value a gene or global field can hold: exact ints on and off
+# the grids, bools, numpy ints and floats
+_ANY_VALUE = st.one_of(_FIELD, st.sampled_from([64.0, 8.5, float("nan")]))
+_GATE = st.sampled_from([0, 1, -1, 2, True, False, np.int64(1)])
+_GLOBAL = st.builds(
+    gn.GlobalConfig,
+    d_model=st.one_of(st.sampled_from([768, 960, 1]), st.integers(-3, 4096), st.just(True),
+                      st.just(np.int64(768))),
+    block_size=st.one_of(st.sampled_from([1024, 2048]), st.integers(-3, 8192)),
+    max_layers=st.integers(-1, 9),
+)
+_MIXED_GENE = st.one_of(
+    _VALID_GENE, _ODD_GRID_GENE, _ANY_GENE,
+    st.builds(gn.LayerGene, _GATE, _GATE, *([_ANY_VALUE] * 5)),
+    # on-grid shape with a non-dividing n_kv, active or not
+    st.builds(gn.LayerGene, _GATE, _GATE, st.just(16), st.sampled_from([3, 5, 7]),
+              st.just(64), st.just(64), st.just(512)),
+)
+_GENOMES = st.builds(gn.ArchGenome, _GLOBAL, st.lists(_MIXED_GENE, max_size=9).map(tuple))
+
+
+def _field_range(lo, step, n):
+    return gn.FieldRange(lo, step, lo + step * (n - 1))
+
+
+# non-default spaces: steps above 1, single-point grids, grids at or below 0,
+# and grid values past the int64 range
+_RANGES = st.one_of(
+    st.just(gn.SpaceRanges()),
+    st.just(_ODD_RANGES),
+    st.just(gn.SpaceRanges(d_qk=gn.FieldRange(-2**62, 2**62, 2**62),
+                           d_mlp=gn.FieldRange(2**64, 2**63, 2**65))),
+    st.builds(
+        gn.SpaceRanges,
+        n_h=st.builds(_field_range, st.integers(1, 12), st.integers(1, 4), st.integers(1, 6)),
+        n_kv=st.builds(_field_range, st.just(1), st.integers(1, 3), st.integers(1, 5)),
+        d_qk=st.builds(_field_range, st.integers(-64, 64), st.integers(1, 64), st.integers(1, 4)),
+        d_v=st.builds(_field_range, st.integers(1, 64), st.integers(1, 64), st.just(1)),
+        d_mlp=st.builds(_field_range, st.integers(-5, 512), st.integers(1, 256), st.integers(1, 20)),
+    ),
+)
+
+
+class TestBookkeepingMatchesReference:
+    """The cheap to_json, validate, random_genome, hash and count_params give
+    what the literal implementations in oracles.py give, byte for byte."""
+
+    @given(genome=_GENOMES)
+    @settings(max_examples=400, deadline=None)
+    def test_to_json_bytes(self, genome):
+        assert _outcome(gn.to_json, genome) == _outcome(reference_to_json, genome)
+
+    def test_to_json_falls_back_for_bool_and_numpy_fields(self):
+        g = make_genome([dataclasses.replace(ACTIVE, attn=True)])
+        assert gn.to_json(g) == reference_to_json(g)
+        assert '"attn":true' in gn.to_json(g)
+        g = gn.ArchGenome(gn.GlobalConfig(d_model=np.int64(768), max_layers=1), (ACTIVE,))
+        with pytest.raises(TypeError):
+            gn.to_json(g)
+
+    def test_to_json_of_non_default_global_config(self):
+        g = gn.ArchGenome(gn.GlobalConfig(960, 4096, 2), (ACTIVE, INACTIVE))
+        s = gn.to_json(g)
+        assert s == json.dumps(gn.to_dict(g), sort_keys=True, separators=(",", ":"))
+        assert s.startswith('{"global":{"block_size":4096,"d_model":960,"max_layers":2},')
+
+    @given(genome=_GENOMES, ranges=st.sampled_from([gn.SpaceRanges(), _ODD_RANGES]))
+    @settings(max_examples=400, deadline=None)
+    def test_validate_same_violations(self, genome, ranges):
+        assert gn.validate(genome, ranges) == reference_validate(genome, ranges)
+
+    def test_validate_named_cases(self):
+        bad = [
+            make_genome([ACTIVE, dataclasses.replace(ACTIVE, d_qk=70)]),  # off grid
+            make_genome([dataclasses.replace(ACTIVE, mask=2, attn=-1)]),  # gate bits
+            make_genome([dataclasses.replace(ACTIVE, n_kv=3)]),  # 3 does not divide 8
+            make_genome([ACTIVE], max_layers=3),  # wrong length
+            make_genome([INACTIVE, INACTIVE]),  # no active layer
+        ]
+        for g in bad:
+            assert gn.validate(g) == reference_validate(g) != []
+
+    @given(seed=st.integers(0, 2**32), ranges=_RANGES, max_layers=st.integers(-1, 12),
+           d_model=st.sampled_from([768, 64]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_genome_same_genome_and_stream(self, seed, ranges, max_layers, d_model):
+        gcfg = gn.GlobalConfig(d_model=d_model, max_layers=max_layers)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _outcome(gn.random_genome, ranges, ours, gcfg)
+        want = _outcome(reference_random_genome, ranges, ref, gcfg)
+        assert got == want
+        if isinstance(want, gn.ArchGenome):
+            assert gn.to_json(got) == reference_to_json(want)
+        assert ours.integers(2**62) == ref.integers(2**62)
+
+    def test_random_genome_default_arguments(self):
+        ours, ref = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(5):
+            assert gn.to_json(gn.random_genome(rng=ours)) == reference_to_json(
+                reference_random_genome(rng=ref))
+        assert ours.random() == ref.random()
+
+    @given(genome=_GENOMES)
+    @settings(max_examples=200, deadline=None)
+    def test_hash_is_the_generated_dataclass_hash(self, genome):
+        assert hash(genome) == hash((genome.global_cfg, genome.layers))
+        twin = gn.ArchGenome(genome.global_cfg, tuple(genome.layers))
+        assert twin == genome and hash(twin) == hash(genome)
+        assert hash(genome) == hash(genome)
+
+    def test_separately_built_equal_genomes_share_a_memo_slot(self):
+        g = gn.random_genome(rng=np.random.default_rng(4))
+        twin = gn.from_json(gn.to_json(g))
+        assert twin is not g and twin == g and hash(twin) == hash(g)
+        assert {g: 1}[twin] == 1
+
+    @given(genome=_GENOMES, vocab=st.sampled_from([0, 1, gn.DEFAULT_VOCAB_SIZE]))
+    @settings(max_examples=200, deadline=None)
+    def test_count_params_same_value(self, genome, vocab):
+        # repr, so that a NaN count (from a NaN field) compares equal to itself
+        for v in (vocab, 0):  # the second call reads the cached body count
+            assert repr(_outcome(gn.count_params, genome, v)) == repr(
+                _outcome(reference_count_params, genome, v))

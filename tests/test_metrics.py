@@ -103,11 +103,6 @@ class TestReports:
         r = mx.rank_report(rng.normal(size=40), rng.normal(size=40))
         assert set(r) == {"tau", "rho", "mae", "mae_at_5pct", "k_at_1pct", "k_at_5pct"}
 
-    def test_aggregate_mean_std(self):
-        agg = mx.aggregate_reports([{"tau": 0.5}, {"tau": 0.7}])
-        assert abs(agg["tau"]["mean"] - 0.6) < 1e-15
-        assert abs(agg["tau"]["std"] - 0.1) < 1e-15
-
 
 class TestPareto:
     def test_simple_front(self):

@@ -711,6 +711,30 @@ class TestEvaluationMemo:
             assert bad not in engine._scored
         assert engine.n_evaluations == 0
 
+    @pytest.mark.parametrize("space", ["iha", "gqa"])
+    def test_finished_engine_is_freed_without_a_collection(self, space):
+        # a self-referencing engine kept its memo alive until the next full
+        # garbage collection, so back-to-back searches in one process grew
+        import gc
+        import weakref
+
+        from ihasearch.search.engine import _SearchEngine
+
+        cfg = SearchConfig(
+            population_size=4, offspring_size=4, generations=1,
+            refine_every_generations=0, evaluator="oracle",
+            backend="analytic:gemmini", space=space, seed=0,
+        )
+        engine = _SearchEngine(cfg, None, None, None, None, None)
+        engine.run()
+        ref = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_surrogate_predicts_every_request(self, monkeypatch, tiny_surrogate):
         from ihasearch.surrogate import EncoderSurrogate
 
