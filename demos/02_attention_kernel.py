@@ -12,22 +12,12 @@ Run:  python demos/02_attention_kernel.py
 import numpy as np
 
 from ihasearch.attention import (
-    AttnWeights,
     attention_rows_stochastic,
     iha_forward,
     random_weights,
+    replicate_kv_groups,
 )
 from ihasearch.genome import LayerGene
-
-
-def replicate_groups(gene: LayerGene, w: AttnWeights) -> AttnWeights:
-    """Tile each KV group's projection block r = n_h / n_kv times."""
-    r = gene.n_h // gene.n_kv
-    wk = np.concatenate([w.wk[:, i * gene.d_qk:(i + 1) * gene.d_qk]
-                         for i in range(gene.n_kv) for _ in range(r)], axis=1)
-    wv = np.concatenate([w.wv[:, i * gene.d_v:(i + 1) * gene.d_v]
-                         for i in range(gene.n_kv) for _ in range(r)], axis=1)
-    return AttnWeights(w.wq, wk, wv, w.wo)
 
 
 def main() -> None:
@@ -41,7 +31,7 @@ def main() -> None:
         w = random_weights(gene, d_model, rng)
         grouped = iha_forward(x, gene, w)
         gene_rep = LayerGene(1, 1, n_h, n_h, 16, 24, 512)
-        replicated = iha_forward(x, gene_rep, replicate_groups(gene, w))
+        replicated = iha_forward(x, gene_rep, replicate_kv_groups(gene, w))
         err = np.abs(grouped - replicated).max()
         kv_saving = 1 - n_kv / n_h
         print(f"  n_h={n_h} n_kv={n_kv}:  max |diff| = {err:.2e}   "

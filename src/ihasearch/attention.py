@@ -39,6 +39,22 @@ def random_weights(gene: LayerGene, d_model: int, rng: np.random.Generator) -> A
     )
 
 
+def replicate_kv_groups(gene: LayerGene, w: AttnWeights) -> AttnWeights:
+    """Weights for the n_kv = n_h form of ``gene``: each KV group's
+    projection columns tiled r = n_h / n_kv times, so that the replicated
+    gene computes the grouped one head for head."""
+    r = gene.n_h // gene.n_kv
+    wk = np.concatenate(
+        [w.wk[:, i * gene.d_qk:(i + 1) * gene.d_qk] for i in range(gene.n_kv) for _ in range(r)],
+        axis=1,
+    )
+    wv = np.concatenate(
+        [w.wv[:, i * gene.d_v:(i + 1) * gene.d_v] for i in range(gene.n_kv) for _ in range(r)],
+        axis=1,
+    )
+    return AttnWeights(w.wq, wk, wv, w.wo)
+
+
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row softmax with max subtraction; -inf entries become exact zeros."""
     shifted = scores - scores.max(axis=-1, keepdims=True)

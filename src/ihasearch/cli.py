@@ -27,10 +27,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .attention import AttnWeights, attention_rows_stochastic, iha_forward, random_weights
+from .attention import attention_rows_stochastic, iha_forward, random_weights, replicate_kv_groups
 from .genome import (
     LayerGene,
     count_attention_configs,
+    from_dict,
     from_json,
     genome_id,
     to_json,
@@ -63,26 +64,19 @@ class InputError(Exception):
     """User-facing input problem: bad config, bad file, refused overwrite."""
 
 
-@dataclasses.dataclass
-class RunSpec:
-    """Where a subcommand writes artifacts."""
-
-    out_dir: Path
-
-    def prepare(self, force: bool) -> Path:
-        """Create the output directory; refuse to clobber a prior manifest."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = self.out_dir / "manifest.json"
-        if manifest.exists() and not force:
-            raise InputError(
-                f"{manifest} already exists; pass --force to overwrite the run"
-            )
-        return manifest
+def _prepare_out_dir(out: str, force: bool) -> Path:
+    """Create a subcommand's output directory; refuse to clobber a prior manifest."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = out_dir / "manifest.json"
+    if manifest.exists() and not force:
+        raise InputError(f"{manifest} already exists; pass --force to overwrite the run")
+    return out_dir
 
 
-def _write_manifest(path: Path, payload: dict) -> None:
+def _write_manifest(out_dir: Path, payload: dict) -> None:
     payload = dict(payload, version=__version__)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # Flag types: a value out of range is a usage error (exit 2), not a crash
@@ -154,7 +148,7 @@ def _load_search_config(args) -> SearchConfig:
     doc = _read_json_file(args.config, "search config")
     try:
         cfg = SearchConfig.from_dict(doc)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad search config: {exc}") from exc
     overrides = {}
     if args.seed is not None:
@@ -269,23 +263,19 @@ def front_scatter_svg(members) -> str:
 
 def cmd_search(args) -> int:
     cfg = _load_search_config(args)
-    spec = RunSpec(Path(args.out))
-    manifest = spec.prepare(args.force)
+    out_dir = _prepare_out_dir(args.out, args.force)
 
     surrogate = None
     corpus = None
     if cfg.evaluator == "surrogate":
         if args.surrogate is None:
             raise InputError("evaluator='surrogate' needs --surrogate <checkpoint.npz>")
-        try:
-            surrogate = EncoderSurrogate.load(args.surrogate)
-        except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"cannot load surrogate checkpoint: {exc}") from exc
+        surrogate = _load_model_checked(args.surrogate)
     if cfg.refine_every_generations > 0:
         if args.corpus is None:
             raise InputError("refinement (refine_every_generations > 0) needs --corpus")
-        genomes, labels = _load_corpus_checked(args.corpus, min_rows=1)
-        corpus = split_corpus(genomes, labels, test_frac=args.test_frac, seed=args.split_seed)
+        genomes, labels = _load_corpus_checked(args.corpus)
+        corpus = _split_checked(genomes, labels, args.test_frac, args.split_seed, min_test=0)
 
     log.info("search: %s evaluator, %s backend, seed %d",
              cfg.evaluator, cfg.backend, cfg.seed)
@@ -293,11 +283,11 @@ def cmd_search(args) -> int:
 
     # byte-identical artifacts hold within one numeric stack, so a search
     # manifest names the numpy and scipy versions it ran on
-    _write_manifest(manifest, {"subcommand": "search", "config": cfg.to_dict(),
+    _write_manifest(out_dir, {"subcommand": "search", "config": cfg.to_dict(),
                                "seed": cfg.seed, "numpy": np.__version__,
                                "scipy": scipy.__version__})
     _write_csv(
-        spec.out_dir / "generations.csv",
+        out_dir / "generations.csv",
         ["gen", "best_val_loss", "archive_size", "hypervolume"],
         [
             [row["generation"], float(row["best_val_loss"]), row["archive_size"],
@@ -306,35 +296,31 @@ def cmd_search(args) -> int:
         ],
     )
     _write_csv(
-        spec.out_dir / "archive.csv",
+        out_dir / "archive.csv",
         ["genome_id", "val_loss", "e_tok_j", "ttft_s", "tpot_s", "feasible"],
         [
             [ind.gid, ind.val_loss, ind.e_tok_j, ind.ttft_s, ind.tpot_s, ind.feasible]
             for ind in res.archive.members
         ],
     )
-    gdir = spec.out_dir / "genomes"
+    gdir = out_dir / "genomes"
     gdir.mkdir(exist_ok=True)
     for ind in res.archive.members:
         (gdir / f"{ind.gid}.json").write_text(to_json(ind.genome) + "\n")
-    with open(spec.out_dir / "events.jsonl", "w") as fh:
+    with open(out_dir / "events.jsonl", "w") as fh:
         for event in res.events:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
-    (spec.out_dir / "front.svg").write_text(front_scatter_svg(res.archive.members))
+    (out_dir / "front.svg").write_text(front_scatter_svg(res.archive.members))
 
     print(f"search done: {res.n_evaluations} evaluations, "
           f"archive {len(res.archive)}, events {len(res.events)}")
-    print(f"artifacts in {spec.out_dir}")
+    print(f"artifacts in {out_dir}")
     return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # pack
 # --------------------------------------------------------------------------
-
-# what from_json / from_dict raise on a document that is not a genome
-_PARSE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
-
 
 def _require_valid(genome, where: str):
     problems = validate(genome)
@@ -345,13 +331,10 @@ def _require_valid(genome, where: str):
 
 
 def _load_genome_checked(path: str):
+    doc = _read_json_file(path, "genome")
     try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read genome {path!r}: {exc}") from exc
-    try:
-        genome = from_json(text)
-    except _PARSE_ERRORS as exc:
+        genome = from_dict(doc)
+    except ValueError as exc:
         raise InputError(f"genome {path!r} does not parse: {exc}") from exc
     return _require_valid(genome, f"genome {path!r}")
 
@@ -369,7 +352,7 @@ def _load_genome_rows(path: str, what: str, parse) -> list[tuple]:
                 where = f"line {n} of {what} {path!r}"
                 try:
                     row = parse(line)
-                except _PARSE_ERRORS as exc:
+                except ValueError as exc:
                     raise InputError(f"{where} does not parse: {exc}") from exc
                 _require_valid(row[0], where)
                 rows.append(row)
@@ -405,15 +388,14 @@ def cmd_pack(args) -> int:
     genome = _load_genome_checked(args.genome)
     grid = _load_grid(args.grid)
     workload = Workload(args.prefill_tokens, args.decode_tokens)
-    spec = RunSpec(Path(args.out))
-    manifest = spec.prepare(args.force)
+    out_dir = _prepare_out_dir(args.out, args.force)
 
     picks, n_feasible = chip_grid_search(genome, workload, grid=grid, top_k=args.top_k)
     print(f"grid: {len(grid)} chip configs, {n_feasible} feasible "
           f"for genome {genome_id(genome)}")
     if not picks:
         print("warning: no chip configuration fits this model; nothing to pack")
-        _write_manifest(manifest, _pack_manifest(args, genome, grid, workload))
+        _write_manifest(out_dir, _pack_manifest(args, genome, grid, workload))
         return EXIT_OK
 
     header = (f"{'n_mac':>6} {'w_core_kb':>10} {'n_cores':>8} {'n_chips':>8} "
@@ -425,9 +407,9 @@ def cmd_pack(args) -> int:
               f"{r.cost.tpot_s:>11.4g} {r.cost.e_tok_j:>11.4g} {r.total_area:>8.4g}")
 
     best = best_ring_pick(picks)
-    plan_path = spec.out_dir / "ring_plan.csv"
+    plan_path = out_dir / "ring_plan.csv"
     write_plan_csv(best.plan, workload, str(plan_path))
-    _write_manifest(manifest, _pack_manifest(args, genome, grid, workload))
+    _write_manifest(out_dir, _pack_manifest(args, genome, grid, workload))
     print(f"wrote {plan_path} ({best.plan.n_chips} chips, "
           f"{best.chip.n_cores} cores/chip)")
     return EXIT_OK
@@ -449,21 +431,21 @@ def _pack_manifest(args, genome, grid, workload) -> dict:
 # surrogate
 # --------------------------------------------------------------------------
 
-def _load_corpus_checked(path: str, min_rows: int = 2):
+def _load_corpus_checked(path: str):
     rows = _load_genome_rows(path, "corpus", parse_corpus_row)
-    if len(rows) < min_rows:
-        raise InputError(f"corpus {path!r} has {len(rows)} rows; need >= {min_rows}")
     return [g for g, _ in rows], np.array([y for _, y in rows])
 
 
-def _split_checked(genomes, labels, test_frac: float, seed: int):
+def _split_checked(genomes, labels, test_frac: float, seed: int, min_test: int = 2):
+    """split_corpus, with its errors and a held-out split of fewer than
+    min_test rows as input errors (train and eval need 2 held-out rows)."""
     try:
         corpus = split_corpus(genomes, labels, test_frac=test_frac, seed=seed)
     except ValueError as exc:
         raise InputError(f"cannot split corpus: {exc}") from exc
-    if len(corpus.test_idx) < 2:
+    if len(corpus.test_idx) < min_test:
         raise InputError(
-            f"held-out split has {len(corpus.test_idx)} rows; need >= 2 "
+            f"held-out split has {len(corpus.test_idx)} rows; need >= {min_test} "
             "(more data or a larger --test-frac)"
         )
     return corpus
@@ -472,21 +454,20 @@ def _split_checked(genomes, labels, test_frac: float, seed: int):
 def cmd_surrogate_train(args) -> int:
     genomes, labels = _load_corpus_checked(args.corpus)
     corpus = _split_checked(genomes, labels, args.test_frac, args.split_seed)
-    spec = RunSpec(Path(args.out))
-    manifest = spec.prepare(args.force)
+    out_dir = _prepare_out_dir(args.out, args.force)
 
     model, history = train(corpus, epochs=args.epochs, batch_size=args.batch_size,
                            lr=args.lr, seed=args.seed)
-    ckpt = spec.out_dir / "encoder.npz"
+    ckpt = out_dir / "encoder.npz"
     model.save(str(ckpt))
     _write_csv(
-        spec.out_dir / "curve.csv",
+        out_dir / "curve.csv",
         ["epoch", "train_l1", "test_l1"],
         [[e, float(tr), float(te)]
          for e, (tr, te) in enumerate(zip(history.train_l1, history.test_l1))],
     )
     corpus_sha = hashlib.sha1(Path(args.corpus).read_bytes()).hexdigest()
-    _write_manifest(manifest, {
+    _write_manifest(out_dir, {
         "subcommand": "surrogate-train",
         "corpus_sha1": corpus_sha,
         "n_corpus": len(genomes),
@@ -505,12 +486,16 @@ def cmd_surrogate_train(args) -> int:
 
 
 def _load_model_checked(path: str) -> EncoderSurrogate:
+    """The one checkpoint loader of search, surrogate eval and surrogate mc."""
     try:
-        return EncoderSurrogate.load(path)
+        model = EncoderSurrogate.load(path)
     except OSError as exc:
         raise InputError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise InputError(f"checkpoint {path!r} does not parse: {exc}") from exc
+    if model.normalizer is None:
+        raise InputError(f"checkpoint {path!r} has no fitted normalizer")
+    return model
 
 
 def cmd_surrogate_eval(args) -> int:
@@ -556,21 +541,6 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _replicated_weights(gene: LayerGene, w: AttnWeights) -> AttnWeights:
-    """Tile each KV group's projection columns r = n_h/n_kv times so an
-    n_kv=n_h gene reproduces the grouped computation head for head."""
-    r = gene.n_h // gene.n_kv
-    wk = np.concatenate(
-        [w.wk[:, i * gene.d_qk:(i + 1) * gene.d_qk] for i in range(gene.n_kv) for _ in range(r)],
-        axis=1,
-    )
-    wv = np.concatenate(
-        [w.wv[:, i * gene.d_v:(i + 1) * gene.d_v] for i in range(gene.n_kv) for _ in range(r)],
-        axis=1,
-    )
-    return AttnWeights(w.wq, wk, wv, w.wo)
-
-
 def run_kernel_property_suite(trials: int = 25, seed: int = 0,
                               d_model: int = 96, t_len: int = 12) -> dict[str, float]:
     """Worst observed error per property over random genes and inputs.
@@ -600,7 +570,7 @@ def run_kernel_property_suite(trials: int = 25, seed: int = 0,
 
         gene_rep = LayerGene(1, 1, n_h, n_h, d_qk, d_v, 64)
         out = iha_forward(x, gene, w)
-        out_rep = iha_forward(x, gene_rep, _replicated_weights(gene, w))
+        out_rep = iha_forward(x, gene_rep, replicate_kv_groups(gene, w))
         worst["grouped_kv_replication_equivalence"] = max(
             worst["grouped_kv_replication_equivalence"], float(np.abs(out - out_rep).max())
         )

@@ -369,16 +369,33 @@ def to_dict(genome: ArchGenome) -> dict:
     }
 
 
+_GLOBAL_KEYS = ("d_model", "block_size", "max_layers")
+_LAYER_KEYS = ("mask", "attn", "n_h", "n_kv", "d_qk", "d_v", "d_mlp")
+
+
+def _int_fields(doc, keys: tuple[str, ...], where: str) -> list[int]:
+    """doc[key] for every key; each must be an exact JSON integer."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{where} has no field {key!r}")
+        if type(doc[key]) is not int:
+            raise ValueError(f"{where}.{key} must be a JSON integer, got {doc[key]!r}")
+    return [doc[key] for key in keys]
+
+
 def from_dict(doc: dict) -> ArchGenome:
-    g = doc["global"]
+    """The genome of a ``to_dict`` document.  Every field must be an exact
+    integer: a missing key, a float (even 64.0), a bool or a wrong container
+    raises ValueError naming the field."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
+        raise ValueError("a genome is a JSON object with a 'global' object and a 'layers' list")
     return ArchGenome(
-        GlobalConfig(int(g["d_model"]), int(g["block_size"]), int(g["max_layers"])),
+        GlobalConfig(*_int_fields(doc.get("global"), _GLOBAL_KEYS, "global")),
         tuple(
-            LayerGene(
-                int(l["mask"]), int(l["attn"]), int(l["n_h"]), int(l["n_kv"]),
-                int(l["d_qk"]), int(l["d_v"]), int(l["d_mlp"]),
-            )
-            for l in doc["layers"]
+            LayerGene(*_int_fields(layer, _LAYER_KEYS, f"layers[{i}]"))
+            for i, layer in enumerate(doc["layers"])
         ),
     )
 

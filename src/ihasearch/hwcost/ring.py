@@ -12,8 +12,6 @@ chip cap) pair: 15 packs for the 45-point default grid.
 import csv
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..genome import ArchGenome
 from ..metrics import crowding_distance, pareto_front
 from .packing import StageLimits, balanced_contiguous_pack, stage_totals
@@ -135,10 +133,6 @@ class RingResult:
     plan: RingPlan
     cost: HWCost
     n_chips_max: int
-
-    @property
-    def area(self) -> float:
-        return self.chip.area
 
     @property
     def total_area(self) -> float:

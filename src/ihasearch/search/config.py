@@ -95,9 +95,7 @@ class SearchConfig:
         _validate_backend(self.backend)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["mutation_rates"] = asdict(self.mutation_rates)
-        return d
+        return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -111,8 +109,12 @@ class SearchConfig:
         if unknown:
             raise ValueError(f"unknown search config fields: {sorted(unknown)}")
         kwargs = dict(d)
-        if "mutation_rates" in kwargs and isinstance(kwargs["mutation_rates"], dict):
-            kwargs["mutation_rates"] = MutationRates(**kwargs["mutation_rates"])
+        rates = kwargs.get("mutation_rates")
+        if isinstance(rates, dict):
+            unknown = set(rates) - {f.name for f in fields(MutationRates)}
+            if unknown:
+                raise ValueError(f"unknown mutation rates: {sorted(unknown)}")
+            kwargs["mutation_rates"] = MutationRates(**rates)
         return cls(**kwargs)
 
     @classmethod
@@ -144,41 +146,22 @@ def _validate_backend(backend: str) -> None:
 
 
 def surrogate_preset(substrate: str = "gemmini", seed: int = 0) -> SearchConfig:
-    """Surrogate-in-the-loop run against one analytical substrate model."""
-    return SearchConfig(
-        population_size=24,
-        offspring_size=48,
-        generations=40,
-        crossover_rate=0.6,
-        mutation_rate=0.3,
-        refine_every_generations=5,
-        refine_batch_size=8,
-        mc_dropout_passes=10,
-        replay_ratio=5.0,
-        val_loss_max=3.8,
-        prefill_tokens=256,
-        decode_tokens=256,
-        backend=f"analytic:{substrate}",
-        evaluator="surrogate",
-        seed=seed,
-    )
+    """Surrogate-in-the-loop run against one analytical substrate model: the
+    default config on that substrate."""
+    return SearchConfig(backend=f"analytic:{substrate}", seed=seed)
 
 
 def ring_preset(seed: int = 0) -> SearchConfig:
     """Joint architecture/multi-chip co-search with ground-truth labels."""
     return SearchConfig(
-        population_size=24,
         offspring_size=12,
         generations=20,
-        crossover_rate=0.6,
-        mutation_rate=0.3,
         refine_every_generations=0,
         refine_batch_size=0,
         mc_dropout_passes=1,
         replay_ratio=0.0,
         val_loss_max=3.5,
         prefill_tokens=512,
-        decode_tokens=256,
         backend="ring",
         evaluator="oracle",
         seed=seed,

@@ -1,8 +1,9 @@
 """Flat MLP baseline over the concatenated padded token matrix.
 
-Same featurization, normalizer, L1 objective and Adam recipe as the encoder;
-the only difference is the architecture (two GELU hidden layers on the
-flattened 360-dim input), so ranking comparisons isolate the encoder's
+It runs ``train``'s own loop (``training._fit``): same featurization,
+train-split normalizer, L1 objective, Adam recipe and best-epoch rule as the
+encoder.  The only difference is the architecture (two GELU hidden layers on
+the flattened 360-dim input), so ranking comparisons isolate the encoder's
 structural prior.
 """
 from __future__ import annotations
@@ -11,10 +12,14 @@ import numpy as np
 
 from .encoder import _gelu, _gelu_grad
 from .features import FieldNormalizer, featurize_batch
-from .training import AdamState, LabeledCorpus, TrainHistory, adam_step
+from .training import LabeledCorpus, _fit
 
 
 class MlpBaseline:
+    """Takes the encoder's batch signatures; the padding mask and the
+    dropout arguments are ignored, since the flattened input keeps padding
+    rows as zeros and the MLP has no dropout."""
+
     def __init__(self, params: dict[str, np.ndarray], normalizer: FieldNormalizer, max_layers: int, n_fields: int = 9):
         self.params = params
         self.normalizer = normalizer
@@ -35,23 +40,23 @@ class MlpBaseline:
         }
         return cls(params, normalizer, max_layers, n_fields)
 
-    def _flatten(self, toks: np.ndarray) -> np.ndarray:
-        return toks.reshape(toks.shape[0], -1)
-
-    def forward(self, x: np.ndarray, want_cache: bool = False):
+    def _forward(self, tokens: np.ndarray):
         p = self.params
+        x = tokens.reshape(tokens.shape[0], -1)
         u0 = x @ p["w0"] + p["b0"]
         a0 = _gelu(u0)
         u1 = a0 @ p["w1"] + p["b1"]
         a1 = _gelu(u1)
         y = (a1 @ p["w2"]).ravel() + p["b2"][0]
-        if want_cache:
-            return y, (x, u0, a0, u1, a1)
-        return y
+        return y, (x, u0, a0, u1, a1)
 
-    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
+    def predict(self, tokens: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return self._forward(tokens)[0]
+
+    def loss_and_grads(self, tokens: np.ndarray, mask: np.ndarray, labels: np.ndarray,
+                       train: bool = False, rng: np.random.Generator | None = None):
         p = self.params
-        y, (x, u0, a0, u1, a1) = self.forward(x, want_cache=True)
+        y, (x, u0, a0, u1, a1) = self._forward(tokens)
         resid = y - labels
         loss = float(np.abs(resid).mean())
         dy = np.sign(resid) / resid.shape[0]
@@ -69,8 +74,8 @@ class MlpBaseline:
         return loss, grads
 
     def predict_genomes(self, genomes) -> np.ndarray:
-        toks, _ = featurize_batch(genomes, self.normalizer, self.max_layers)
-        return self.forward(self._flatten(toks))
+        toks, masks = featurize_batch(genomes, self.normalizer, self.max_layers)
+        return self.predict(toks, masks)
 
 
 def train_mlp(
@@ -82,39 +87,8 @@ def train_mlp(
     hidden: int = 128,
     max_layers: int = 40,
 ):
-    """Same loop shape as the encoder's train(); returns (model, history)."""
+    """``train``'s loop on an MLP; returns (model, history)."""
     rng = np.random.default_rng(seed)
     normalizer = FieldNormalizer.fit([corpus.genomes[i] for i in corpus.train_idx])
     model = MlpBaseline.init(normalizer, max_layers, hidden=hidden, rng=rng)
-    toks, _ = featurize_batch(corpus.genomes, normalizer, max_layers)
-    x = model._flatten(toks)
-    labels = corpus.labels
-
-    def eval_l1(idx):
-        if len(idx) == 0:
-            return float("nan")
-        return float(np.abs(model.forward(x[idx]) - labels[idx]).mean())
-
-    history = TrainHistory()
-    history.train_l1.append(eval_l1(corpus.train_idx))
-    history.test_l1.append(eval_l1(corpus.test_idx))
-    watch_test = len(corpus.test_idx) > 0
-    best = history.test_l1[0] if watch_test else history.train_l1[0]
-    best_params = {k: v.copy() for k, v in model.params.items()}
-
-    state = AdamState.for_params(model.params)
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(corpus.train_idx)
-        for start in range(0, len(order), batch_size):
-            idx = order[start : start + batch_size]
-            _, grads = model.loss_and_grads(x[idx], labels[idx])
-            adam_step(model.params, grads, state, lr)
-        history.train_l1.append(eval_l1(corpus.train_idx))
-        history.test_l1.append(eval_l1(corpus.test_idx))
-        score = history.test_l1[-1] if watch_test else history.train_l1[-1]
-        if score < best:
-            best = score
-            history.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in model.params.items()}
-    model.params = best_params
-    return model, history
+    return _fit(model, corpus, max_layers, epochs, batch_size, lr, 0.0, rng)

@@ -39,12 +39,15 @@ exactly 0.0, so any finite value leaves every output unchanged.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+import zipfile
+from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import erf
 
-from .features import FIELD_ORDER, FieldNormalizer, N_FIELDS
+from .features import FieldNormalizer, N_FIELDS
 
 _LN_EPS = 1e-5
 _NEG = -1e30  # additive key-mask bias; exact -inf breaks (0 * -inf) in backward paths
@@ -60,6 +63,16 @@ class EncoderConfig:
     ffn_mult: int = 4
     p_drop: float = 0.2
     max_layers: int = 40
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name != "p_drop" and (type(v) is not int or v < 1):
+                raise ValueError(f"encoder {f.name} must be a positive int, got {v!r}")
+        if self.d_enc % self.n_heads:
+            raise ValueError(f"n_heads={self.n_heads} must divide d_enc={self.d_enc}")
+        if type(self.p_drop) not in (int, float) or not 0.0 <= self.p_drop < 1.0:
+            raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop!r}")
 
     @property
     def d_head(self) -> int:
@@ -161,6 +174,13 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, np
     p["head_w"] = rng.normal(0.0, d ** -0.5, d)
     p["head_b"] = np.zeros(1)
     return p
+
+
+def _param_layout(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in init_params' and save's order;
+    the stand-in generator's normal() draws nothing."""
+    no_draw = SimpleNamespace(normal=lambda loc, scale, size: np.broadcast_to(0.0, size))
+    return [(name, p.shape) for name, p in init_params(config, no_draw).items()]
 
 
 class EncoderSurrogate:
@@ -363,13 +383,17 @@ class EncoderSurrogate:
     def predict(self, tokens: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return self.forward(tokens, mask, train=False)
 
-    def predict_genomes(self, genomes) -> np.ndarray:
+    def _featurized(self, genomes):
+        # looked up per call, so that a wrapped features.featurize_batch
+        # (benchmarks/tracing.py) is the one called
         from .features import featurize_batch
 
         if self.normalizer is None:
             raise ValueError("surrogate has no fitted normalizer; train or load first")
-        toks, masks = featurize_batch(genomes, self.normalizer, self.config.max_layers)
-        return self.predict(toks, masks)
+        return featurize_batch(genomes, self.normalizer, self.config.max_layers)
+
+    def predict_genomes(self, genomes) -> np.ndarray:
+        return self.predict(*self._featurized(genomes))
 
     def mc_predict(self, tokens: np.ndarray, mask: np.ndarray, n_mc: int = 10, seed: int = 0):
         """Mean and spread of n_mc stochastic (dropout-on) forward passes.
@@ -386,12 +410,7 @@ class EncoderSurrogate:
         return draws.mean(axis=0), draws.std(axis=0)
 
     def mc_predict_genomes(self, genomes, n_mc: int = 10, seed: int = 0):
-        from .features import featurize_batch
-
-        if self.normalizer is None:
-            raise ValueError("surrogate has no fitted normalizer; train or load first")
-        toks, masks = featurize_batch(genomes, self.normalizer, self.config.max_layers)
-        return self.mc_predict(toks, masks, n_mc=n_mc, seed=seed)
+        return self.mc_predict(*self._featurized(genomes), n_mc=n_mc, seed=seed)
 
     # --- checkpointing ---------------------------------------------------------
 
@@ -416,33 +435,46 @@ class EncoderSurrogate:
 
     @classmethod
     def load(cls, path: str) -> "EncoderSurrogate":
-        with np.load(path) as z:
-            meta = json.loads(bytes(z["meta"]).decode())
-            if meta.get("format") != "ihasearch-encoder-v1":
-                raise ValueError(f"not an encoder checkpoint: {path}")
-            try:
-                config = EncoderConfig(**meta["config"])
-            except TypeError as exc:
-                raise ValueError(f"bad encoder config in {path}: {exc}") from exc
-            names, shapes = meta["names"], meta["shapes"]
-            sizes = [int(np.prod(shape)) if shape else 1 for shape in shapes]
-            theta = z["theta"]
-            if len(names) != len(shapes) or theta.shape != (sum(sizes),):
-                raise ValueError(
-                    f"theta holds {theta.size} values for {len(names)} names; "
-                    f"the {len(shapes)} stored shapes need {sum(sizes)}"
-                )
-            params = {}
-            off = 0
-            for name, shape, size in zip(names, shapes, sizes):
-                params[name] = theta[off : off + size].reshape(shape).copy()
-                off += size
-            norm = None
-            if meta["normalizer"]:
-                for key in ("norm_lo", "norm_hi"):
-                    if z[key].shape != (config.n_fields,):
-                        raise ValueError(
-                            f"{key} has shape {z[key].shape}; expected ({config.n_fields},)"
-                        )
-                norm = FieldNormalizer(z["norm_lo"].copy(), z["norm_hi"].copy())
+        """Read a ``save`` checkpoint: OSError if the file cannot be read,
+        ValueError for any file that is not such a checkpoint (not an .npz,
+        ``meta`` not an object, a bad config, or arrays, names or shapes
+        other than the layout ``init_params`` gives for that config)."""
+        try:
+            with np.load(path) as z:  # a .npy file loads as an array: TypeError
+                arrays = {k: z[k] for k in z.files}
+        except (zipfile.BadZipFile, EOFError, TypeError) as exc:
+            raise ValueError(f"{path} is not an .npz archive: {exc}") from exc
+        meta = json.loads(arrays["meta"].tobytes().decode()) if "meta" in arrays else None
+        if not isinstance(meta, dict) or meta.get("format") != "ihasearch-encoder-v1":
+            raise ValueError(f"not an encoder checkpoint: {path}")
+        try:
+            config = EncoderConfig(**meta["config"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad encoder config in {path}: {exc!r}") from exc
+        if config.n_fields != N_FIELDS:
+            raise ValueError(f"n_fields={config.n_fields}; the featurizer makes {N_FIELDS}")
+        theta = arrays.get("theta")
+        if theta is None or theta.dtype != np.float64 or theta.ndim != 1:
+            raise ValueError("theta must be a flat float64 array")
+        # a layout needs at least this many values: checked before building it
+        if max(config.d_ffn, config.max_layers, config.n_blocks) > theta.size:
+            raise ValueError(f"{config} is too large for the {theta.size} stored values")
+        layout = _param_layout(config)
+        if (meta.get("names") != [name for name, _ in layout]
+                or meta.get("shapes") != [list(shape) for _, shape in layout]):
+            raise ValueError(f"stored parameter names or shapes do not fit {config}")
+        sizes = [math.prod(shape) for _, shape in layout]
+        if theta.size != sum(sizes):
+            raise ValueError(f"theta must hold {sum(sizes)} float64 values for {config}")
+        bounds = np.cumsum([0] + sizes)
+        params = {name: theta[lo:hi].reshape(shape).copy()
+                  for (name, shape), lo, hi in zip(layout, bounds, bounds[1:])}
+        if type(meta.get("normalizer")) is not bool:
+            raise ValueError("meta must say whether a normalizer is stored")
+        norm = None
+        if meta["normalizer"]:
+            stats = [arrays.get(key) for key in ("norm_lo", "norm_hi")]
+            if any(a is None or a.dtype != np.float64 or a.shape != (N_FIELDS,) for a in stats):
+                raise ValueError(f"norm_lo and norm_hi must be ({N_FIELDS},) float64 arrays")
+            norm = FieldNormalizer(*stats)
         return cls(config, params, norm)

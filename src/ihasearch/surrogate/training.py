@@ -33,7 +33,7 @@ def split_corpus(genomes, labels, test_frac: float = 0.2, seed: int = 0) -> Labe
     labels = labels[finite]
     n = len(genomes)
     if n == 0:
-        raise ValueError("corpus is empty after dropping non-finite labels")
+        raise ValueError("corpus has no row with a finite label")
     order = np.random.default_rng(seed).permutation(n)
     n_test = int(round(n * test_frac)) if n >= 2 else 0
     return LabeledCorpus(genomes, labels, train_idx=np.sort(order[n_test:]), test_idx=np.sort(order[:n_test]))
@@ -48,9 +48,12 @@ def save_corpus(path: str, genomes, labels) -> None:
 
 def parse_corpus_row(line: str) -> tuple[ArchGenome, float]:
     """One corpus record.  The label must be a JSON number (NaN allowed),
-    not a string or bool that float() would take."""
+    not a string or bool that float() would take.  Raises ValueError for
+    any line that is not such a record."""
     doc = json.loads(line)
-    label = doc["val_loss"]
+    if not isinstance(doc, dict) or "genome" not in doc:
+        raise ValueError('a corpus row is a JSON object with "genome" and "val_loss"')
+    label = doc.get("val_loss")
     if type(label) not in (int, float):
         raise ValueError(f"val_loss must be a JSON number, got {label!r}")
     return from_dict(doc["genome"]), float(label)
@@ -119,7 +122,7 @@ class TrainHistory:
     best_epoch: int = 0
 
 
-def _eval_l1(model: EncoderSurrogate, toks, masks, labels, idx) -> float:
+def _eval_l1(model, toks, masks, labels, idx) -> float:
     if len(idx) == 0:
         return math.nan
     pred = model.predict(toks[idx], masks[idx])
@@ -145,7 +148,16 @@ def train(
     rng = np.random.default_rng(seed)
     model = EncoderSurrogate(config, init_params(config, rng))
     model.normalizer = FieldNormalizer.fit([corpus.genomes[i] for i in corpus.train_idx])
-    toks, masks = featurize_batch(corpus.genomes, model.normalizer, config.max_layers)
+    return _fit(model, corpus, config.max_layers, epochs, batch_size, lr, weight_decay, rng)
+
+
+def _fit(model, corpus: LabeledCorpus, max_layers: int, epochs: int, batch_size: int,
+         lr: float, weight_decay: float, rng: np.random.Generator):
+    """The loop of ``train`` and ``train_mlp``: shuffled minibatch Adam on
+    the train split, keeping the best epoch's parameters.  ``model`` needs a
+    fitted normalizer, ``predict(tokens, mask)`` and
+    ``loss_and_grads(tokens, mask, labels, train, rng)``."""
+    toks, masks = featurize_batch(corpus.genomes, model.normalizer, max_layers)
     labels = corpus.labels
 
     history = TrainHistory()

@@ -544,45 +544,78 @@ class TestSurrogateEval:
                      "--checkpoint", str(bad)]) == 2
 
 
-def _tampered_checkpoint(src: Path, dst: Path, **replace) -> Path:
+_CONFIG_EDITS = {
+    "unknown_config_key": {"n_experts": 2},
+    "n_blocks_mismatch": {"n_blocks": 2},  # over 1-block arrays
+    "n_heads_mismatch": {"n_heads": 3},  # over 2-head arrays, d_enc 8
+    "p_drop_out_of_range": {"p_drop": 2.0},
+}
+
+
+def _broken_checkpoint(src: Path, dst: Path, kind: str) -> Path:
+    """A copy of checkpoint src broken in one way."""
+    if kind == "truncated":
+        data = src.read_bytes()
+        dst.write_bytes(data[: len(data) // 2])
+        return dst
+    if kind == "no_normalizer":
+        model = EncoderSurrogate.load(str(src))
+        EncoderSurrogate(model.config, model.params).save(str(dst))
+        return dst
     with np.load(src) as z:
         arrays = {k: z[k] for k in z.files}
-    arrays.update(replace)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    if kind in _CONFIG_EDITS:
+        meta["config"].update(_CONFIG_EDITS[kind])
+    elif kind == "meta_list":
+        meta = [meta]
+    elif kind == "long_theta":
+        arrays["theta"] = np.append(arrays["theta"], 0.0)
+    elif kind == "short_normalizer":
+        arrays["norm_lo"] = arrays["norm_lo"][:3]
+    else:
+        raise KeyError(kind)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     with open(dst, "wb") as fh:
         np.savez(fh, **arrays)
     return dst
 
 
-class TestMalformedCheckpoint:
-    """A checkpoint whose arrays do not match its own metadata is rejected
-    with exit 2 by every subcommand that loads one."""
+BROKEN_CHECKPOINTS = ["long_theta", "short_normalizer", "unknown_config_key", "no_normalizer",
+                      "truncated", "meta_list", "n_blocks_mismatch", "n_heads_mismatch",
+                      "p_drop_out_of_range"]
 
-    @pytest.fixture(params=["long_theta", "short_normalizer", "unknown_config_key"])
-    def tampered(self, request, tmp_path, checkpoint) -> Path:
-        with np.load(checkpoint) as z:
-            theta, lo = z["theta"], z["norm_lo"]
-            meta = json.loads(bytes(z["meta"]).decode())
-        meta["config"]["n_experts"] = 2
-        replace = {
-            "long_theta": {"theta": np.append(theta, 0.0)},
-            "short_normalizer": {"norm_lo": lo[:3]},
-            "unknown_config_key": {
-                "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-            },
-        }[request.param]
-        return _tampered_checkpoint(checkpoint, tmp_path / "tampered.npz", **replace)
+
+class TestMalformedCheckpoint:
+    """A checkpoint that is not a well-formed encoder with a fitted
+    normalizer is rejected with exit 2 by every subcommand that loads one."""
+
+    @pytest.fixture(params=BROKEN_CHECKPOINTS)
+    def tampered(self, request, tmp_path, tiny_surrogate_files) -> tuple[Path, str]:
+        path = _broken_checkpoint(tiny_surrogate_files[0], tmp_path / "tampered.npz",
+                                  request.param)
+        why = "has no fitted normalizer" if request.param == "no_normalizer" else "does not parse"
+        return path, why
 
     def test_surrogate_eval_exit2(self, capsys, corpus_file, tampered):
+        path, why = tampered
         assert main(["surrogate", "eval", "--corpus", str(corpus_file),
-                     "--checkpoint", str(tampered)]) == 2
-        assert "does not parse" in capsys.readouterr().err
+                     "--checkpoint", str(path)]) == 2
+        assert why in capsys.readouterr().err
 
     def test_search_exit2(self, tmp_path, capsys, tampered):
+        path, why = tampered
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(SMALL_SEARCH_CFG, evaluator="surrogate")))
         assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "run"),
-                     "--surrogate", str(tampered)]) == 2
-        assert "cannot load surrogate checkpoint" in capsys.readouterr().err
+                     "--surrogate", str(path)]) == 2
+        assert why in capsys.readouterr().err
+
+    def test_surrogate_mc_exit2(self, capsys, candidates_file, tampered):
+        path, why = tampered
+        assert main(["surrogate", "mc", "--checkpoint", str(path),
+                     "--genomes", str(candidates_file), "--n-mc", "2"]) == 2
+        assert why in capsys.readouterr().err
 
 
 class TestSurrogateMc:
@@ -663,6 +696,19 @@ def cli_inputs(tmp_path_factory, tiny_surrogate_files) -> dict[str, Path]:
         write(f"bad_corpus_{name}_label", "\n".join(rows[:1] + [json.dumps(row)] + rows[2:]))
     write("bad_corpus_unparseable", rows[0] + "\n{not json\n")
     write("bad_checkpoint", "nonsense")
+    for kind in ("no_normalizer", "truncated", "meta_list", "n_blocks_mismatch",
+                 "p_drop_out_of_range"):
+        paths[f"bad_checkpoint_{kind}"] = _broken_checkpoint(
+            checkpoint, root / f"bad_checkpoint_{kind}.npz", kind)
+    write("bad_corpus_all_nan", "".join(
+        json.dumps(dict(json.loads(row), val_loss=float("nan"))) + "\n" for row in rows))
+    for kind, value in [("float", 64.9), ("bool", True)]:
+        doc = json.loads(to_json(genomes[0]))
+        doc["layers"][0]["mask" if kind == "bool" else "d_qk"] = value
+        write(f"bad_genome_{kind}_field", json.dumps(doc))
+        write(f"bad_genome_list_{kind}_field", to_json(genomes[1]) + "\n" + json.dumps(doc) + "\n")
+        row = dict(json.loads(rows[2]), genome=doc)
+        write(f"bad_corpus_{kind}_field", "\n".join(rows[:2] + [json.dumps(row)] + rows[3:]))
     write("bad_genome_invalid", json.dumps(_invalid_genome_doc()))
     write("bad_genome_unparseable", "{}")
     write("bad_genome_infinite", to_json(genomes[0]).replace('"d_model":768', '"d_model":Infinity'))
@@ -741,6 +787,33 @@ class TestLoadedGenomesValidated:
                      "--out", str(tmp_path / "x")]) == 2
         assert "does not parse" in capsys.readouterr().err
 
+    def test_all_nan_search_corpus_exits_2(self, tmp_path, capsys, cli_inputs):
+        # split_corpus's ValueError used to exit 3 from search only
+        cfg = write_cfg(tmp_path, evaluator="surrogate", refine_every_generations=1)
+        assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--surrogate", str(cli_inputs["checkpoint"]),
+                     "--corpus", str(cli_inputs["bad_corpus_all_nan"])]) == 2
+        assert "no row with a finite label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, field", [("float", "d_qk"), ("bool", "mask")])
+    @pytest.mark.parametrize("route", ["pack", "corpus", "mc"])
+    def test_non_integer_genome_field_exits_2(self, tmp_path, capsys, cli_inputs, route, kind,
+                                              field):
+        # 64.9 used to load as 64 and true as 1, and both passed validate
+        argv, where = {
+            "pack": (["pack", "--genome", str(cli_inputs[f"bad_genome_{kind}_field"]),
+                      "--out", str(tmp_path / "x")], "genome"),
+            "corpus": (["surrogate", "train", "--corpus",
+                        str(cli_inputs[f"bad_corpus_{kind}_field"]),
+                        "--out", str(tmp_path / "x"), "--epochs", "0"], "line 3 of corpus"),
+            "mc": (["surrogate", "mc", "--checkpoint", str(cli_inputs["checkpoint"]),
+                    "--genomes", str(cli_inputs[f"bad_genome_list_{kind}_field"]),
+                    "--n-mc", "1"], "line 2 of genome list"),
+        }[route]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert where in err and f"layers[0].{field}" in err
+
     def test_nan_label_still_loads_and_is_dropped(self, tmp_path, capsys, cli_inputs):
         rows = cli_inputs["corpus"].read_text().splitlines()
         row = json.loads(rows[0])
@@ -761,6 +834,9 @@ def _int_flag(lo, hi, broken=("0", "-1", "x", "1.5", "")):
 
 _BAD_FRACTION = st.sampled_from(["0", "1", "1.5", "-0.1", "nan", "inf", "x"])
 _SEED = _int_flag(0, 2**32, broken=("-1", "x", "1.5"))
+_BAD_CHECKPOINTS = ["@bad_checkpoint", "@bad_checkpoint_no_normalizer", "@bad_checkpoint_truncated",
+                    "@bad_checkpoint_meta_list", "@bad_checkpoint_n_blocks_mismatch",
+                    "@bad_checkpoint_p_drop_out_of_range", "@bad_missing"]
 _SUBCOMMAND_FLAGS = {
     ("count",): {"--d-model": _int_flag(1, 4096, broken=("0", "-768", "x", "1e3"))},
     ("check-iha",): {
@@ -772,7 +848,8 @@ _SUBCOMMAND_FLAGS = {
     ("pack",): {
         "--genome": (st.just("@genome"), st.sampled_from(
             ["@bad_genome_invalid", "@bad_genome_unparseable", "@bad_genome_infinite",
-             "@bad_missing", "@checkpoint"])),
+             "@bad_genome_float_field", "@bad_genome_bool_field", "@bad_missing",
+             "@checkpoint"])),
         "--grid": (st.just("@grid"), st.sampled_from(["@bad_grid", "@bad_missing", "@checkpoint"])),
         "--prefill-tokens": _int_flag(1, 2048),
         "--decode-tokens": _int_flag(1, 2048),
@@ -781,7 +858,8 @@ _SUBCOMMAND_FLAGS = {
     ("surrogate", "train"): {
         "--corpus": (st.just("@corpus"), st.sampled_from(
             ["@bad_corpus_invalid_genome", "@bad_corpus_string_label",
-             "@bad_corpus_bool_label", "@bad_corpus_unparseable", "@bad_missing",
+             "@bad_corpus_bool_label", "@bad_corpus_unparseable", "@bad_corpus_all_nan",
+             "@bad_corpus_float_field", "@bad_corpus_bool_field", "@bad_missing",
              "@checkpoint"])),
         "--epochs": _int_flag(0, 1, broken=("-1", "x")),
         "--batch-size": _int_flag(1, 16),
@@ -793,16 +871,18 @@ _SUBCOMMAND_FLAGS = {
     },
     ("surrogate", "eval"): {
         "--corpus": (st.just("@corpus"), st.sampled_from(
-            ["@bad_corpus_invalid_genome", "@bad_corpus_string_label", "@bad_missing"])),
-        "--checkpoint": (st.just("@checkpoint"), st.sampled_from(["@bad_checkpoint", "@bad_missing"])),
+            ["@bad_corpus_invalid_genome", "@bad_corpus_string_label", "@bad_corpus_all_nan",
+             "@bad_corpus_float_field", "@bad_missing"])),
+        "--checkpoint": (st.just("@checkpoint"), st.sampled_from(_BAD_CHECKPOINTS)),
         "--test-frac": (st.floats(0.1, 0.5).map(repr), _BAD_FRACTION),
         "--split-seed": _SEED,
     },
     ("surrogate", "mc"): {
-        "--checkpoint": (st.just("@checkpoint"), st.sampled_from(["@bad_checkpoint", "@bad_missing"])),
+        "--checkpoint": (st.just("@checkpoint"), st.sampled_from(_BAD_CHECKPOINTS)),
         "--genomes": (st.just("@genome_list"), st.sampled_from(
             ["@bad_genome_list_invalid", "@bad_genome_list_empty", "@bad_corpus_unparseable",
-             "@bad_missing", "@checkpoint"])),
+             "@bad_genome_list_float_field", "@bad_genome_list_bool_field", "@bad_missing",
+             "@checkpoint"])),
         "--n-mc": _int_flag(1, 2),
         "--mc-seed": _SEED,
     },

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,28 @@ class TestSerialization:
         s = gn.to_json(g)
         assert gn.to_json(gn.from_json(s)) == s
         assert s == gn.to_json(gn.from_dict(json.loads(s)))
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d["layers"][0].update(d_qk=64.9), "layers[0].d_qk"),
+        (lambda d: d["layers"][0].update(d_qk=64.0), "layers[0].d_qk"),
+        (lambda d: d["layers"][2].update(mask=True), "layers[2].mask"),
+        (lambda d: d["layers"][1].update(n_h="8"), "layers[1].n_h"),
+        (lambda d: d["layers"][1].update(n_kv=None), "layers[1].n_kv"),
+        (lambda d: d["layers"][3].pop("attn"), "'attn'"),
+        (lambda d: d["global"].update(d_model=float("inf")), "global.d_model"),
+        (lambda d: d["global"].pop("max_layers"), "'max_layers'"),
+        (lambda d: d.update({"global": [768]}), "global"),
+        (lambda d: d["layers"].__setitem__(4, [1, 1]), "layers[4]"),
+        (lambda d: d.update(layers={"0": {}}), "layers"),
+        (lambda d: d.pop("layers"), "layers"),
+    ])
+    def test_from_dict_takes_exact_integers_only(self, edit, named):
+        doc = json.loads(gn.to_json(gn.random_genome(rng=np.random.default_rng(9))))
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            gn.from_dict(doc)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            gn.from_json(json.dumps(doc))
 
     def test_keys_sorted_and_compact(self):
         s = gn.to_json(make_genome([ACTIVE]))

@@ -11,6 +11,9 @@ surrogate cases cover the encoder evaluator with refinement events, using an
 encoder trained in the test and passed as a checkpoint plus corpus: a tiny
 one, and one at the default ``EncoderConfig()`` size, whose checkpoint bytes
 are pinned too.
+
+The MLP baseline's training is pinned as well: one sha256 over its fitted
+parameters and its loss history, for three small corpora.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from ihasearch.surrogate import (
     save_corpus,
     split_corpus,
     train,
+    train_mlp,
 )
 
 ARTIFACTS = ("archive.csv", "generations.csv", "events.jsonl")
@@ -167,3 +171,30 @@ def test_default_encoder_refinement_hashes_pinned(default_checkpoint, tmp_path, 
     events = (tmp_path / "run" / "events.jsonl").read_text().splitlines()
     assert len(events) == 2
     assert hashes == GOLDEN["surrogate_default"]
+
+
+# (rows, test_frac, train_mlp keyword arguments).  "split" keeps an earlier
+# epoch than its last; "empty_test" selects on the train split.
+MLP_CASES = {
+    "split": (30, 0.25, dict(epochs=6, lr=3e-2, seed=3)),
+    "empty_test": (20, 0.0, dict(epochs=3, lr=1e-3, seed=4)),
+    "small_batches": (26, 0.2, dict(epochs=3, batch_size=8, hidden=16, seed=5)),
+}
+
+MLP_GOLDEN = {
+    "split": "1ddaf6c31ce15869e89c2c4dfed9a457b9bf8dfd7516a7aa0e53c9ea0cdd8edb",
+    "empty_test": "f0fffbcec4e298cb2eaea1488f06a9c6d999a751ac37699a777c889bcfa39c29",
+    "small_batches": "c671a58adbde1abc1794db349651c37887af5d3fea7426509b3e956361d4ae63",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MLP_CASES))
+def test_mlp_baseline_hashes_pinned(case):
+    rows, test_frac, kwargs = MLP_CASES[case]
+    genomes, labels = make_synthetic_corpus(rows, seed=11)
+    model, history = train_mlp(split_corpus(genomes, labels, test_frac=test_frac, seed=0), **kwargs)
+    digest = hashlib.sha256()
+    for name in sorted(model.params):
+        digest.update(model.params[name].tobytes())
+    digest.update(json.dumps([history.train_l1, history.test_l1, history.best_epoch]).encode())
+    assert digest.hexdigest() == MLP_GOLDEN[case]

@@ -1,4 +1,5 @@
 """Featurization, encoder shape/invariance properties, MC dropout, checkpoints, oracle."""
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from ihasearch.surrogate import (
     raw_tokens,
     synth_oracle,
 )
-from ihasearch.surrogate.encoder import active_length
+from ihasearch.surrogate.encoder import _param_layout, active_length, init_params
 from ihasearch.surrogate.features import FIELD_ORDER, featurize_batch
 
 
@@ -273,6 +274,71 @@ class TestCheckpoint:
         b = m2.mc_predict(toks, masks, n_mc=5, seed=3)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("fields", [
+        dict(d_enc=0), dict(n_blocks=-1), dict(n_heads=3), dict(d_enc=8.0), dict(n_blocks=True),
+        dict(p_drop=1.0), dict(p_drop=-0.1), dict(p_drop=float("nan")), dict(p_drop="0.2"),
+    ])
+    def test_config_rejects_out_of_range(self, fields):
+        with pytest.raises(ValueError):
+            EncoderConfig(**fields)
+
+    def test_layout_is_init_params_layout(self):
+        config = EncoderConfig(d_enc=24, n_blocks=2, n_heads=3, ffn_mult=3, max_layers=17)
+        params = init_params(config, np.random.default_rng(0))
+        assert _param_layout(config) == [(name, p.shape) for name, p in params.items()]
+
+    @pytest.mark.parametrize("case", ["npy", "renamed", "swapped", "max_layers", "int_theta",
+                                      "n_fields", "normalizer_flag", "missing_norm_hi"])
+    def test_rejects_malformed_file(self, tmp_path, case):
+        """Every malformed checkpoint raises ValueError, never another error
+        or a model loaded wrong."""
+        m = EncoderSurrogate.init(EncoderConfig(d_enc=8, n_blocks=1, n_heads=2, ffn_mult=1))
+        m.normalizer = FieldNormalizer(np.zeros(9), np.ones(9))
+        path = tmp_path / "enc.npz"
+        m.save(str(path))
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(arrays["meta"].tobytes())
+        names, shapes = meta["names"], meta["shapes"]
+        if case == "npy":
+            path = tmp_path / "enc.npy"
+            np.save(path, arrays["theta"])
+        else:
+            if case == "renamed":
+                names[0] = "lift"
+            elif case == "swapped":  # same sizes, so theta still fits
+                names[:2], shapes[:2] = names[1::-1], shapes[1::-1]
+            elif case in ("max_layers", "n_fields"):
+                meta["config"][case] = 30 if case == "max_layers" else 5
+            elif case == "int_theta":
+                arrays["theta"] = arrays["theta"].astype(np.int64)
+            elif case == "normalizer_flag":
+                meta["normalizer"] = 1
+            else:
+                del arrays["norm_hi"]
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            np.savez(path, **arrays)
+        with pytest.raises(ValueError):
+            EncoderSurrogate.load(str(path))
+
+    @pytest.mark.parametrize("field", ["n_blocks", "d_enc", "ffn_mult", "max_layers"])
+    def test_oversized_config_rejected_before_its_layout(self, tmp_path, monkeypatch, field):
+        """A small file whose config claims 10**12-sized parameters is
+        rejected without deriving that config's layout."""
+        m = EncoderSurrogate.init(EncoderConfig(d_enc=8, n_blocks=1, n_heads=2, ffn_mult=1))
+        path = tmp_path / "enc.npz"
+        m.save(str(path))
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(arrays["meta"].tobytes())
+        meta["config"][field] = 2 * 10**12
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        monkeypatch.setattr("ihasearch.surrogate.encoder._param_layout",
+                            lambda config: pytest.fail("layout derived"))
+        with pytest.raises(ValueError, match="too large"):
+            EncoderSurrogate.load(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = str(tmp_path / "junk.npz")
