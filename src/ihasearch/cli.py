@@ -34,6 +34,7 @@ from .genome import (
     from_dict,
     from_json,
     genome_id,
+    parse_json,
     to_json,
     validate,
 )
@@ -120,8 +121,8 @@ def _read_json_file(path: str, what: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return parse_json(text)
+    except ValueError as exc:
         raise InputError(f"{what} {path!r} is not valid JSON: {exc}") from exc
 
 

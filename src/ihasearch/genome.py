@@ -83,7 +83,20 @@ class LayerGene:
 
     mask=0 disables the layer entirely (other fields are ignored); attn=0
     keeps the MLP but makes the attention sublayer an identity.
+
+    Children share most genes with their parents, so a gene object caches
+    what is a pure function of its seven fields and an explicit key: its
+    hash, its ``_gene_on_space`` answer with the grids it was computed
+    for, and its ``hwcost.profiles.profile_model`` profile with that key.
+    The private slots are filled on first use and die with the object;
+    they are not part of equality, pickling or copying.  The constructor
+    sets the three slots read first to None: reading an unset slot raises
+    AttributeError, which cost more than the cache saves on a gene that
+    is checked only once or twice.
     """
+
+    __slots__ = ("mask", "attn", "n_h", "n_kv", "d_qk", "d_v", "d_mlp",
+                 "_hash", "_grids", "_on_grids", "_profile_key", "_profile")
 
     mask: int
     attn: int
@@ -92,6 +105,32 @@ class LayerGene:
     d_qk: int
     d_v: int
     d_mlp: int
+
+    def __init__(self, mask: int, attn: int, n_h: int, n_kv: int, d_qk: int, d_v: int,
+                 d_mlp: int) -> None:
+        put = object.__setattr__  # the class is frozen
+        put(self, "mask", mask)
+        put(self, "attn", attn)
+        put(self, "n_h", n_h)
+        put(self, "n_kv", n_kv)
+        put(self, "d_qk", d_qk)
+        put(self, "d_v", d_v)
+        put(self, "d_mlp", d_mlp)
+        put(self, "_hash", None)
+        put(self, "_grids", None)
+        put(self, "_profile_key", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            # the value the generated dataclass hash returns
+            object.__setattr__(self, "_hash", hash(self.__getstate__()))
+        return self._hash
+
+    def __getstate__(self) -> tuple:
+        return (self.mask, self.attn, self.n_h, self.n_kv, self.d_qk, self.d_v, self.d_mlp)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
 
 
 @dataclass(frozen=True)
@@ -164,6 +203,18 @@ def _grid_sets(ranges: SpaceRanges) -> tuple[frozenset[int], ...]:
 
 
 def _gene_on_space(gene: LayerGene, grids: tuple[frozenset[int], ...]) -> bool:
+    """``_gene_on_grids(gene, grids)``, cached on the gene with the grids
+    object it was computed for.  Grids are compared by identity, which is
+    safe because the gene keeps them alive."""
+    if gene._grids is grids:
+        return gene._on_grids
+    answer = _gene_on_grids(gene, grids)
+    object.__setattr__(gene, "_grids", grids)
+    object.__setattr__(gene, "_on_grids", answer)
+    return answer
+
+
+def _gene_on_grids(gene: LayerGene, grids: tuple[frozenset[int], ...]) -> bool:
     """True when a gene is its own repair projection, which also means it
     breaks no per-gene rule of ``validate``: every field an exact int, gate
     bits in {0,1}, every numeric field on its grid (``_grid_sets``, active
@@ -248,8 +299,6 @@ def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
     grids = _grid_sets(ranges)
 
     def fix(gene: LayerGene) -> LayerGene:
-        if _gene_on_space(gene, grids):
-            return gene
         n_h = ranges.n_h.snap(gene.n_h)
         return LayerGene(
             mask=1 if gene.mask >= 1 else 0,
@@ -262,7 +311,8 @@ def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
         )
 
     pad = LayerGene(0, 1, ranges.n_h.lo, ranges.n_kv.lo, ranges.d_qk.lo, ranges.d_v.lo, ranges.d_mlp.lo)
-    layers = [fix(gene) for gene in genome.layers[: gcfg.max_layers]]
+    layers = [gene if _gene_on_space(gene, grids) else fix(gene)
+              for gene in genome.layers[: gcfg.max_layers]]
     layers += [pad] * (gcfg.max_layers - len(layers))
     if not any(gene.mask == 1 for gene in layers):
         layers[0] = replace(layers[0], mask=1)
@@ -416,8 +466,18 @@ def to_json(genome: ArchGenome) -> str:
     return json.dumps(to_dict(genome), sort_keys=True, separators=(",", ":"))
 
 
+def parse_json(text: str):
+    """``json.loads``, raising ValueError for every malformed document,
+    including one nested past the interpreter's recursion limit, for which
+    ``json.loads`` raises RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
+
 def from_json(text: str) -> ArchGenome:
-    return from_dict(json.loads(text))
+    return from_dict(parse_json(text))
 
 
 def genome_id(genome: ArchGenome) -> str:

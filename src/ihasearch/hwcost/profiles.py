@@ -1,4 +1,15 @@
-"""Per-layer resource profiling shared by every hardware backend."""
+"""Per-layer resource profiling shared by every hardware backend.
+
+``profile_layer`` profiles one active layer.  ``profile_model`` profiles the
+active layers of a genome, which both backends (``substrate_cost`` and the
+ring's ``chip_grid_search``) do once per distinct genome.  A search's
+children share most gene objects with their parents, so ``profile_model``
+keeps each gene's last profile on the gene, keyed by what the profile
+depends on besides the gene: ``(d_model, ctx_mean, bytes_per_elem)``, each
+with its type, so that 1 and 1.0 do not share a profile.  A gene reuses its
+profile while the key is equal and computes a new one otherwise; the cache
+dies with the gene object.  ``profile_layer`` itself caches nothing.
+"""
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +46,7 @@ class Workload:
         return self.prefill_tokens + self.decode_tokens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerProfile:
     """Resource footprint of one active layer.
 
@@ -84,8 +95,22 @@ def profile_model(
     workload: Workload,
     bytes_per_elem: int = 1,
 ) -> list[LayerProfile]:
-    """Profiles for every active layer, in layer order."""
-    return [
-        profile_layer(g, genome.global_cfg, workload.ctx_mean, bytes_per_elem)
-        for g in genome.active_layers()
-    ]
+    """Profiles for every active layer, in layer order: each equals
+    ``profile_layer(gene, genome.global_cfg, workload.ctx_mean,
+    bytes_per_elem)``, reused from the gene when it was computed under an
+    equal key (module docstring)."""
+    global_cfg = genome.global_cfg
+    d, ctx = global_cfg.d_model, workload.ctx_mean
+    key = (d, ctx, bytes_per_elem, type(d), type(ctx), type(bytes_per_elem))
+    out = []
+    for gene in genome.layers:
+        if gene.mask != 1:
+            continue
+        if gene._profile_key == key:
+            out.append(gene._profile)
+            continue
+        prof = profile_layer(gene, global_cfg, ctx, bytes_per_elem)
+        object.__setattr__(gene, "_profile_key", key)
+        object.__setattr__(gene, "_profile", prof)
+        out.append(prof)
+    return out

@@ -7,12 +7,11 @@ weight-stationary keeps weights resident (tiny re-read factor, billed at SRAM
 energy), row-stationary reduces activation traffic, flexible takes both
 discounts.
 """
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from ..genome import ArchGenome
+from ..genome import ArchGenome, parse_json
 from .profiles import HWCost, Workload, profile_model
 
 DATAFLOWS = ("weight-stationary", "row-stationary", "flexible")
@@ -84,7 +83,7 @@ def load_substrate(name_or_path: str) -> SubstrateSpec:
                 f"unknown substrate {name_or_path!r}; "
                 f"presets: {', '.join(builtin_substrate_names())}"
             ) from None
-    raw = json.loads(text)
+    raw = parse_json(text)
     for key, types in _REQUIRED.items():
         if key not in raw:
             raise ValueError(f"substrate spec missing field {key!r}")

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
+from ..genome import parse_json
 from ..hwcost import builtin_substrate_names, load_substrate
 
 EVALUATORS = ("surrogate", "oracle")
@@ -119,7 +120,7 @@ class SearchConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SearchConfig":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(parse_json(text))
 
 
 def _validate_backend(backend: str) -> None:

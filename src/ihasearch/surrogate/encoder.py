@@ -47,6 +47,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import erf
 
+from ..genome import parse_json
 from .features import FieldNormalizer, N_FIELDS
 
 _LN_EPS = 1e-5
@@ -444,7 +445,7 @@ class EncoderSurrogate:
                 arrays = {k: z[k] for k in z.files}
         except (zipfile.BadZipFile, EOFError, TypeError) as exc:
             raise ValueError(f"{path} is not an .npz archive: {exc}") from exc
-        meta = json.loads(arrays["meta"].tobytes().decode()) if "meta" in arrays else None
+        meta = parse_json(arrays["meta"].tobytes().decode()) if "meta" in arrays else None
         if not isinstance(meta, dict) or meta.get("format") != "ihasearch-encoder-v1":
             raise ValueError(f"not an encoder checkpoint: {path}")
         try:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..genome import ArchGenome, from_dict, to_dict
+from ..genome import ArchGenome, from_dict, parse_json, to_dict
 from .encoder import EncoderConfig, EncoderSurrogate, init_params
 from .features import FieldNormalizer, featurize_batch
 
@@ -50,7 +50,7 @@ def parse_corpus_row(line: str) -> tuple[ArchGenome, float]:
     """One corpus record.  The label must be a JSON number (NaN allowed),
     not a string or bool that float() would take.  Raises ValueError for
     any line that is not such a record."""
-    doc = json.loads(line)
+    doc = parse_json(line)
     if not isinstance(doc, dict) or "genome" not in doc:
         raise ValueError('a corpus row is a JSON object with "genome" and "val_loss"')
     label = doc.get("val_loss")

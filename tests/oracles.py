@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from ihasearch import genome as gn
+from ihasearch.hwcost import profile_layer
 
 
 def brute_kendall_tau_b(pred, truth):
@@ -530,3 +531,27 @@ def reference_count_params(genome, vocab_size):
     """Embedding plus every active layer's weights, summed gene by gene."""
     d = genome.global_cfg.d_model
     return vocab_size * d + sum(gn.layer_param_count(g, d) for g in genome.active_layers())
+
+
+def reference_gene_on_space(gene, ranges):
+    """The per-gene fast-path rule of repair and validate, field by field
+    and uncached: every field an exact int, gate bits 0 or 1, every numeric
+    field on its grid, and 1 <= n_kv <= n_h with n_kv dividing n_h."""
+    for name in ("mask", "attn") + gn.NUMERIC_FIELDS:
+        if type(getattr(gene, name)) is not int:
+            return False
+    if gene.mask not in (0, 1) or gene.attn not in (0, 1):
+        return False
+    for name in gn.NUMERIC_FIELDS:
+        if not ranges.field(name).contains(getattr(gene, name)):
+            return False
+    return 1 <= gene.n_kv <= gene.n_h and gene.n_h % gene.n_kv == 0
+
+
+def reference_profile_model(genome, workload, bytes_per_elem=1):
+    """A fresh profile_layer of every active layer, in layer order."""
+    return [
+        profile_layer(g, genome.global_cfg, workload.ctx_mean, bytes_per_elem)
+        for g in genome.layers
+        if g.mask == 1
+    ]

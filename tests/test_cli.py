@@ -552,6 +552,10 @@ _CONFIG_EDITS = {
 }
 
 
+# json.loads raises RecursionError on this, which used to exit 3
+NESTED_JSON = "[" * 100_000
+
+
 def _broken_checkpoint(src: Path, dst: Path, kind: str) -> Path:
     """A copy of checkpoint src broken in one way."""
     if kind == "truncated":
@@ -569,21 +573,24 @@ def _broken_checkpoint(src: Path, dst: Path, kind: str) -> Path:
         meta["config"].update(_CONFIG_EDITS[kind])
     elif kind == "meta_list":
         meta = [meta]
+    elif kind == "meta_nested":
+        meta = None  # written as NESTED_JSON below
     elif kind == "long_theta":
         arrays["theta"] = np.append(arrays["theta"], 0.0)
     elif kind == "short_normalizer":
         arrays["norm_lo"] = arrays["norm_lo"][:3]
     else:
         raise KeyError(kind)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    text = NESTED_JSON if kind == "meta_nested" else json.dumps(meta)
+    arrays["meta"] = np.frombuffer(text.encode(), dtype=np.uint8)
     with open(dst, "wb") as fh:
         np.savez(fh, **arrays)
     return dst
 
 
 BROKEN_CHECKPOINTS = ["long_theta", "short_normalizer", "unknown_config_key", "no_normalizer",
-                      "truncated", "meta_list", "n_blocks_mismatch", "n_heads_mismatch",
-                      "p_drop_out_of_range"]
+                      "truncated", "meta_list", "meta_nested", "n_blocks_mismatch",
+                      "n_heads_mismatch", "p_drop_out_of_range"]
 
 
 class TestMalformedCheckpoint:
@@ -696,7 +703,7 @@ def cli_inputs(tmp_path_factory, tiny_surrogate_files) -> dict[str, Path]:
         write(f"bad_corpus_{name}_label", "\n".join(rows[:1] + [json.dumps(row)] + rows[2:]))
     write("bad_corpus_unparseable", rows[0] + "\n{not json\n")
     write("bad_checkpoint", "nonsense")
-    for kind in ("no_normalizer", "truncated", "meta_list", "n_blocks_mismatch",
+    for kind in ("no_normalizer", "truncated", "meta_list", "meta_nested", "n_blocks_mismatch",
                  "p_drop_out_of_range"):
         paths[f"bad_checkpoint_{kind}"] = _broken_checkpoint(
             checkpoint, root / f"bad_checkpoint_{kind}.npz", kind)
@@ -716,6 +723,9 @@ def cli_inputs(tmp_path_factory, tiny_surrogate_files) -> dict[str, Path]:
           + json.dumps(_invalid_genome_doc()) + "\n")
     write("bad_genome_list_empty", "\n")
     write("bad_grid", json.dumps({"n_mac": [0], "w_core_kb": [192], "n_chips_max": [32]}))
+    write("bad_nested", NESTED_JSON)
+    write("bad_corpus_nested", "\n".join(rows[:1] + [NESTED_JSON] + rows[1:]))
+    write("bad_genome_list_nested", to_json(genomes[0]) + "\n" + NESTED_JSON + "\n")
     paths["bad_missing"] = root / "missing.jsonl"
     return paths
 
@@ -814,6 +824,29 @@ class TestLoadedGenomesValidated:
         err = capsys.readouterr().err
         assert where in err and f"layers[0].{field}" in err
 
+    @pytest.mark.parametrize("route", ["pack", "search", "search_substrate", "train", "mc"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, cli_inputs, route):
+        nested = cli_inputs["bad_nested"]
+        substrate = tmp_path / "substrate.json"
+        substrate.write_text(NESTED_JSON)
+        config = write_cfg(tmp_path, backend=f"analytic:{substrate}")
+        argv, where = {
+            "pack": (["pack", "--genome", str(nested), "--out", str(tmp_path / "x")],
+                     "is not valid JSON"),
+            "search": (["search", "--config", str(nested), "--out", str(tmp_path / "x")],
+                       "is not valid JSON"),
+            "search_substrate": (["search", "--config", str(config), "--out", str(tmp_path / "x")],
+                                 "cannot load substrate file"),
+            "train": (["surrogate", "train", "--corpus", str(cli_inputs["bad_corpus_nested"]),
+                       "--out", str(tmp_path / "x"), "--epochs", "0"], "line 2 of corpus"),
+            "mc": (["surrogate", "mc", "--checkpoint", str(cli_inputs["checkpoint"]),
+                    "--genomes", str(cli_inputs["bad_genome_list_nested"]), "--n-mc", "1"],
+                   "line 2 of genome list"),
+        }[route]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert where in err and "nested too deeply" in err
+
     def test_nan_label_still_loads_and_is_dropped(self, tmp_path, capsys, cli_inputs):
         rows = cli_inputs["corpus"].read_text().splitlines()
         row = json.loads(rows[0])
@@ -835,7 +868,8 @@ def _int_flag(lo, hi, broken=("0", "-1", "x", "1.5", "")):
 _BAD_FRACTION = st.sampled_from(["0", "1", "1.5", "-0.1", "nan", "inf", "x"])
 _SEED = _int_flag(0, 2**32, broken=("-1", "x", "1.5"))
 _BAD_CHECKPOINTS = ["@bad_checkpoint", "@bad_checkpoint_no_normalizer", "@bad_checkpoint_truncated",
-                    "@bad_checkpoint_meta_list", "@bad_checkpoint_n_blocks_mismatch",
+                    "@bad_checkpoint_meta_list", "@bad_checkpoint_meta_nested",
+                    "@bad_checkpoint_n_blocks_mismatch",
                     "@bad_checkpoint_p_drop_out_of_range", "@bad_missing"]
 _SUBCOMMAND_FLAGS = {
     ("count",): {"--d-model": _int_flag(1, 4096, broken=("0", "-768", "x", "1e3"))},
@@ -848,9 +882,10 @@ _SUBCOMMAND_FLAGS = {
     ("pack",): {
         "--genome": (st.just("@genome"), st.sampled_from(
             ["@bad_genome_invalid", "@bad_genome_unparseable", "@bad_genome_infinite",
-             "@bad_genome_float_field", "@bad_genome_bool_field", "@bad_missing",
+             "@bad_genome_float_field", "@bad_genome_bool_field", "@bad_nested", "@bad_missing",
              "@checkpoint"])),
-        "--grid": (st.just("@grid"), st.sampled_from(["@bad_grid", "@bad_missing", "@checkpoint"])),
+        "--grid": (st.just("@grid"), st.sampled_from(
+            ["@bad_grid", "@bad_nested", "@bad_missing", "@checkpoint"])),
         "--prefill-tokens": _int_flag(1, 2048),
         "--decode-tokens": _int_flag(1, 2048),
         "--top-k": _int_flag(1, 5),
@@ -859,8 +894,8 @@ _SUBCOMMAND_FLAGS = {
         "--corpus": (st.just("@corpus"), st.sampled_from(
             ["@bad_corpus_invalid_genome", "@bad_corpus_string_label",
              "@bad_corpus_bool_label", "@bad_corpus_unparseable", "@bad_corpus_all_nan",
-             "@bad_corpus_float_field", "@bad_corpus_bool_field", "@bad_missing",
-             "@checkpoint"])),
+             "@bad_corpus_float_field", "@bad_corpus_bool_field", "@bad_corpus_nested",
+             "@bad_nested", "@bad_missing", "@checkpoint"])),
         "--epochs": _int_flag(0, 1, broken=("-1", "x")),
         "--batch-size": _int_flag(1, 16),
         "--lr": (st.floats(1e-6, 1e-2).map(repr),
@@ -872,7 +907,7 @@ _SUBCOMMAND_FLAGS = {
     ("surrogate", "eval"): {
         "--corpus": (st.just("@corpus"), st.sampled_from(
             ["@bad_corpus_invalid_genome", "@bad_corpus_string_label", "@bad_corpus_all_nan",
-             "@bad_corpus_float_field", "@bad_missing"])),
+             "@bad_corpus_float_field", "@bad_corpus_nested", "@bad_missing"])),
         "--checkpoint": (st.just("@checkpoint"), st.sampled_from(_BAD_CHECKPOINTS)),
         "--test-frac": (st.floats(0.1, 0.5).map(repr), _BAD_FRACTION),
         "--split-seed": _SEED,
@@ -881,8 +916,8 @@ _SUBCOMMAND_FLAGS = {
         "--checkpoint": (st.just("@checkpoint"), st.sampled_from(_BAD_CHECKPOINTS)),
         "--genomes": (st.just("@genome_list"), st.sampled_from(
             ["@bad_genome_list_invalid", "@bad_genome_list_empty", "@bad_corpus_unparseable",
-             "@bad_genome_list_float_field", "@bad_genome_list_bool_field", "@bad_missing",
-             "@checkpoint"])),
+             "@bad_genome_list_float_field", "@bad_genome_list_bool_field",
+             "@bad_genome_list_nested", "@bad_nested", "@bad_missing", "@checkpoint"])),
         "--n-mc": _int_flag(1, 2),
         "--mc-seed": _SEED,
     },

@@ -1,7 +1,9 @@
 """Genome validation, repair, counting and serialization."""
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import re
 
 import numpy as np
@@ -10,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihasearch import genome as gn
+from ihasearch.hwcost import Workload, profile_model
 from oracles import (
     brute_repair,
     reference_count_params,
+    reference_gene_on_space,
+    reference_profile_model,
     reference_random_genome,
     reference_to_json,
     reference_validate,
@@ -534,3 +539,75 @@ class TestBookkeepingMatchesReference:
         for v in (vocab, 0):  # the second call reads the cached body count
             assert repr(_outcome(gn.count_params, genome, v)) == repr(
                 _outcome(reference_count_params, genome, v))
+
+
+def _repaired_json(genome, ranges):
+    return gn.to_json(gn.repair(genome, ranges))
+
+
+class TestGeneCachesMatchReference:
+    """A gene object caches its hash, its grid check (with the grids it was
+    made for) and its profile (with its key).  The same gene objects, shared
+    by two genomes and asked in alternation under two spaces, two workloads
+    and two element sizes, give what the uncached references give."""
+
+    @given(
+        genes=st.lists(_MIXED_GENE, min_size=1, max_size=9),
+        spaces=st.lists(_RANGES, min_size=2, max_size=2),
+        workloads=st.lists(st.builds(Workload, st.sampled_from([1, 7, 256, 512]),
+                                     st.sampled_from([1, 255, 256])), min_size=2, max_size=2),
+        sizes=st.lists(st.sampled_from([1, 2, 1.0, np.int64(2)]), min_size=2, max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_validate_repair_profile_and_hash(self, genes, spaces, workloads, sizes):
+        genomes = [
+            gn.ArchGenome(gn.GlobalConfig(768, 1024, len(genes)), tuple(genes)),
+            gn.ArchGenome(gn.GlobalConfig(960, 1024, len(genes)), tuple(reversed(genes))),
+        ]
+        for _ in range(2):  # the second round reads what the first cached
+            for ranges in spaces:
+                grids = gn._grid_sets(ranges)
+                for gene in genes:
+                    assert gn._gene_on_space(gene, grids) == reference_gene_on_space(gene, ranges)
+                    assert hash(gene) == hash(dataclasses.astuple(gene))
+                for g in genomes:
+                    assert gn.validate(g, ranges) == reference_validate(g, ranges)
+                    assert _outcome(_repaired_json, g, ranges) == _outcome(
+                        _brute_json, g, ranges)
+        # Gray-code order: consecutive calls differ in one of d_model, workload
+        # and element size, so a key that left one out would reuse a stale
+        # profile; repr tells 1 from 1.0 and np.int64 from int
+        for i, j, k in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0),
+                        (1, 1, 0), (1, 1, 1), (1, 0, 1), (1, 0, 0)] * 2:
+            args = genomes[i], workloads[j], sizes[k]
+            assert repr(_outcome(profile_model, *args)) == repr(
+                _outcome(reference_profile_model, *args))
+
+    def test_grid_check_is_keyed_by_the_grids_object(self):
+        gene = gn.LayerGene(1, 1, 8, 4, 64, 64, 512)
+        on, off = gn._grid_sets(gn.SpaceRanges()), gn._grid_sets(_ODD_RANGES)
+        assert [gn._gene_on_space(gene, grids) for grids in (on, off, on, off)] == [
+            True, False, True, False]
+
+    def test_profile_is_keyed_by_value_and_type(self):
+        g = make_genome([ACTIVE])
+        int_bytes = profile_model(g, Workload(), 1)[0]
+        float_bytes = profile_model(g, Workload(), 1.0)[0]
+        assert type(int_bytes.weight_bytes) is int and type(float_bytes.weight_bytes) is float
+        assert profile_model(g, Workload(), 1)[0] == int_bytes
+        assert profile_model(g, Workload(), 1)[0] is not int_bytes  # 1.0 replaced it
+
+    def test_pickle_and_copy_round_trip_with_filled_caches(self):
+        genome = gn.random_genome(rng=np.random.default_rng(5))
+        gn.validate(genome), gn.genome_id(genome), hash(genome)
+        profiles = profile_model(genome, Workload())
+        gene = genome.active_layers()[0]
+        assert not hasattr(gene, "__dict__") and not hasattr(profiles[0], "__dict__")
+        for obj in (genome, gene, profiles[0]):
+            for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+                assert twin == obj and hash(twin) == hash(obj)
+        twin = pickle.loads(pickle.dumps(gene))
+        assert twin.__getstate__() == dataclasses.astuple(gene)  # the fields, no cache
+        assert profile_model(pickle.loads(pickle.dumps(genome)), Workload()) == profiles
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gene.n_h = 4

@@ -134,6 +134,8 @@ class TestSearchConfig:
             SearchConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):
             SearchConfig.from_dict({"popsize": 3})
+        with pytest.raises(ValueError, match="nested too deeply"):
+            SearchConfig.from_json("[" * 100_000)
         with pytest.raises(ValueError):
             MutationRates(deletion=-0.1)
         with pytest.raises(ValueError):
@@ -656,6 +658,43 @@ class TestEvaluationMemo:
         return calls
 
     @staticmethod
+    def _count_per_gene_object(monkeypatch):
+        """Counters of the uncached per-gene work: profile_layer calls per
+        (gene object, d_model, context, element size) and raw grid checks
+        per (gene object, grids object).  The counted genes are kept alive,
+        so no id is reused."""
+        import ihasearch.genome
+        import ihasearch.hwcost.profiles
+
+        profiles, grid_checks, seen = collections.Counter(), collections.Counter(), []
+        profile_layer = ihasearch.hwcost.profiles.profile_layer
+        gene_on_grids = ihasearch.genome._gene_on_grids
+
+        def counted_profile(g, global_cfg, ctx_tokens, bytes_per_elem):
+            seen.append(g)
+            profiles[id(g), global_cfg.d_model, ctx_tokens, bytes_per_elem] += 1
+            return profile_layer(g, global_cfg, ctx_tokens, bytes_per_elem)
+
+        def counted_grid_check(g, grids):
+            seen.append(g)
+            grid_checks[id(g), id(grids)] += 1
+            return gene_on_grids(g, grids)
+
+        monkeypatch.setattr(ihasearch.hwcost.profiles, "profile_layer", counted_profile)
+        monkeypatch.setattr(ihasearch.genome, "_gene_on_grids", counted_grid_check)
+        return profiles, grid_checks
+
+    @staticmethod
+    def _check_once_per_gene_object(res, profiles, grid_checks):
+        assert set(profiles.values()) == {1} and set(grid_checks.values()) == {1}
+        evaluated_active = {id(g) for ind in res.evaluated for g in ind.genome.active_layers()}
+        assert {key[0] for key in profiles} <= evaluated_active
+        # children share gene objects with their parents, so fewer genes are
+        # profiled than the distinct genomes have active layers
+        active = sum(g.n_active() for g in {ind.genome for ind in res.evaluated})
+        assert 0 < len(profiles) < active
+
+    @staticmethod
     def _check_once_per_distinct(res, *counters):
         cfg = res.config
         requested = cfg.population_size + cfg.generations * cfg.offspring_size
@@ -674,6 +713,7 @@ class TestEvaluationMemo:
         checks = self._count(monkeypatch, "validate")
         # the id and the oracle's noise seed share one canonical JSON
         dumps = self._count(monkeypatch, "to_json", module="ihasearch.genome")
+        per_gene = self._count_per_gene_object(monkeypatch)
         cfg = SearchConfig(
             population_size=10, offspring_size=12, generations=6,
             refine_every_generations=0, evaluator="oracle",
@@ -681,19 +721,23 @@ class TestEvaluationMemo:
         )
         res = run_search(cfg)
         self._check_once_per_distinct(res, oracle, backend, ids, checks, dumps)
+        self._check_once_per_gene_object(res, *per_gene)
         born = collections.Counter(ind.born_gen for ind in res.evaluated)
         assert born == {0: 10, **{t: 12 for t in range(1, 7)}}
 
     def test_ring_oracle(self, monkeypatch):
         backend = self._count(monkeypatch, "ring_cost")
         checks = self._count(monkeypatch, "validate")
+        per_gene = self._count_per_gene_object(monkeypatch)
         cfg = SearchConfig(
             population_size=6, offspring_size=6, generations=3,
             refine_every_generations=0, evaluator="oracle",
             backend="ring", val_loss_max=3.5,
             prefill_tokens=512, decode_tokens=256, seed=2,
         )
-        self._check_once_per_distinct(run_search(cfg), backend, checks)
+        res = run_search(cfg)
+        self._check_once_per_distinct(res, backend, checks)
+        self._check_once_per_gene_object(res, *per_gene)
 
     def test_invalid_genome_raises_and_is_not_memoised(self):
         from ihasearch.search.engine import _SearchEngine
