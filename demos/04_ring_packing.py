@@ -51,7 +51,8 @@ def main() -> None:
               f"{r.cost.e_tok_j:>10.4g} {r.total_area:>7.4g}")
 
     print("\n== step 3: the single pick a search loop would consume ==")
-    cost, best = ring_cost(genome, workload)
+    best = ring_cost(genome, workload)
+    cost = best.cost
     print(f"chosen chip: {best.chip.n_mac} MACs x {best.chip.n_cores} cores, "
           f"{best.chip.w_core_kb} KB weight SRAM/core")
     print(f"ring: {best.plan.n_chips} chips, stage sizes "

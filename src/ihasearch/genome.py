@@ -87,7 +87,8 @@ class LayerGene:
     Children share most genes with their parents, so a gene object caches
     what is a pure function of its seven fields and an explicit key: its
     hash, its ``_gene_on_space`` answer with the grids it was computed
-    for, and its ``hwcost.profiles.profile_model`` profile with that key.
+    for, and its ``hwcost.profiles.profile_model`` profile with the typed
+    ``(d_model, ctx_mean)`` key it was computed under.
     The private slots are filled on first use and die with the object;
     they are not part of equality, pickling or copying.  The constructor
     sets the three slots read first to None: reading an unset slot raises

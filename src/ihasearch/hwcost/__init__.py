@@ -1,10 +1,11 @@
 """Hardware-cost backends: analytical substrate roofline and ring-dataflow co-search.
 
-The two backends have different interfaces.  ``substrate_cost(genome, spec,
-workload)`` returns an ``HWCost`` (energy per token [J], TTFT [s], TPOT [s]).
-``ring_cost(genome, workload)`` returns that cost together with the chosen
-``RingResult``, or None when no chip on the grid fits the model.  The search
-engine's ``make_backend`` adapts both to one genome -> cost callable.
+``substrate_cost(genome, spec, workload)`` returns an ``HWCost`` (energy per
+token [J], TTFT [s], TPOT [s]).  ``ring_cost(genome, workload)`` returns the
+chosen ``RingResult``, whose ``.cost`` is that ``HWCost``, or None when no
+chip on the grid fits the model.  The search engine's ``make_backend`` adapts
+both to one genome -> (cost, ring) callable.  Every element (weight, KV
+entry, activation) is one byte.
 """
 from .profiles import LayerProfile, Workload, profile_layer, profile_model
 from .substrate import (

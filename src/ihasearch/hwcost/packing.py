@@ -11,10 +11,12 @@ scan adds them, so the search is exact for non-integer ops too.
 The greedy scan produces the minimum possible number of contiguous stages
 for a given budget (all constraints are additive and monotone), so capping
 the stage count at the ring's maximum depth keeps the binary search exact.
-The search's probes run the same scan but only count stages, stopping once
-the count passes the cap; the partition itself is built once, by
+Both functions run one scan, ``_greedy_starts``, which returns each stage's
+first layer and stops once the stage count passes a cap.  The search's
+probes use it alone; the partition itself is built once, by
 greedy_contiguous_partition at the smallest feasible budget.
 """
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -32,6 +34,40 @@ class StageLimits:
     ctx_tokens: float
 
 
+def _layer_terms(profiles: list[LayerProfile], limits: StageLimits):
+    """Per-layer (weight bytes, KV bytes at the limits' context, decode ops)."""
+    return [
+        (p.weight_bytes, p.kv_bytes_per_token * limits.ctx_tokens, p.decode_ops)
+        for p in profiles
+    ]
+
+
+def _greedy_starts(
+    layers: list[tuple[float, float, float]],
+    limits: StageLimits,
+    ops_budget: float,
+    n_stages_max: float,
+) -> list[int] | None:
+    """The greedy scan over per-layer (weight bytes, KV bytes at ctx, decode
+    ops): the first layer index of each stage, or None when some layer alone
+    exceeds the weight, KV or ops budget or the scan opens more than
+    n_stages_max stages.  Activation bytes are not checked."""
+    weight_cap, kv_cap = limits.weight_cap, limits.kv_cap
+    starts = [0]
+    w = k = o = 0.0
+    for i, (dw, dk, do) in enumerate(layers):
+        if w + dw <= weight_cap and k + dk <= kv_cap and o + do <= ops_budget:
+            w, k, o = w + dw, k + dk, o + do
+            continue
+        # a layer too big for any stage reaches this branch: every sum
+        # above is at least the layer's own term
+        if dw > weight_cap or dk > kv_cap or do > ops_budget or len(starts) >= n_stages_max:
+            return None
+        starts.append(i)
+        w, k, o = dw, dk, do
+    return starts
+
+
 def greedy_contiguous_partition(
     profiles: list[LayerProfile],
     limits: StageLimits,
@@ -41,61 +77,13 @@ def greedy_contiguous_partition(
     or None if some single layer alone exceeds the chip."""
     if not profiles:
         raise ValueError("profiles must be non-empty")
-    stages: list[list[int]] = []
-    current: list[int] = []
-    w = k = o = 0.0
-    for i, prof in enumerate(profiles):
-        dk = prof.kv_bytes_per_token * limits.ctx_tokens
-        if (
-            prof.weight_bytes > limits.weight_cap
-            or dk > limits.kv_cap
-            or prof.decode_ops > ops_budget
-            or prof.act_bytes > limits.act_cap
-        ):
-            return None
-        if (
-            w + prof.weight_bytes <= limits.weight_cap
-            and k + dk <= limits.kv_cap
-            and o + prof.decode_ops <= ops_budget
-        ):
-            current.append(i)
-            w, k, o = w + prof.weight_bytes, k + dk, o + prof.decode_ops
-        else:
-            stages.append(current)
-            current = [i]
-            w, k, o = prof.weight_bytes, dk, prof.decode_ops
-    if current:
-        stages.append(current)
-    return stages
-
-
-def _fits_in_stages(
-    layers: list[tuple[float, float, float]],
-    limits: StageLimits,
-    ops_budget: float,
-    n_stages_max: int,
-) -> bool:
-    """Whether greedy_contiguous_partition, run on per-layer (weight bytes,
-    KV bytes at ctx, decode ops), returns a partition of at most
-    n_stages_max stages (activation bytes are not checked).  The same sums
-    and comparisons, without building the stages; stops once the count
-    passes n_stages_max."""
-    weight_cap, kv_cap = limits.weight_cap, limits.kv_cap
-    n = 1
-    w = k = o = 0.0
-    for dw, dk, do in layers:
-        if w + dw <= weight_cap and k + dk <= kv_cap and o + do <= ops_budget:
-            w, k, o = w + dw, k + dk, o + do
-            continue
-        # a layer too big for any stage reaches this branch: every sum
-        # above is at least the layer's own term
-        if dw > weight_cap or dk > kv_cap or do > ops_budget:
-            return False
-        n += 1
-        if n > n_stages_max:
-            return False
-        w, k, o = dw, dk, do
-    return True
+    if any(p.act_bytes > limits.act_cap for p in profiles):
+        return None
+    starts = _greedy_starts(_layer_terms(profiles, limits), limits, ops_budget, math.inf)
+    if starts is None:
+        return None
+    ends = starts[1:] + [len(profiles)]
+    return [list(range(a, b)) for a, b in zip(starts, ends)]
 
 
 def balanced_contiguous_pack(
@@ -112,7 +100,7 @@ def balanced_contiguous_pack(
     them, sorted; a budget is feasible when the greedy partition exists and
     fits in n_chips_max stages.  Because the greedy scan minimizes the stage
     count, feasibility is monotone in the budget and the search is exact.
-    Each probe only counts the greedy scan's stages;
+    Each probe runs only the greedy scan's stage starts;
     greedy_contiguous_partition runs once, at the smallest feasible budget,
     to build the returned partition.
     """
@@ -120,10 +108,7 @@ def balanced_contiguous_pack(
         raise ValueError("profiles must be non-empty")
     if n_chips_max < 1:
         raise ValueError("n_chips_max must be >= 1")
-    layers = [
-        (p.weight_bytes, p.kv_bytes_per_token * limits.ctx_tokens, p.decode_ops)
-        for p in profiles
-    ]
+    layers = _layer_terms(profiles, limits)
     for prof, (w, k, _) in zip(profiles, layers):
         if w > limits.weight_cap or k > limits.kv_cap or prof.act_bytes > limits.act_cap:
             return None
@@ -137,7 +122,7 @@ def balanced_contiguous_pack(
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        if _fits_in_stages(layers, limits, budgets[mid], n_chips_max):
+        if _greedy_starts(layers, limits, budgets[mid], n_chips_max) is not None:
             best = budgets[mid]
             hi = mid - 1
         else:

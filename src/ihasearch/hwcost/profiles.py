@@ -5,10 +5,11 @@ active layers of a genome, which both backends (``substrate_cost`` and the
 ring's ``chip_grid_search``) do once per distinct genome.  A search's
 children share most gene objects with their parents, so ``profile_model``
 keeps each gene's last profile on the gene, keyed by what the profile
-depends on besides the gene: ``(d_model, ctx_mean, bytes_per_elem)``, each
-with its type, so that 1 and 1.0 do not share a profile.  A gene reuses its
-profile while the key is equal and computes a new one otherwise; the cache
-dies with the gene object.  ``profile_layer`` itself caches nothing.
+depends on besides the gene: ``(d_model, ctx_mean)``, each with its type,
+so that 768 and 768.0 do not share a profile.  A gene reuses its profile
+while the key is equal and computes a new one otherwise; the cache dies with
+the gene object.  ``profile_layer`` itself caches nothing.  Every element is
+one byte (8-bit weights, KV cache and activations).
 """
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -70,7 +71,6 @@ def profile_layer(
     gene: LayerGene,
     global_cfg: GlobalConfig,
     ctx_tokens: float = 384.0,
-    bytes_per_elem: int = 1,
 ) -> LayerProfile:
     """Profile one active layer at a fixed attention context length.
 
@@ -82,26 +82,22 @@ def profile_layer(
         raise ValueError("cannot profile an inactive layer")
     d = global_cfg.d_model
     weights = layer_param_count(gene, d)
-    kv = gene.attn * gene.n_kv * (gene.d_qk + gene.d_v) * bytes_per_elem
+    kv = gene.attn * gene.n_kv * (gene.d_qk + gene.d_v)
     ops = float(weights)
     if gene.attn == 1:
         ops += gene.n_h * (gene.d_qk + gene.d_v) * ctx_tokens
-    act = 2 * max(d, gene.n_h * gene.d_v, gene.d_mlp) * bytes_per_elem
-    return LayerProfile(weights * bytes_per_elem, kv, ops, act)
+    act = 2 * max(d, gene.n_h * gene.d_v, gene.d_mlp)
+    return LayerProfile(weights, kv, ops, act)
 
 
-def profile_model(
-    genome: ArchGenome,
-    workload: Workload,
-    bytes_per_elem: int = 1,
-) -> list[LayerProfile]:
+def profile_model(genome: ArchGenome, workload: Workload) -> list[LayerProfile]:
     """Profiles for every active layer, in layer order: each equals
-    ``profile_layer(gene, genome.global_cfg, workload.ctx_mean,
-    bytes_per_elem)``, reused from the gene when it was computed under an
-    equal key (module docstring)."""
+    ``profile_layer(gene, genome.global_cfg, workload.ctx_mean)``, reused
+    from the gene when it was computed under an equal key (module
+    docstring)."""
     global_cfg = genome.global_cfg
     d, ctx = global_cfg.d_model, workload.ctx_mean
-    key = (d, ctx, bytes_per_elem, type(d), type(ctx), type(bytes_per_elem))
+    key = (d, ctx, type(d), type(ctx))
     out = []
     for gene in genome.layers:
         if gene.mask != 1:
@@ -109,7 +105,7 @@ def profile_model(
         if gene._profile_key == key:
             out.append(gene._profile)
             continue
-        prof = profile_layer(gene, global_cfg, ctx, bytes_per_elem)
+        prof = profile_layer(gene, global_cfg, ctx)
         object.__setattr__(gene, "_profile_key", key)
         object.__setattr__(gene, "_profile", prof)
         out.append(prof)

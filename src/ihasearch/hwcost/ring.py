@@ -83,7 +83,6 @@ def build_chip(
     w_core_kb: int,
     max_layer_weight_bytes: float,
     max_ctx: int,
-    **overrides,
 ) -> ChipTemplate:
     """Derive the core split for one grid point.
 
@@ -101,7 +100,7 @@ def build_chip(
     n_dxt = 1 << (k // 2)
     n_vac = 1 << (k - k // 2)
     return ChipTemplate(n_mac=n_mac, w_core_kb=w_core_kb, n_dxt=n_dxt,
-                        n_vac=n_vac, max_ctx=max_ctx, **overrides)
+                        n_vac=n_vac, max_ctx=max_ctx)
 
 
 @dataclass(frozen=True)
@@ -185,18 +184,19 @@ def chip_grid_search(
     workload: Workload | None = None,
     grid: list[tuple[int, int, int]] | None = None,
     top_k: int = 3,
-    bytes_per_elem: int = 1,
-    **chip_overrides,
 ) -> tuple[list[RingResult], int]:
-    """Sweep the chip grid, pack and simulate each feasible point, and return
-    the top_k mutually non-dominated results by descending crowding distance,
-    plus the number of grid points the model packed onto.
+    """Sweep the chip grid (``default_chip_grid()`` when None), pack and
+    simulate each feasible point, and return the top_k mutually
+    non-dominated results by descending crowding distance, plus the number
+    of grid points the model packed onto.
 
-    The result list is empty when no grid point fits the model; the caller
-    treats that as infinite hardware metrics.
+    The result list is empty when no grid point fits the model (or the grid
+    is empty); the caller treats that as infinite hardware metrics.
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     wl = workload or Workload()
-    profiles = profile_model(genome, wl, bytes_per_elem)
+    profiles = profile_model(genome, wl)
     layer_profiles = tuple(profiles)
     max_w = max(p.weight_bytes for p in profiles)
     results: list[RingResult] = []
@@ -205,8 +205,8 @@ def chip_grid_search(
     # only in n_mac share one pack
     packs: dict = {}
     n_feasible = 0
-    for n_mac, w_core, cap in grid or default_chip_grid():
-        chip = build_chip(n_mac, w_core, max_w, wl.ctx_peak, **chip_overrides)
+    for n_mac, w_core, cap in default_chip_grid() if grid is None else grid:
+        chip = build_chip(n_mac, w_core, max_w, wl.ctx_peak)
         limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
         if (limits, cap) not in packs:
             part = balanced_contiguous_pack(profiles, limits, cap)
@@ -225,7 +225,7 @@ def chip_grid_search(
             chip=chip,
             partition=partition,
             profiles=layer_profiles,
-            hop_bytes=genome.global_cfg.d_model * bytes_per_elem,
+            hop_bytes=genome.global_cfg.d_model,
         )
         results.append(RingResult(chip, plan, ring_simulate(plan, wl), cap))
     if not results:
@@ -243,23 +243,13 @@ def best_ring_pick(picks: list[RingResult]) -> RingResult:
     return min(picks, key=lambda r: r.cost.e_tok_j * r.cost.ttft_s * r.cost.tpot_s)
 
 
-def ring_cost(
-    genome: ArchGenome,
-    workload: Workload | None = None,
-    top_k: int = 3,
-    bytes_per_elem: int = 1,
-    **chip_overrides,
-) -> tuple[HWCost, RingResult] | None:
-    """Single-triple reduction of the grid search for use as a search backend.
-
-    Among the top_k non-dominated (chip, plan) pairs, returns the
-    ``best_ring_pick`` with its cost; None when nothing fits.
+def ring_cost(genome: ArchGenome, workload: Workload | None = None) -> RingResult | None:
+    """Single-pick reduction of the grid search for use as a search backend:
+    the ``best_ring_pick`` of the default grid's top 3 non-dominated
+    (chip, plan) pairs, whose ``.cost`` is the cost; None when nothing fits.
     """
-    picks, _ = chip_grid_search(genome, workload, None, top_k, bytes_per_elem, **chip_overrides)
-    if not picks:
-        return None
-    best = best_ring_pick(picks)
-    return best.cost, best
+    picks, _ = chip_grid_search(genome, workload)
+    return best_ring_pick(picks) if picks else None
 
 
 def write_plan_csv(plan: RingPlan, workload: Workload, path: str) -> None:

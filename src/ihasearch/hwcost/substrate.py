@@ -7,6 +7,8 @@ weight-stationary keeps weights resident (tiny re-read factor, billed at SRAM
 energy), row-stationary reduces activation traffic, flexible takes both
 discounts.
 """
+import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -31,6 +33,19 @@ _REQUIRED = {
     "reuse_act": (int, float),
     "weights_resident": bool,
 }
+_NUMERIC = [key for key, types in _REQUIRED.items() if types == (int, float)]
+
+
+def _check_positive_number(key: str, value) -> None:
+    """Accept only a number > 0 that is a finite float: not a bool (an int
+    to isinstance), NaN, an infinity or an int too large for a float."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value) and value > 0)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"substrate field {key!r} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,13 +69,8 @@ class SubstrateSpec:
     def __post_init__(self):
         if self.dataflow not in DATAFLOWS:
             raise ValueError(f"unknown dataflow {self.dataflow!r}; expected one of {DATAFLOWS}")
-        numeric = (
-            self.mac_count, self.sram_bytes, self.clock_hz, self.dram_bw_bytes_per_s,
-            self.e_mac_j, self.e_sram_j_per_byte, self.e_dram_j_per_byte,
-            self.reuse_weight, self.reuse_kv, self.reuse_act,
-        )
-        if min(numeric) <= 0:
-            raise ValueError("all substrate constants must be positive")
+        for key in _NUMERIC:
+            _check_positive_number(key, getattr(self, key))
 
 
 def builtin_substrate_names() -> list[str]:
@@ -89,6 +99,8 @@ def load_substrate(name_or_path: str) -> SubstrateSpec:
             raise ValueError(f"substrate spec missing field {key!r}")
         if not isinstance(raw[key], types):
             raise ValueError(f"substrate field {key!r} has wrong type")
+    for key in _NUMERIC:
+        _check_positive_number(key, raw[key])
     extra = set(raw) - set(_REQUIRED)
     if extra:
         raise ValueError(f"substrate spec has unknown fields: {sorted(extra)}")
@@ -113,7 +125,6 @@ def substrate_cost(
     genome: ArchGenome,
     spec: SubstrateSpec,
     workload: Workload | None = None,
-    bytes_per_elem: int = 1,
 ) -> HWCost:
     """Roofline estimate of (energy/token, TTFT, TPOT) on one substrate.
 
@@ -131,7 +142,7 @@ def substrate_cost(
     e_tok = 0.0
     tpot = 0.0
     total_ops = 0.0
-    for prof in profile_model(genome, wl, bytes_per_elem):
+    for prof in profile_model(genome, wl):
         w_traffic = prof.weight_bytes * spec.reuse_weight
         kv_traffic = prof.kv_bytes_per_token * wl.ctx_mean * spec.reuse_kv
         act_traffic = prof.act_bytes * spec.reuse_act

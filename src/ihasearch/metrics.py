@@ -94,12 +94,10 @@ class ObjectiveVector:
 
 
 def as_objective_vector(p) -> ObjectiveVector:
-    """Accept an ObjectiveVector, an object exposing ``objective_vector()``,
-    or a plain value sequence (treated as feasible)."""
+    """Accept an ObjectiveVector or a plain value sequence (treated as
+    feasible)."""
     if isinstance(p, ObjectiveVector):
         return p
-    if hasattr(p, "objective_vector"):
-        return p.objective_vector()
     return ObjectiveVector(tuple(float(v) for v in p))
 
 

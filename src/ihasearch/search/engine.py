@@ -19,6 +19,7 @@ from ..genome import (
     validate,
 )
 from ..hwcost import RingResult, Workload, load_substrate, ring_cost, substrate_cost
+from ..hwcost.profiles import HWCost
 from ..metrics import ObjectiveVector, hypervolume_2d, pareto_front
 from ..surrogate import EncoderSurrogate, LabeledCorpus, fine_tune, synth_oracle
 from .config import SearchConfig
@@ -138,32 +139,24 @@ def default_hv_ref(snapshot_groups: Sequence[Sequence[np.ndarray]]) -> tuple[flo
 
 def make_backend(
     config: SearchConfig,
-) -> Callable[[ArchGenome], tuple[tuple[float, float, float] | None, RingResult | None]]:
+) -> Callable[[ArchGenome], tuple[HWCost | None, RingResult | None]]:
     """Build the hardware-cost callable for a config.
 
-    Returns a function mapping genome -> ((e_tok_j, ttft_s, tpot_s), ring)
-    where the cost tuple is None when the backend cannot realize the genome
-    (e.g. no feasible ring plan exists).
+    Returns a function mapping genome -> (HWCost, ring) where the cost is
+    None when the backend cannot realize the genome (no feasible ring plan
+    exists) and ring is the chosen RingResult under the ring backend.
     """
     workload = Workload(config.prefill_tokens, config.decode_tokens)
     if config.backend == "ring":
 
         def ring_backend(genome: ArchGenome):
-            out = ring_cost(genome, workload)
-            if out is None:
-                return None, None
-            cost, result = out
-            return (cost.e_tok_j, cost.ttft_s, cost.tpot_s), result
+            result = ring_cost(genome, workload)
+            return (None, None) if result is None else (result.cost, result)
 
         return ring_backend
 
     spec = load_substrate(config.backend.split(":", 1)[1])
-
-    def analytic_backend(genome: ArchGenome):
-        cost = substrate_cost(genome, spec, workload)
-        return (cost.e_tok_j, cost.ttft_s, cost.tpot_s), None
-
-    return analytic_backend
+    return lambda genome: (substrate_cost(genome, spec, workload), None)
 
 
 def acquisition_select(
@@ -179,7 +172,7 @@ def acquisition_select(
     rest (exploration).  Draws one MC-dropout seed from ``rng``."""
     genomes = [ind.genome for ind in pop]
     mu, sigma = surrogate.mc_predict_genomes(genomes, n_mc=n_mc, seed=int(rng.integers(2**31)))
-    first = fast_nondominated_sort(pop)[0]
+    first = fast_nondominated_sort([ind.objective_vector() for ind in pop])[0]
     return acquisition_indices(len(pop), first, mu, sigma, b)
 
 
@@ -230,7 +223,6 @@ class _SearchEngine:
             self.repair_fn = lambda g: gqa_repair(g, ranges)
         else:
             self.repair_fn = lambda g: repair(g, ranges)
-        self.n_evaluations = 0
         self.evaluated: list[Individual] = []
         # Per-run memo of what is a pure function of the genome: its id, the
         # backend's hardware cost and, under evaluator="oracle", its label.
@@ -285,7 +277,6 @@ class _SearchEngine:
                     ring=ring,
                 )
             )
-        self.n_evaluations += len(out)
         self.evaluated.extend(out)
         return out
 
@@ -385,7 +376,7 @@ class _SearchEngine:
             stats.append(
                 {
                     "generation": t,
-                    "n_evaluations": self.n_evaluations,
+                    "n_evaluations": len(self.evaluated),
                     "n_feasible_pop": sum(ind.feasible for ind in population),
                     "best_val_loss": min(
                         (ind.val_loss for ind in archive.members), default=float("inf")
@@ -406,7 +397,7 @@ class _SearchEngine:
             events=events,
             archive_snapshots=snapshots,
             hv_ref=hv_ref,
-            n_evaluations=self.n_evaluations,
+            n_evaluations=len(self.evaluated),
             evaluated=self.evaluated,
         )
 

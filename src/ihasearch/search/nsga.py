@@ -16,8 +16,7 @@ from ..metrics import (
 def fast_nondominated_sort(items: Sequence) -> list[list[int]]:
     """Partition indices into fronts F1, F2, ... under constraint domination.
 
-    Accepts ObjectiveVectors, objects exposing ``objective_vector()``, or
-    plain value tuples (treated as feasible).  Front order and the index
+    Accepts ObjectiveVectors or plain value tuples (treated as feasible).  Front order and the index
     order inside each front are deterministic (ascending indices).
     """
     dom = constraint_dominance_matrix(*objective_arrays(items))

@@ -271,6 +271,30 @@ def bottleneck_ops(profiles, partition):
     return max(sum(profiles[i].decode_ops for i in stage) for stage in partition)
 
 
+def reference_greedy_partition(profiles, limits, ops_budget):
+    """The greedy contiguous scan written out on its own: check each layer
+    alone against the chip, then extend the open stage while the weight, KV
+    and ops sums fit, else open a new one (LayerProfile list, StageLimits)."""
+    stages, current = [], []
+    w = k = o = 0.0
+    for i, p in enumerate(profiles):
+        dk = p.kv_bytes_per_token * limits.ctx_tokens
+        if (p.weight_bytes > limits.weight_cap or dk > limits.kv_cap
+                or p.decode_ops > ops_budget or p.act_bytes > limits.act_cap):
+            return None
+        if (w + p.weight_bytes <= limits.weight_cap and k + dk <= limits.kv_cap
+                and o + p.decode_ops <= ops_budget):
+            current.append(i)
+            w, k, o = w + p.weight_bytes, k + dk, o + p.decode_ops
+        else:
+            stages.append(current)
+            current = [i]
+            w, k, o = p.weight_bytes, dk, p.decode_ops
+    if current:
+        stages.append(current)
+    return stages
+
+
 # --- full-length encoder reference --------------------------------------------
 # The encoder's forward and backward as they were before the active-length
 # trim, copied literally: every batch runs at its padded length L.  The trimmed
@@ -548,10 +572,10 @@ def reference_gene_on_space(gene, ranges):
     return 1 <= gene.n_kv <= gene.n_h and gene.n_h % gene.n_kv == 0
 
 
-def reference_profile_model(genome, workload, bytes_per_elem=1):
+def reference_profile_model(genome, workload):
     """A fresh profile_layer of every active layer, in layer order."""
     return [
-        profile_layer(g, genome.global_cfg, workload.ctx_mean, bytes_per_elem)
+        profile_layer(g, genome.global_cfg, workload.ctx_mean)
         for g in genome.layers
         if g.mask == 1
     ]

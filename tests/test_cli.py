@@ -12,6 +12,7 @@ import json
 import re
 import tempfile
 import xml.dom.minidom
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,9 @@ from ihasearch.surrogate import (
     split_corpus,
     train,
 )
+
+GEMMINI_SPEC = json.loads(
+    (resources.files("ihasearch.hwcost") / "substrates" / "gemmini.json").read_text())
 
 SMALL_SEARCH_CFG = {
     "population_size": 8,
@@ -252,12 +256,24 @@ class TestSearch:
         assert not (out / "archive.csv").exists()
 
     def test_substrate_file_backend_runs(self, tmp_path, capsys):
-        from importlib import resources
         spec = tmp_path / "mine.json"
-        spec.write_text((resources.files("ihasearch.hwcost") / "substrates"
-                         / "gemmini.json").read_text())
+        spec.write_text(json.dumps(GEMMINI_SPEC))
         cfg = write_cfg(tmp_path, backend=f"analytic:{spec}")
         assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("field", [k for k, v in GEMMINI_SPEC.items()
+                                       if type(v) in (int, float)])
+    @pytest.mark.parametrize("value", [True, False, float("nan"), float("inf"), float("-inf"),
+                                       0, -1, -2.5])
+    def test_bad_substrate_number_exits_2(self, tmp_path, capsys, field, value):
+        # each of these ran a search (or an empty one) and exited 0
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(dict(GEMMINI_SPEC, **{field: value})))
+        cfg = write_cfg(tmp_path, backend=f"analytic:{spec}")
+        out = tmp_path / "x"
+        assert main(["search", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"'{field}' must be a finite number > 0" in capsys.readouterr().err
+        assert not (out / "archive.csv").exists()
 
     def test_surrogate_run_with_refinement_events(self, tmp_path, capsys,
                                                   checkpoint, corpus_file):
@@ -293,6 +309,8 @@ class TestSearch:
 # out of range, non-finite, unknown name).
 _BAD = st.sampled_from([None, "1", [], {}, True, float("nan"), float("inf")])
 _RATE = st.floats(0.0, 1.0)
+_BAD_SUBSTRATES = ["analytic:@bad_substrate_bool", "analytic:@bad_substrate_nan",
+                   "analytic:@bad_substrate_infinite", "analytic:@bad_substrate_zero"]
 _CONFIG_FIELDS = {  # name: (valid, broken)
     "population_size": (st.integers(1, 4), st.one_of(st.integers(-1, 0), st.just(2.0), _BAD)),
     "offspring_size": (st.integers(1, 4), st.one_of(st.integers(-1, 0), _BAD)),
@@ -308,9 +326,11 @@ _CONFIG_FIELDS = {  # name: (valid, broken)
     "prefill_tokens": (st.one_of(st.integers(1, 4096), st.just(10**12)),
                        st.one_of(st.integers(-1, 0), _BAD)),
     "decode_tokens": (st.integers(1, 4096), st.one_of(st.integers(-1, 0), _BAD)),
-    "backend": (st.sampled_from(["ring", "analytic:gemmini", "analytic:eyeriss"]),
+    # "analytic:@name" names a substrate file of cli_inputs
+    "backend": (st.sampled_from(["ring", "analytic:gemmini", "analytic:eyeriss",
+                                 "analytic:@substrate"]),
                 st.one_of(st.sampled_from(["analytic:missing", "analytic:missing.json",
-                                           "analytic:", "gemmini"]), _BAD)),
+                                           "analytic:", "gemmini", *_BAD_SUBSTRATES]), _BAD)),
     "evaluator": (st.sampled_from(["oracle", "surrogate"]),
                   st.one_of(st.just("labels"), _BAD)),
     "space": (st.sampled_from(["iha", "gqa"]), st.one_of(st.just("mha"), _BAD)),
@@ -360,9 +380,12 @@ def tiny_surrogate_files(tmp_path_factory) -> tuple[Path, Path]:
 class TestSearchConfigFuzz:
     @given(case=fuzzed_search_configs(), with_surrogate=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_exit_code_is_0_or_2(self, tiny_surrogate_files, case, with_surrogate):
+    def test_exit_code_is_0_or_2(self, tiny_surrogate_files, cli_inputs, case, with_surrogate):
         """Never 3; and never a silent 0 when a field is broken."""
         doc, broken = case
+        backend = doc.get("backend")
+        if isinstance(backend, str) and backend.startswith("analytic:@"):
+            doc = dict(doc, backend=f"analytic:{cli_inputs[backend[len('analytic:@'):]]}")
         checkpoint, corpus = tiny_surrogate_files
         extra = ["--surrogate", str(checkpoint), "--corpus", str(corpus)] if with_surrogate else []
         with tempfile.TemporaryDirectory() as tmp:
@@ -723,6 +746,12 @@ def cli_inputs(tmp_path_factory, tiny_surrogate_files) -> dict[str, Path]:
           + json.dumps(_invalid_genome_doc()) + "\n")
     write("bad_genome_list_empty", "\n")
     write("bad_grid", json.dumps({"n_mac": [0], "w_core_kb": [192], "n_chips_max": [32]}))
+    for name, fields in [("substrate", {}), ("bad_substrate_bool", {"mac_count": True}),
+                         ("bad_substrate_nan", {"clock_hz": float("nan")}),
+                         ("bad_substrate_infinite", {"e_mac_j": float("inf")}),
+                         ("bad_substrate_zero", {"dram_bw_bytes_per_s": 0})]:
+        paths[name] = root / f"{name}.json"  # a substrate file must end in .json
+        paths[name].write_text(json.dumps(dict(GEMMINI_SPEC, **fields)))
     write("bad_nested", NESTED_JSON)
     write("bad_corpus_nested", "\n".join(rows[:1] + [NESTED_JSON] + rows[1:]))
     write("bad_genome_list_nested", to_json(genomes[0]) + "\n" + NESTED_JSON + "\n")

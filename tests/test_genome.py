@@ -548,21 +548,22 @@ def _repaired_json(genome, ranges):
 class TestGeneCachesMatchReference:
     """A gene object caches its hash, its grid check (with the grids it was
     made for) and its profile (with its key).  The same gene objects, shared
-    by two genomes and asked in alternation under two spaces, two workloads
-    and two element sizes, give what the uncached references give."""
+    by two genomes with different d_model and asked in alternation under two
+    spaces and two workloads, give what the uncached references give."""
 
     @given(
         genes=st.lists(_MIXED_GENE, min_size=1, max_size=9),
         spaces=st.lists(_RANGES, min_size=2, max_size=2),
         workloads=st.lists(st.builds(Workload, st.sampled_from([1, 7, 256, 512]),
                                      st.sampled_from([1, 255, 256])), min_size=2, max_size=2),
-        sizes=st.lists(st.sampled_from([1, 2, 1.0, np.int64(2)]), min_size=2, max_size=2),
+        d_models=st.lists(st.sampled_from([768, 960, 768.0, np.int64(960)]), min_size=2,
+                          max_size=2),
     )
     @settings(max_examples=300, deadline=None)
-    def test_validate_repair_profile_and_hash(self, genes, spaces, workloads, sizes):
+    def test_validate_repair_profile_and_hash(self, genes, spaces, workloads, d_models):
         genomes = [
-            gn.ArchGenome(gn.GlobalConfig(768, 1024, len(genes)), tuple(genes)),
-            gn.ArchGenome(gn.GlobalConfig(960, 1024, len(genes)), tuple(reversed(genes))),
+            gn.ArchGenome(gn.GlobalConfig(d_models[0], 1024, len(genes)), tuple(genes)),
+            gn.ArchGenome(gn.GlobalConfig(d_models[1], 1024, len(genes)), tuple(reversed(genes))),
         ]
         for _ in range(2):  # the second round reads what the first cached
             for ranges in spaces:
@@ -574,12 +575,11 @@ class TestGeneCachesMatchReference:
                     assert gn.validate(g, ranges) == reference_validate(g, ranges)
                     assert _outcome(_repaired_json, g, ranges) == _outcome(
                         _brute_json, g, ranges)
-        # Gray-code order: consecutive calls differ in one of d_model, workload
-        # and element size, so a key that left one out would reuse a stale
-        # profile; repr tells 1 from 1.0 and np.int64 from int
-        for i, j, k in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0),
-                        (1, 1, 0), (1, 1, 1), (1, 0, 1), (1, 0, 0)] * 2:
-            args = genomes[i], workloads[j], sizes[k]
+        # Gray-code order: consecutive calls differ in one of d_model and
+        # workload, so a key that left one out would reuse a stale profile;
+        # repr tells 768 from 768.0 and np.int64 from int
+        for i, j in [(0, 0), (0, 1), (1, 1), (1, 0)] * 2:
+            args = genomes[i], workloads[j]
             assert repr(_outcome(profile_model, *args)) == repr(
                 _outcome(reference_profile_model, *args))
 
@@ -590,12 +590,13 @@ class TestGeneCachesMatchReference:
             True, False, True, False]
 
     def test_profile_is_keyed_by_value_and_type(self):
-        g = make_genome([ACTIVE])
-        int_bytes = profile_model(g, Workload(), 1)[0]
-        float_bytes = profile_model(g, Workload(), 1.0)[0]
-        assert type(int_bytes.weight_bytes) is int and type(float_bytes.weight_bytes) is float
-        assert profile_model(g, Workload(), 1)[0] == int_bytes
-        assert profile_model(g, Workload(), 1)[0] is not int_bytes  # 1.0 replaced it
+        # one gene object under GlobalConfig(768, ...) and GlobalConfig(768.0, ...)
+        int_d, float_d = make_genome([ACTIVE]), make_genome([ACTIVE], d_model=768.0)
+        int_prof = profile_model(int_d, Workload())[0]
+        float_prof = profile_model(float_d, Workload())[0]
+        assert type(int_prof.weight_bytes) is int and type(float_prof.weight_bytes) is float
+        assert profile_model(int_d, Workload())[0] == int_prof
+        assert profile_model(int_d, Workload())[0] is not int_prof  # 768.0 replaced it
 
     def test_pickle_and_copy_round_trip_with_filled_caches(self):
         genome = gn.random_genome(rng=np.random.default_rng(5))

@@ -1,5 +1,6 @@
 """Layer profiling, substrate roofline, packing (vs exhaustive oracle), ring."""
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from ihasearch.hwcost import packing, ring
 from ihasearch.hwcost import (
     ChipTemplate,
     RingPlan,
+    SubstrateSpec,
     Workload,
     balanced_contiguous_pack,
     best_ring_pick,
@@ -31,10 +33,21 @@ from ihasearch.hwcost import (
 from ihasearch.hwcost.packing import StageLimits
 from ihasearch.hwcost.profiles import HWCost, LayerProfile
 
-from oracles import bottleneck_ops, brute_best_bottleneck, brute_dominates
+from oracles import (
+    bottleneck_ops,
+    brute_best_bottleneck,
+    brute_dominates,
+    reference_greedy_partition,
+)
 
 GLOBAL = gn.GlobalConfig()
 REF_GENE = gn.LayerGene(mask=1, attn=1, n_h=9, n_kv=3, d_qk=64, d_v=96, d_mlp=1536)
+
+
+SUBSTRATE_NUMBERS = [f.name for f in dataclasses.fields(SubstrateSpec)
+                     if f.name not in ("name", "dataflow", "weights_resident")]
+BAD_SUBSTRATE_NUMBERS = [True, False, float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -2.5,
+                         pytest.param(10**400, id="int_beyond_float")]
 
 
 def genome_of(genes):
@@ -59,35 +72,27 @@ class TestWorkload:
 
 class TestProfileLayer:
     def test_reference_kv_bytes(self):
-        prof = profile_layer(REF_GENE, GLOBAL, 384.0, 1)
+        prof = profile_layer(REF_GENE, GLOBAL, 384.0)
         assert prof.kv_bytes_per_token == 3 * (64 + 96) == 480
 
     def test_reference_weights_and_ops(self):
-        prof = profile_layer(REF_GENE, GLOBAL, 384.0, 1)
+        prof = profile_layer(REF_GENE, GLOBAL, 384.0)
         assert prof.weight_bytes == 3_833_856  # layer term of the param count
         assert prof.decode_ops == 3_833_856 + 9 * (64 + 96) * 384
         assert prof.act_bytes == 2 * 1536  # d_mlp is the widest intermediate
 
     def test_identity_attention(self):
         gene = dataclasses.replace(REF_GENE, attn=0)
-        prof = profile_layer(gene, GLOBAL, 384.0, 1)
+        prof = profile_layer(gene, GLOBAL, 384.0)
         assert prof.kv_bytes_per_token == 0
         assert prof.weight_bytes == prof.decode_ops == 2 * 768 * 1536
 
     def test_mlp_contribution_is_linear(self):
-        a = profile_layer(REF_GENE, GLOBAL, 384.0, 1)
-        b = profile_layer(dataclasses.replace(REF_GENE, d_mlp=2 * 1536), GLOBAL, 384.0, 1)
+        a = profile_layer(REF_GENE, GLOBAL, 384.0)
+        b = profile_layer(dataclasses.replace(REF_GENE, d_mlp=2 * 1536), GLOBAL, 384.0)
         mlp_w = 2 * 768 * 1536
         assert b.weight_bytes - a.weight_bytes == mlp_w
         assert b.decode_ops - a.decode_ops == mlp_w
-
-    def test_bytes_per_elem_scaling(self):
-        p1 = profile_layer(REF_GENE, GLOBAL, 384.0, 1)
-        p2 = profile_layer(REF_GENE, GLOBAL, 384.0, 2)
-        assert p2.weight_bytes == 2 * p1.weight_bytes
-        assert p2.kv_bytes_per_token == 2 * p1.kv_bytes_per_token
-        assert p2.act_bytes == 2 * p1.act_bytes
-        assert p2.decode_ops == p1.decode_ops  # ops are precision-free
 
     def test_inactive_layer_rejected(self):
         with pytest.raises(ValueError):
@@ -119,8 +124,6 @@ class TestSubstrate:
     def test_spec_file_round_trip(self, tmp_path):
         spec = load_substrate("flat")
         path = tmp_path / "custom.json"
-        import json
-
         payload = dataclasses.asdict(spec)
         path.write_text(json.dumps(payload))
         again = load_substrate(str(path))
@@ -131,6 +134,18 @@ class TestSubstrate:
         path.write_text('{"name": "broken"}')
         with pytest.raises(ValueError):
             load_substrate(str(path))
+
+    @pytest.mark.parametrize("field", SUBSTRATE_NUMBERS)
+    @pytest.mark.parametrize("value", BAD_SUBSTRATE_NUMBERS)
+    def test_bad_number_rejected_by_loader_and_spec(self, tmp_path, field, value):
+        # json.dumps writes NaN and Infinity, which the loader parses
+        spec = load_substrate("gemmini")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(dataclasses.asdict(spec), **{field: value})))
+        with pytest.raises(ValueError, match=f"'{field}' must be a finite number > 0"):
+            load_substrate(str(path))
+        with pytest.raises(ValueError, match=f"'{field}' must be a finite number > 0"):
+            dataclasses.replace(spec, **{field: value})
 
     def test_compute_bound_macs_halve_tpot(self):
         g = genome_of([REF_GENE] * 3)
@@ -293,10 +308,14 @@ class TestCountOnlyPack:
     def test_probe_accepts_exactly_when_greedy_fits(self, case):
         profiles, limits, budget, n_max = case
         part = greedy_contiguous_partition(profiles, limits, budget)
+        assert part == reference_greedy_partition(profiles, limits, budget)
         layers = [(p.weight_bytes, p.kv_bytes_per_token * limits.ctx_tokens, p.decode_ops)
                   for p in profiles]
-        got = packing._fits_in_stages(layers, limits, budget, n_max)
-        assert got == (part is not None and len(part) <= n_max)
+        got = packing._greedy_starts(layers, limits, budget, n_max)
+        if part is None or len(part) > n_max:
+            assert got is None
+        else:
+            assert got == [stage[0] for stage in part]
 
     @given(probe_cases())
     @settings(max_examples=300, deadline=None)
@@ -444,11 +463,23 @@ class TestChipGridSearch:
         assert [r.objectives() for r in a] == [r.objectives() for r in b]
         assert [r.plan.partition for r in a] == [r.plan.partition for r in b]
 
+    def test_empty_grid_sweeps_nothing(self):
+        g = gn.random_genome(rng=np.random.default_rng(1))
+        assert chip_grid_search(g, Workload(512, 256), grid=[]) == ([], 0)
+        assert chip_grid_search(g, Workload(512, 256), grid=None)[1] > 0
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        g = gn.random_genome(rng=np.random.default_rng(1))
+        with pytest.raises(ValueError, match="top_k"):
+            chip_grid_search(g, Workload(512, 256), top_k=top_k)
+
     def test_ring_cost_picks_member_of_topk(self):
         rng = np.random.default_rng(4)
         g = gn.random_genome(rng=rng)
         picks, _ = chip_grid_search(g, Workload(512, 256))
-        cost, chosen = ring_cost(g, Workload(512, 256))
+        chosen = ring_cost(g, Workload(512, 256))
+        cost = chosen.cost
         assert chosen.objectives() in [r.objectives() for r in picks]
         products = [r.cost.e_tok_j * r.cost.ttft_s * r.cost.tpot_s for r in picks]
         assert cost.e_tok_j * cost.ttft_s * cost.tpot_s == pytest.approx(min(products))
@@ -489,7 +520,7 @@ class TestPlanExport:
         rng = np.random.default_rng(6)
         g = gn.random_genome(rng=rng)
         wl = Workload(512, 256)
-        _, result = ring_cost(g, wl)
+        result = ring_cost(g, wl)
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_plan_csv(result.plan, wl, p1)
         write_plan_csv(result.plan, wl, p2)

@@ -660,7 +660,7 @@ class TestEvaluationMemo:
     @staticmethod
     def _count_per_gene_object(monkeypatch):
         """Counters of the uncached per-gene work: profile_layer calls per
-        (gene object, d_model, context, element size) and raw grid checks
+        (gene object, d_model, context) and raw grid checks
         per (gene object, grids object).  The counted genes are kept alive,
         so no id is reused."""
         import ihasearch.genome
@@ -670,10 +670,10 @@ class TestEvaluationMemo:
         profile_layer = ihasearch.hwcost.profiles.profile_layer
         gene_on_grids = ihasearch.genome._gene_on_grids
 
-        def counted_profile(g, global_cfg, ctx_tokens, bytes_per_elem):
+        def counted_profile(g, global_cfg, ctx_tokens):
             seen.append(g)
-            profiles[id(g), global_cfg.d_model, ctx_tokens, bytes_per_elem] += 1
-            return profile_layer(g, global_cfg, ctx_tokens, bytes_per_elem)
+            profiles[id(g), global_cfg.d_model, ctx_tokens] += 1
+            return profile_layer(g, global_cfg, ctx_tokens)
 
         def counted_grid_check(g, grids):
             seen.append(g)
@@ -753,7 +753,7 @@ class TestEvaluationMemo:
             with pytest.raises(AssertionError, match="invalid genome"):
                 engine.evaluate([bad], gen=0)
             assert bad not in engine._scored
-        assert engine.n_evaluations == 0
+        assert engine.evaluated == []
 
     @pytest.mark.parametrize("space", ["iha", "gqa"])
     def test_finished_engine_is_freed_without_a_collection(self, space):
