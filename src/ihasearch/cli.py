@@ -455,6 +455,8 @@ def _split_checked(genomes, labels, test_frac: float, seed: int, min_test: int =
 def cmd_surrogate_train(args) -> int:
     genomes, labels = _load_corpus_checked(args.corpus)
     corpus = _split_checked(genomes, labels, args.test_frac, args.split_seed)
+    if len(corpus.train_idx) == 0:
+        raise InputError("train split is empty (more data or a smaller --test-frac)")
     out_dir = _prepare_out_dir(args.out, args.force)
 
     model, history = train(corpus, epochs=args.epochs, batch_size=args.batch_size,

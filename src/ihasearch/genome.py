@@ -151,9 +151,6 @@ class ArchGenome:
     def active_layers(self) -> list[LayerGene]:
         return [g for g in self.layers if g.mask == 1]
 
-    def n_active(self) -> int:
-        return sum(g.mask == 1 for g in self.layers)
-
     # The cached values below are pure functions of the frozen fields and
     # live on the instance, so they die with the genome.
 

@@ -11,6 +11,7 @@ while the key is equal and computes a new one otherwise; the cache dies with
 the gene object.  ``profile_layer`` itself caches nothing.  Every element is
 one byte (8-bit weights, KV cache and activations).
 """
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,8 +64,10 @@ class LayerProfile:
     act_bytes: int
 
     def __post_init__(self):
-        if min(self.weight_bytes, self.kv_bytes_per_token, self.decode_ops, self.act_bytes) < 0:
-            raise ValueError("profile entries must be non-negative")
+        # the chained comparison also rejects NaN
+        for value in (self.weight_bytes, self.kv_bytes_per_token, self.decode_ops, self.act_bytes):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"profile entries must be finite and >= 0, got {value!r}")
 
 
 def profile_layer(

@@ -10,6 +10,7 @@ on its MAC count, so the model is packed once per distinct (stage limits,
 chip cap) pair: 15 packs for the 45-point default grid.
 """
 import csv
+import math
 from dataclasses import dataclass
 
 from ..genome import ArchGenome
@@ -48,12 +49,20 @@ class ChipTemplate:
     hop_energy_j_per_byte: float = 1.0e-11
 
     def __post_init__(self):
+        # one expression of chained comparisons, which NaN also fails: about
+        # 7,000 chips are built per ring search
+        inf = math.inf
+        if not (0 < self.n_mac < inf and 0 < self.w_core_kb < inf
+                and 0 < self.n_dxt < inf and 0 < self.n_vac < inf
+                and 0 < self.max_ctx < inf and 0 < self.k_core_kb < inf
+                and 0 < self.scratch_bytes < inf and 0 < self.clock_hz < inf
+                and 0 < self.e_mac_j < inf and 0 < self.e_sram_j_per_byte < inf
+                and 0 < self.hop_latency_s < inf and 0 < self.hop_energy_j_per_byte < inf):
+            raise ValueError(f"every chip field must be finite and > 0: {self}")
         if not (_is_pow2(self.n_dxt) and _is_pow2(self.n_vac)):
             raise ValueError("tile and core counts must be powers of two")
         if self.n_vac < self.n_dxt:
             raise ValueError("n_vac must be >= n_dxt")
-        if min(self.n_mac, self.w_core_kb, self.k_core_kb, self.max_ctx) <= 0:
-            raise ValueError("chip dimensions must be positive")
 
     @property
     def n_cores(self) -> int:

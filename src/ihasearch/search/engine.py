@@ -2,7 +2,6 @@
 hardware backend, optional surrogate co-evolution, and the ablation suite."""
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -10,7 +9,6 @@ import numpy as np
 
 from ..genome import (
     ArchGenome,
-    GlobalConfig,
     SpaceRanges,
     count_params,
     genome_id,
@@ -103,8 +101,7 @@ class SearchResult:
     ``evaluated`` lists every individual in the order it was scored (initial
     population first, then each generation's offspring), which is what the
     archive-correctness and audit checks consume.  It holds one entry per
-    requested evaluation, repeats of a genome included, and
-    ``n_evaluations`` counts the same requests."""
+    requested evaluation, repeats of a genome included."""
 
     config: SearchConfig
     population: list[Individual]
@@ -113,14 +110,17 @@ class SearchResult:
     events: list[dict]
     archive_snapshots: list[np.ndarray]
     hv_ref: tuple[float, float]
-    n_evaluations: int
     evaluated: list[Individual] = field(default_factory=list, repr=False)
 
-    def hv_curve(self, ref: tuple[float, float] | None = None) -> np.ndarray:
+    @property
+    def n_evaluations(self) -> int:
+        """Requested evaluations, repeats of a genome included."""
+        return len(self.evaluated)
+
+    def hv_curve(self, ref: tuple[float, float]) -> np.ndarray:
         """Archive hypervolume in (val_loss, model size) per generation."""
-        r = self.hv_ref if ref is None else ref
         return np.array(
-            [hypervolume_2d(snap, r) if len(snap) else 0.0 for snap in self.archive_snapshots]
+            [hypervolume_2d(snap, ref) if len(snap) else 0.0 for snap in self.archive_snapshots]
         )
 
 
@@ -181,7 +181,8 @@ def acquisition_indices(
 ) -> tuple[list[int], list[int]]:
     """Index-level acquisition split; ties broken by ascending index."""
     front = sorted(first_front)
-    rest = [i for i in range(n) if i not in set(front)]
+    in_front = set(front)
+    rest = [i for i in range(n) if i not in in_front]
     b_exp = min(b // 2, len(front))
     exploit = sorted(front, key=lambda i: (mu[i], i))[:b_exp]
     explore = sorted(rest, key=lambda i: (-sigma[i], i))[: min(b - b_exp, len(rest))]
@@ -194,14 +195,11 @@ class _SearchEngine:
         config: SearchConfig,
         surrogate: EncoderSurrogate | None,
         corpus: LabeledCorpus | None,
-        ranges: SpaceRanges | None,
-        global_cfg: GlobalConfig | None,
-        oracle_fn: Callable[[ArchGenome], float] | None,
     ) -> None:
         self.cfg = config
-        self.ranges = ranges or SpaceRanges()
-        self.global_cfg = global_cfg or GlobalConfig()
-        self.oracle_fn = oracle_fn or functools.partial(synth_oracle, noise_seed=config.seed)
+        # one ranges object for the run: repair's grid cache would hash a
+        # fresh one on every call
+        self.ranges = SpaceRanges()
         self.backend = make_backend(config)
         self.rng = np.random.default_rng(config.seed)
         self.corpus = corpus
@@ -241,7 +239,7 @@ class _SearchEngine:
             if problems:
                 raise AssertionError(f"operator emitted an invalid genome: {problems}")
             cost, ring = self.backend(genome)
-            label = float(self.oracle_fn(genome)) if self.cfg.evaluator == "oracle" else None
+            label = synth_oracle(genome, self.cfg.seed) if self.cfg.evaluator == "oracle" else None
             hit = self._scored[genome] = (genome_id(genome), cost, ring, label)
         return hit
 
@@ -284,10 +282,7 @@ class _SearchEngine:
     def breed(self, population: list[Individual]) -> list[ArchGenome]:
         cfg = self.cfg
         if cfg.variation == "random":
-            raw = [
-                random_genome(self.ranges, self.rng, self.global_cfg)
-                for _ in range(cfg.offspring_size)
-            ]
+            raw = [random_genome(self.ranges, self.rng) for _ in range(cfg.offspring_size)]
             return [self.repair_fn(g) for g in raw]
         vectors = [ind.objective_vector() for ind in population]
         crowd, _ = rank_and_crowd(vectors)
@@ -315,7 +310,7 @@ class _SearchEngine:
             population, self.model, cfg.refine_batch_size, cfg.mc_dropout_passes, self.rng
         )
         selected = exploit_idx + explore_idx
-        labels = [float(self.oracle_fn(population[i].genome)) for i in selected]
+        labels = [synth_oracle(population[i].genome, cfg.seed) for i in selected]
         n_dropped = 0
         for i, y in zip(selected, labels):
             ind = population[i]
@@ -349,7 +344,7 @@ class _SearchEngine:
     def run(self) -> SearchResult:
         cfg = self.cfg
         init = [
-            self.repair_fn(random_genome(self.ranges, self.rng, self.global_cfg))
+            self.repair_fn(random_genome(self.ranges, self.rng))
             for _ in range(cfg.population_size)
         ]
         population = self.evaluate(init, gen=0)
@@ -386,50 +381,41 @@ class _SearchEngine:
                 }
             )
 
-        hv_ref = default_hv_ref([snapshots])
-        for row, snap in zip(stats, snapshots):
-            row["hypervolume"] = float(hypervolume_2d(snap, hv_ref)) if len(snap) else 0.0
-        return SearchResult(
+        result = SearchResult(
             config=cfg,
             population=population,
             archive=archive,
             stats=stats,
             events=events,
             archive_snapshots=snapshots,
-            hv_ref=hv_ref,
-            n_evaluations=len(self.evaluated),
+            hv_ref=default_hv_ref([snapshots]),
             evaluated=self.evaluated,
         )
+        for row, hv in zip(stats, result.hv_curve(result.hv_ref)):
+            row["hypervolume"] = float(hv)
+        return result
 
 
 def run_search(
     config: SearchConfig,
     surrogate: EncoderSurrogate | None = None,
     corpus: LabeledCorpus | None = None,
-    ranges: SpaceRanges | None = None,
-    global_cfg: GlobalConfig | None = None,
-    oracle_fn: Callable[[ArchGenome], float] | None = None,
 ) -> SearchResult:
     """Run the full generation loop and return population, archive, stats,
     and the refinement-event log.  Deterministic given the config seed.
 
-    ``oracle_fn`` must be a pure function of the genome, as ``synth_oracle``
-    is: a run computes the label of each distinct genome once and reuses it
-    for every repeat of that genome."""
-    return _SearchEngine(config, surrogate, corpus, ranges, global_cfg, oracle_fn).run()
+    Labels come from ``synth_oracle`` seeded with the config seed, a pure
+    function of the genome, so a run computes the label of each distinct
+    genome once and reuses it for every repeat of that genome."""
+    return _SearchEngine(config, surrogate, corpus).run()
 
 
-ABLATION_RECIPES = ("nsga_iha", "random_iha", "nsga_gqa")
-
-
-def _recipe_config(base: SearchConfig, recipe: str, seed: int) -> SearchConfig:
-    if recipe == "nsga_iha":
-        return replace(base, seed=seed, variation="nsga", space="iha")
-    if recipe == "random_iha":
-        return replace(base, seed=seed, variation="random", space="iha")
-    if recipe == "nsga_gqa":
-        return replace(base, seed=seed, variation="nsga", space="gqa")
-    raise ValueError(f"unknown recipe {recipe!r}; choose from {ABLATION_RECIPES}")
+# recipe -> (variation, space)
+ABLATION_RECIPES = {
+    "nsga_iha": ("nsga", "iha"),
+    "random_iha": ("random", "iha"),
+    "nsga_gqa": ("nsga", "gqa"),
+}
 
 
 @dataclass
@@ -451,31 +437,21 @@ class AblationResult:
         return {name: float(np.median(arr[:, -1])) for name, arr in self.curves.items()}
 
 
-def ablation_suite(
-    base_config: SearchConfig,
-    seeds: Sequence[int],
-    recipes: Sequence[str] = ABLATION_RECIPES,
-    ranges: SpaceRanges | None = None,
-    global_cfg: GlobalConfig | None = None,
-    oracle_fn: Callable[[ArchGenome], float] | None = None,
-) -> AblationResult:
-    """Run each recipe over the given seeds and score every run's archive
-    trajectory against one shared hypervolume reference point."""
+def ablation_suite(base_config: SearchConfig, seeds: Sequence[int]) -> AblationResult:
+    """Run each recipe of ``ABLATION_RECIPES`` over the given seeds and score
+    every run's archive trajectory against one shared hypervolume reference
+    point."""
     if len(seeds) < 2:
         raise ValueError("ablation needs at least two seeds")
     if base_config.evaluator != "oracle":
         raise ValueError("ablation runs score candidates with the synthetic oracle")
-    results: dict[str, list[SearchResult]] = {}
-    for recipe in recipes:
-        results[recipe] = [
-            run_search(
-                _recipe_config(base_config, recipe, seed),
-                ranges=ranges,
-                global_cfg=global_cfg,
-                oracle_fn=oracle_fn,
-            )
+    results = {
+        recipe: [
+            run_search(replace(base_config, seed=seed, variation=variation, space=space))
             for seed in seeds
         ]
+        for recipe, (variation, space) in ABLATION_RECIPES.items()
+    }
     ref = default_hv_ref(
         [res.archive_snapshots for runs in results.values() for res in runs]
     )

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import _gelu, _gelu_grad
-from .features import FieldNormalizer, featurize_batch
+from .encoder import EncoderConfig, _gelu, _gelu_grad
+from .features import N_FIELDS, FieldNormalizer, featurize_batch
 from .training import LabeledCorpus, _fit
 
 
@@ -20,16 +20,15 @@ class MlpBaseline:
     dropout arguments are ignored, since the flattened input keeps padding
     rows as zeros and the MLP has no dropout."""
 
-    def __init__(self, params: dict[str, np.ndarray], normalizer: FieldNormalizer, max_layers: int, n_fields: int = 9):
+    def __init__(self, params: dict[str, np.ndarray], normalizer: FieldNormalizer, max_layers: int):
         self.params = params
         self.normalizer = normalizer
         self.max_layers = max_layers
-        self.n_fields = n_fields
 
     @classmethod
-    def init(cls, normalizer, max_layers: int, hidden: int = 128, n_fields: int = 9, rng=None):
+    def init(cls, normalizer, max_layers: int, hidden: int = 128, rng=None):
         rng = rng if rng is not None else np.random.default_rng(0)
-        d_in = max_layers * n_fields
+        d_in = max_layers * N_FIELDS
         params = {
             "w0": rng.normal(0.0, d_in ** -0.5, (d_in, hidden)),
             "b0": np.zeros(hidden),
@@ -38,7 +37,7 @@ class MlpBaseline:
             "w2": rng.normal(0.0, hidden ** -0.5, (hidden, 1)),
             "b2": np.zeros(1),
         }
-        return cls(params, normalizer, max_layers, n_fields)
+        return cls(params, normalizer, max_layers)
 
     def _forward(self, tokens: np.ndarray):
         p = self.params
@@ -85,10 +84,14 @@ def train_mlp(
     lr: float = 1e-4,
     seed: int = 100,
     hidden: int = 128,
-    max_layers: int = 40,
 ):
-    """``train``'s loop on an MLP; returns (model, history)."""
+    """``train``'s loop on an MLP; returns (model, history).
+
+    Genomes are padded to the default encoder's ``max_layers`` (40), and
+    the recipe arguments mean what they mean for ``train``, so an
+    encoder-vs-MLP comparison at equal arguments is matched."""
     rng = np.random.default_rng(seed)
     normalizer = FieldNormalizer.fit([corpus.genomes[i] for i in corpus.train_idx])
+    max_layers = EncoderConfig().max_layers
     model = MlpBaseline.init(normalizer, max_layers, hidden=hidden, rng=rng)
-    return _fit(model, corpus, max_layers, epochs, batch_size, lr, 0.0, rng)
+    return _fit(model, corpus, max_layers, epochs, batch_size, lr, rng)

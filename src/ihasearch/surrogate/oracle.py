@@ -10,34 +10,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..genome import ArchGenome, GlobalConfig, SpaceRanges, count_params, genome_hash64, random_genome
+from ..genome import ArchGenome, count_params, genome_hash64, random_genome
 
 
-def synth_oracle(genome: ArchGenome, noise_seed: int = 0, noise_sd: float = 0.02) -> float:
-    """4.2 - 0.30*ln(1 + P/1e6) + 0.5/sqrt(L_active) + 0.05*f_identity + noise."""
+def synth_oracle(genome: ArchGenome, noise_seed: int = 0) -> float:
+    """4.2 - 0.30*ln(1 + P/1e6) + 0.5/sqrt(L_active) + 0.05*f_identity + noise,
+    where the noise is one N(0, 0.02^2) draw seeded by the genome's 64-bit
+    hash and ``noise_seed``."""
     p = count_params(genome, vocab_size=0)
     active = genome.active_layers()
     if not active:
         raise ValueError("genome has no active layers")
     f_id = sum(g.attn == 0 for g in active) / len(active)
     y = 4.2 - 0.30 * np.log1p(p / 1e6) + 0.5 / np.sqrt(len(active)) + 0.05 * f_id
-    if noise_sd > 0:
-        rng = np.random.default_rng(np.random.SeedSequence([genome_hash64(genome), noise_seed]))
-        y += rng.normal(0.0, noise_sd)
+    rng = np.random.default_rng(np.random.SeedSequence([genome_hash64(genome), noise_seed]))
+    y += rng.normal(0.0, 0.02)
     return float(y)
 
 
-def make_synthetic_corpus(
-    n: int,
-    seed: int = 0,
-    ranges: SpaceRanges | None = None,
-    global_cfg: GlobalConfig | None = None,
-    noise_seed: int | None = None,
-    noise_sd: float = 0.02,
-):
-    """n random genomes with oracle labels. Returns (genomes, labels)."""
+def make_synthetic_corpus(n: int, seed: int = 0):
+    """n random genomes of the default search space and global config, drawn
+    from a generator seeded with ``seed``, each labelled by ``synth_oracle``
+    with ``seed`` as its noise seed.  Returns (genomes, labels)."""
     rng = np.random.default_rng(seed)
-    noise_seed = seed if noise_seed is None else noise_seed
-    genomes = [random_genome(ranges, rng, global_cfg) for _ in range(n)]
-    labels = np.array([synth_oracle(g, noise_seed=noise_seed, noise_sd=noise_sd) for g in genomes])
+    genomes = [random_genome(rng=rng) for _ in range(n)]
+    labels = np.array([synth_oracle(g, seed) for g in genomes])
     return genomes, labels

@@ -91,12 +91,9 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
 ) -> None:
-    """In-place Adam update with decoupled weight decay."""
-    b1, b2 = betas
+    """In-place Adam update (Kingma & Ba 2015), betas (0.9, 0.999), eps 1e-8."""
+    b1, b2 = 0.9, 0.999
     state.t += 1
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
@@ -106,9 +103,7 @@ def adam_step(
         state.v[k] = b2 * state.v[k] + (1.0 - b2) * g * g
         mhat = state.m[k] / bc1
         vhat = state.v[k] / bc2
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
-        if weight_decay:
-            p -= lr * weight_decay * p
+        p -= lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 # --- training ------------------------------------------------------------------
@@ -135,7 +130,6 @@ def train(
     epochs: int = 200,
     batch_size: int = 32,
     lr: float = 1e-4,
-    weight_decay: float = 0.0,
     seed: int = 100,
 ):
     """Train a fresh encoder on the corpus; returns (surrogate, history).
@@ -148,11 +142,11 @@ def train(
     rng = np.random.default_rng(seed)
     model = EncoderSurrogate(config, init_params(config, rng))
     model.normalizer = FieldNormalizer.fit([corpus.genomes[i] for i in corpus.train_idx])
-    return _fit(model, corpus, config.max_layers, epochs, batch_size, lr, weight_decay, rng)
+    return _fit(model, corpus, config.max_layers, epochs, batch_size, lr, rng)
 
 
 def _fit(model, corpus: LabeledCorpus, max_layers: int, epochs: int, batch_size: int,
-         lr: float, weight_decay: float, rng: np.random.Generator):
+         lr: float, rng: np.random.Generator):
     """The loop of ``train`` and ``train_mlp``: shuffled minibatch Adam on
     the train split, keeping the best epoch's parameters.  ``model`` needs a
     fitted normalizer, ``predict(tokens, mask)`` and
@@ -173,7 +167,7 @@ def _fit(model, corpus: LabeledCorpus, max_layers: int, epochs: int, batch_size:
         for start in range(0, len(order), batch_size):
             idx = order[start : start + batch_size]
             _, grads = model.loss_and_grads(toks[idx], masks[idx], labels[idx], train=True, rng=rng)
-            adam_step(model.params, grads, state, lr, weight_decay=weight_decay)
+            adam_step(model.params, grads, state, lr)
         history.train_l1.append(_eval_l1(model, toks, masks, labels, corpus.train_idx))
         history.test_l1.append(_eval_l1(model, toks, masks, labels, corpus.test_idx))
         score = getattr(history, watch)[-1]
@@ -204,16 +198,14 @@ def fine_tune(
     buffer_labels,
     corpus: LabeledCorpus,
     replay_ratio: float = 5.0,
-    epochs: int = 10,
-    batch_size: int = 32,
-    lr: float = 1e-4,
     seed: int = 0,
 ) -> EncoderSurrogate:
     """Refresh a copy of the frozen baseline on real-trained buffer rows.
 
-    Every batch interleaves freshly drawn corpus rows with buffer rows at the
-    replay ratio; the baseline object itself is never touched.  Non-finite
-    buffer labels are dropped first.
+    The recipe is fixed: 10 epochs over the buffer, batches of 32 rows and
+    Adam at lr 1e-4.  Every batch interleaves freshly drawn corpus rows with buffer
+    rows at the replay ratio; the baseline object itself is never touched.
+    Non-finite buffer labels are dropped first.
     """
     buffer_labels = np.asarray(buffer_labels, dtype=float)
     ok = np.isfinite(buffer_labels)
@@ -231,10 +223,10 @@ def fine_tune(
     clabels = corpus.labels
     train_pool = corpus.train_idx if len(corpus.train_idx) else np.arange(len(corpus.genomes))
 
-    n_old, n_new = replay_counts(batch_size, replay_ratio)
+    n_old, n_new = replay_counts(32, replay_ratio)
     rng = np.random.default_rng(seed)
     state = AdamState.for_params(model.params)
-    for _ in range(epochs):
+    for _ in range(10):
         order = rng.permutation(len(buffer_genomes))
         steps = math.ceil(len(order) / n_new)
         for s in range(steps):
@@ -244,5 +236,5 @@ def fine_tune(
             masks = np.concatenate([cmasks[old_idx], bmasks[new_idx]])
             ys = np.concatenate([clabels[old_idx], buffer_labels[new_idx]])
             _, grads = model.loss_and_grads(toks, masks, ys, train=True, rng=rng)
-            adam_step(model.params, grads, state, lr)
+            adam_step(model.params, grads, state, 1e-4)
     return model

@@ -527,6 +527,18 @@ class TestSurrogateTrain:
                      "--out", str(tmp_path / "x")]) == 2
         assert "held-out split" in capsys.readouterr().err
 
+    def test_empty_train_split_exit2(self, tmp_path, capsys):
+        # 3 rows at --test-frac 0.9 hold every row out; training then
+        # failed inside numpy and exited 3
+        small = tmp_path / "small.jsonl"
+        genomes, labels = make_synthetic_corpus(3, seed=1)
+        save_corpus(str(small), genomes, labels)
+        out = tmp_path / "x"
+        assert main(["surrogate", "train", "--corpus", str(small), "--out", str(out),
+                     "--test-frac", "0.9"]) == 2
+        assert "train split is empty" in capsys.readouterr().err
+        assert not out.exists()  # so no manifest either
+
     def test_missing_corpus_exit2(self, tmp_path, capsys):
         assert main(["surrogate", "train", "--corpus", str(tmp_path / "no.jsonl"),
                      "--out", str(tmp_path / "x")]) == 2

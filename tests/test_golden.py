@@ -13,7 +13,9 @@ one, and one at the default ``EncoderConfig()`` size, whose checkpoint bytes
 are pinned too.
 
 The MLP baseline's training is pinned as well: one sha256 over its fitted
-parameters and its loss history, for three small corpora.
+parameters and its loss history, for three small corpora.  So is the
+ablation suite: one sha256 over its hypervolume curves, its shared
+reference point and every run's per-generation stats.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import json
 import pytest
 
 from ihasearch.cli import main
+from ihasearch.search import SearchConfig, ablation_suite
 from ihasearch.surrogate import (
     EncoderConfig,
     make_synthetic_corpus,
@@ -198,3 +201,23 @@ def test_mlp_baseline_hashes_pinned(case):
         digest.update(model.params[name].tobytes())
     digest.update(json.dumps([history.train_l1, history.test_l1, history.best_epoch]).encode())
     assert digest.hexdigest() == MLP_GOLDEN[case]
+
+
+ABLATION_GOLDEN = "6921d487b5714ee68dfc445a10a13a1d15d1db44fdc528878394735413446e1c"
+
+
+def test_ablation_suite_hash_pinned():
+    base = SearchConfig(
+        population_size=8, offspring_size=8, generations=5,
+        refine_every_generations=0, evaluator="oracle",
+        backend="analytic:gemmini", seed=0,
+    )
+    suite = ablation_suite(base, seeds=(0, 1))
+    digest = hashlib.sha256()
+    for name in sorted(suite.curves):
+        digest.update(name.encode())
+        digest.update(suite.curves[name].tobytes())
+    digest.update(json.dumps(suite.ref).encode())
+    digest.update(json.dumps([[res.stats for res in suite.results[name]]
+                              for name in sorted(suite.results)]).encode())
+    assert digest.hexdigest() == ABLATION_GOLDEN

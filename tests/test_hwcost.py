@@ -1,6 +1,7 @@
 """Layer profiling, substrate roofline, packing (vs exhaustive oracle), ring."""
 import dataclasses
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,6 +69,17 @@ class TestWorkload:
             Workload(0, 256)
         with pytest.raises(ValueError):
             Workload(256, 0)
+
+
+class TestLayerProfile:
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_every_entry_must_be_finite_and_non_negative(self, index, bad):
+        entries = [0, 0, 0.0, 0]
+        LayerProfile(*entries)
+        entries[index] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            LayerProfile(*entries)
 
 
 class TestProfileLayer:
@@ -366,6 +378,14 @@ class TestChipTemplate:
     def test_reference_area_is_one(self):
         chip = ChipTemplate(n_mac=16, w_core_kb=24, n_dxt=8, n_vac=16, max_ctx=512)
         assert chip.area == 1.0
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ChipTemplate)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0])
+    def test_every_field_must_be_finite_and_positive(self, name, bad):
+        # n_mac=nan gave a NaN throughput and clock_hz=-1.0 a negative one
+        base = dict(n_mac=16, w_core_kb=24, n_dxt=8, n_vac=16, max_ctx=512)
+        with pytest.raises(ValueError, match=f"must be finite and > 0: .*{name}={bad!r}"):
+            ChipTemplate(**dict(base, **{name: bad}))
 
     def test_build_chip_rejects_non_positive_core_memory(self):
         # the core-count doubling loop would never end

@@ -347,18 +347,25 @@ class TestCheckpoint:
             EncoderSurrogate.load(path)
 
 
+def oracle_noise(genome, noise_seed=0):
+    """The oracle's noise draw, recomputed from its documented seeding."""
+    rng = np.random.default_rng(np.random.SeedSequence([gn.genome_hash64(genome), noise_seed]))
+    return rng.normal(0.0, 0.02)
+
+
 class TestSynthOracle:
     def test_formula_without_noise(self):
         g = genome_with(1, n_h=9, n_kv=3, d_qk=64, d_v=96, d_mlp=1536)
         p = 3_833_856  # frozen in test_genome
         expect = 4.2 - 0.30 * math.log(1 + p / 1e6) + 0.5 / math.sqrt(1)
-        assert abs(synth_oracle(g, noise_sd=0.0) - expect) < 1e-12
+        assert abs(synth_oracle(g) - oracle_noise(g) - expect) < 1e-12
+        assert abs(synth_oracle(g, 7) - oracle_noise(g, 7) - expect) < 1e-12
 
     def test_identity_attention_penalty(self):
         with_attn = genome_with(4)
         without = genome_with(4, attn=0)
-        ya = synth_oracle(with_attn, noise_sd=0.0)
-        yb = synth_oracle(without, noise_sd=0.0)
+        ya = synth_oracle(with_attn) - oracle_noise(with_attn)
+        yb = synth_oracle(without) - oracle_noise(without)
         # attn=0 drops params (raises loss) and adds the identity penalty
         assert yb > ya
         p_b = gn.count_params(without, 0)

@@ -137,7 +137,7 @@ class TestReplayAndFineTune:
         base, _ = train(corpus, SMALL, epochs=3, seed=19)
         before = {k: v.copy() for k, v in base.params.items()}
         buf_g, buf_y = make_synthetic_corpus(6, seed=23)
-        tuned = fine_tune(base, buf_g, buf_y, corpus, epochs=3, lr=1e-3, seed=1)
+        tuned = fine_tune(base, buf_g, buf_y, corpus, seed=1)
         for k in before:
             np.testing.assert_array_equal(base.params[k], before[k])
         assert tuned is not base
@@ -149,7 +149,7 @@ class TestReplayAndFineTune:
         corpus = small_corpus()
         base, _ = train(corpus, SMALL, epochs=3, seed=29)
         buf_g, buf_y = make_synthetic_corpus(8, seed=31)
-        tuned = fine_tune(base, buf_g, buf_y, corpus, epochs=20, lr=3e-3, seed=2)
+        tuned = fine_tune(base, buf_g, buf_y, corpus, seed=2)
         before = np.mean(np.abs(base.predict_genomes(buf_g) - buf_y))
         after = np.mean(np.abs(tuned.predict_genomes(buf_g) - buf_y))
         assert after < before
@@ -160,17 +160,17 @@ class TestReplayAndFineTune:
         buf_g, buf_y = make_synthetic_corpus(4, seed=41)
         labels = buf_y.copy()
         labels[0] = np.nan
-        tuned = fine_tune(base, buf_g, labels, corpus, epochs=1, seed=3)
+        tuned = fine_tune(base, buf_g, labels, corpus, seed=3)
         assert tuned is not base
         with pytest.raises(ValueError):
-            fine_tune(base, buf_g, [np.nan] * 4, corpus, epochs=1, seed=3)
+            fine_tune(base, buf_g, [np.nan] * 4, corpus, seed=3)
 
     def test_fine_tune_restarts_from_baseline_not_previous_event(self):
         corpus = small_corpus()
         base, _ = train(corpus, SMALL, epochs=3, seed=43)
         buf_g, buf_y = make_synthetic_corpus(5, seed=47)
-        once = fine_tune(base, buf_g, buf_y, corpus, epochs=2, seed=4)
-        again = fine_tune(base, buf_g, buf_y, corpus, epochs=2, seed=4)
+        once = fine_tune(base, buf_g, buf_y, corpus, seed=4)
+        again = fine_tune(base, buf_g, buf_y, corpus, seed=4)
         for k in once.params:
             np.testing.assert_array_equal(once.params[k], again.params[k])
 
