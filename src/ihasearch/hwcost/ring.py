@@ -13,6 +13,8 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..genome import ArchGenome
 from ..metrics import crowding_distance, pareto_front
 from .packing import StageLimits, balanced_contiguous_pack, stage_totals
@@ -239,8 +241,9 @@ def chip_grid_search(
         results.append(RingResult(chip, plan, ring_simulate(plan, wl), cap))
     if not results:
         return [], n_feasible
-    front = pareto_front([r.objectives() for r in results])
-    crowd = crowding_distance([results[i].objectives() for i in front])
+    objs = np.array([r.objectives() for r in results], dtype=float)
+    front = pareto_front(objs)
+    crowd = crowding_distance(objs[front])
     ranked = sorted(range(len(front)), key=lambda j: (-crowd[j], j))
     return [results[front[j]] for j in ranked[:top_k]], n_feasible
 

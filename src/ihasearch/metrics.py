@@ -2,14 +2,19 @@
 
 All objectives are minimized.  Rank statistics treat lower values as better
 on both axes, so sign conventions match plain Kendall/Spearman on the raw
-vectors.  Feasibility-aware comparisons implement constraint domination:
-feasible beats infeasible, infeasible points are ordered by violation.
+vectors.
+
+The Pareto helpers take plain arrays: ``constraint_dominance_matrix`` takes
+values (n, m), feasibility (n,) and violation (n,) and implements constraint
+domination (feasible beats infeasible, infeasible points are ordered by
+violation); ``pareto_front`` takes an (n, m) array of feasible rows,
+``crowding_distance`` the (n, m) values of one front and ``hypervolume_2d``
+an (n, 2) array of points.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -84,37 +89,6 @@ def rank_report(pred, truth) -> dict[str, float]:
 
 # --- Pareto ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ObjectiveVector:
-    """Minimization objectives plus constraint status."""
-
-    values: tuple[float, ...]
-    feasible: bool = True
-    violation: float = 0.0
-
-
-def as_objective_vector(p) -> ObjectiveVector:
-    """Accept an ObjectiveVector or a plain value sequence (treated as
-    feasible)."""
-    if isinstance(p, ObjectiveVector):
-        return p
-    return ObjectiveVector(tuple(float(v) for v in p))
-
-
-def objective_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values (n, m), feasibility (n,) and violation (n,) of a point list;
-    points are anything ``as_objective_vector`` accepts."""
-    vecs = [as_objective_vector(p) for p in points]
-    dims = {len(v.values) for v in vecs}
-    if len(dims) > 1:
-        raise ValueError("points must share one dimensionality")
-    m = dims.pop() if dims else 0
-    values = np.array([v.values for v in vecs], dtype=float).reshape(len(vecs), m)
-    feasible = np.array([v.feasible for v in vecs], dtype=bool)
-    violation = np.array([v.violation for v in vecs], dtype=float)
-    return values, feasible, violation
-
-
 def constraint_dominance_matrix(
     values: np.ndarray, feasible: np.ndarray, violation: np.ndarray
 ) -> np.ndarray:
@@ -133,13 +107,15 @@ def constraint_dominance_matrix(
     return (fi & fj & le & lt) | (fi & ~fj) | (~fi & ~fj & lower_violation)
 
 
-def pareto_front(points) -> list[int]:
-    """Indices of constraint-non-dominated points, in input order.
+def pareto_front(values: np.ndarray) -> list[int]:
+    """Indices of the non-dominated rows of an (n, m) array of feasible
+    objective vectors, in input order.
 
     Duplicated objective vectors are mutually non-dominating, so all copies
     are kept.
     """
-    dom = constraint_dominance_matrix(*objective_arrays(points))
+    n = len(values)
+    dom = constraint_dominance_matrix(values, np.ones(n, dtype=bool), np.zeros(n))
     return np.flatnonzero(~dom.any(axis=0)).tolist()
 
 
@@ -172,20 +148,20 @@ def crowding_distance(values) -> np.ndarray:
     return dist
 
 
-def hypervolume_2d(points, ref) -> float:
-    """Dominated area between a 2-D front and a reference point (minimization).
+def hypervolume_2d(points: np.ndarray, ref) -> float:
+    """Dominated area between an (n, 2) array of points and a reference
+    point (minimization).
 
     Points that do not strictly dominate ref are excluded (a warning reports
     how many).  Duplicates and dominated members are harmless: the result is
     the area of the union of the boxes [f1, r1] x [f2, r2].
     """
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("hypervolume_2d needs an (n, 2) array of points")
     r1, r2 = float(ref[0]), float(ref[1])
     vals = []
     skipped = 0
-    for p in points:
-        v = as_objective_vector(p).values
-        if len(v) != 2:
-            raise ValueError("hypervolume_2d needs 2-D points")
+    for v in points.tolist():
         if v[0] < r1 and v[1] < r2:
             vals.append(v)
         else:

@@ -18,7 +18,7 @@ from ..genome import (
 )
 from ..hwcost import RingResult, Workload, load_substrate, ring_cost, substrate_cost
 from ..hwcost.profiles import HWCost
-from ..metrics import ObjectiveVector, hypervolume_2d, pareto_front
+from ..metrics import constraint_dominance_matrix, hypervolume_2d, pareto_front
 from ..surrogate import EncoderSurrogate, LabeledCorpus, fine_tune, synth_oracle
 from .config import SearchConfig
 from .nsga import fast_nondominated_sort, nsga_survival, rank_and_crowd
@@ -44,8 +44,15 @@ class Individual:
     def objectives(self) -> tuple[float, float, float, float]:
         return (self.val_loss, self.e_tok_j, self.ttft_s, self.tpot_s)
 
-    def objective_vector(self) -> ObjectiveVector:
-        return ObjectiveVector(self.objectives, self.feasible, self.violation)
+
+def objective_arrays(pop: Sequence[Individual]) -> tuple[np.ndarray, np.ndarray]:
+    """A population's objective values (n, 4) and its (n, n)
+    constraint-dominance matrix, the one form in which selection sees
+    objectives, feasibility and violation."""
+    values = np.array([ind.objectives for ind in pop], dtype=float)
+    feasible = np.array([ind.feasible for ind in pop], dtype=bool)
+    violation = np.array([ind.violation for ind in pop], dtype=float)
+    return values, constraint_dominance_matrix(values, feasible, violation)
 
 
 class ParetoArchive:
@@ -70,7 +77,7 @@ class ParetoArchive:
         if not fresh:
             return
         combined = self._members + fresh
-        keep = pareto_front([ObjectiveVector(ind.objectives) for ind in combined])
+        keep = pareto_front(np.array([ind.objectives for ind in combined], dtype=float))
         self._members = [combined[i] for i in sorted(keep)]
 
     @property
@@ -120,7 +127,7 @@ class SearchResult:
     def hv_curve(self, ref: tuple[float, float]) -> np.ndarray:
         """Archive hypervolume in (val_loss, model size) per generation."""
         return np.array(
-            [hypervolume_2d(snap, ref) if len(snap) else 0.0 for snap in self.archive_snapshots]
+            [hypervolume_2d(snap, ref) for snap in self.archive_snapshots]
         )
 
 
@@ -172,7 +179,7 @@ def acquisition_select(
     rest (exploration).  Draws one MC-dropout seed from ``rng``."""
     genomes = [ind.genome for ind in pop]
     mu, sigma = surrogate.mc_predict_genomes(genomes, n_mc=n_mc, seed=int(rng.integers(2**31)))
-    first = fast_nondominated_sort([ind.objective_vector() for ind in pop])[0]
+    first = fast_nondominated_sort(objective_arrays(pop)[1])[0]
     return acquisition_indices(len(pop), first, mu, sigma, b)
 
 
@@ -284,9 +291,9 @@ class _SearchEngine:
         if cfg.variation == "random":
             raw = [random_genome(self.ranges, self.rng) for _ in range(cfg.offspring_size)]
             return [self.repair_fn(g) for g in raw]
-        vectors = [ind.objective_vector() for ind in population]
-        crowd, _ = rank_and_crowd(vectors)
-        pool_idx = tournament_select(vectors, crowd, self.rng, cfg.population_size)
+        values, dom = objective_arrays(population)
+        crowd, _ = rank_and_crowd(values, dom)
+        pool_idx = tournament_select(dom, crowd, self.rng, cfg.population_size)
         pool = [population[i] for i in pool_idx]
         offspring = []
         while len(offspring) < cfg.offspring_size:
@@ -358,7 +365,7 @@ class _SearchEngine:
             offspring = self.breed(population)
             evaluated = self.evaluate(offspring, gen=t + 1)
             combined = population + evaluated
-            keep = nsga_survival([ind.objective_vector() for ind in combined], cfg.population_size)
+            keep = nsga_survival(*objective_arrays(combined), cfg.population_size)
             population = [combined[i] for i in keep]
             archive.update(combined)
             if (

@@ -13,33 +13,30 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..genome import NUMERIC_FIELDS, ArchGenome, LayerGene, SpaceRanges, repair, snap_n_kv
-from ..metrics import constraint_dominance_matrix, objective_arrays
 from .config import MutationRates
 
 RepairFn = Callable[[ArchGenome], ArchGenome]
 
 
 def tournament_select(
-    vectors: Sequence,
+    dom: np.ndarray,
     crowding: Sequence[float],
     rng: np.random.Generator,
-    n_winners: int | None = None,
+    n_winners: int,
 ) -> list[int]:
     """Binary constrained tournaments; returns indices of the winners.
 
     Each tournament draws two contestants uniformly with replacement.  The
-    constraint-dominating contestant wins; mutual non-domination falls back
+    contestant that constraint-dominates the other (``dom[i, j]``, the
+    population's dominance matrix) wins; mutual non-domination falls back
     to larger crowding distance, and an exact crowding tie goes to the first
     contestant drawn.
     """
-    n = len(vectors)
+    n = len(dom)
     if n == 0:
         raise ValueError("cannot select from an empty population")
     if len(crowding) != n:
         raise ValueError("crowding must have one entry per individual")
-    if n_winners is None:
-        n_winners = n
-    dom = constraint_dominance_matrix(*objective_arrays(vectors))
     winners = []
     for _ in range(n_winners):
         i = int(rng.integers(n))
@@ -59,7 +56,7 @@ def crossover(
     p1: ArchGenome,
     p2: ArchGenome,
     rng: np.random.Generator,
-    repair_fn: RepairFn | None = None,
+    repair_fn: RepairFn,
 ) -> ArchGenome:
     """Single-point layer-stack crossover at a uniform cut in [1, L-1].
 
@@ -74,15 +71,15 @@ def crossover(
     else:
         u = int(rng.integers(1, n))
         child = ArchGenome(p1.global_cfg, p1.layers[:u] + p2.layers[u:])
-    return (repair_fn or repair)(child)
+    return repair_fn(child)
 
 
 def mutate(
     genome: ArchGenome,
     rng: np.random.Generator,
-    rates: MutationRates | None = None,
-    ranges: SpaceRanges | None = None,
-    repair_fn: RepairFn | None = None,
+    rates: MutationRates,
+    ranges: SpaceRanges,
+    repair_fn: RepairFn,
 ) -> ArchGenome:
     """Apply the four mutation operators in a fixed order, then repair.
 
@@ -96,8 +93,6 @@ def mutate(
     perturbation  move one numeric field of one active layer by one grid
                   step in a uniform direction, clamped at the range edges
     """
-    rates = rates or MutationRates()
-    ranges = ranges or SpaceRanges()
     layers = list(genome.layers)
     n = len(layers)
 
@@ -135,7 +130,7 @@ def mutate(
             layers[slot] = replace(layers[slot], **{name: value})
 
     child = ArchGenome(genome.global_cfg, tuple(layers))
-    return (repair_fn or repair)(child)
+    return repair_fn(child)
 
 
 def gqa_allowed_heads(d_model: int, ranges: SpaceRanges | None = None) -> list[int]:

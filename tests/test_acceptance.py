@@ -35,6 +35,7 @@ from oracles import (
 )
 from test_attention import gqa_replicated_oracle, mha_oracle
 from test_gradients import fd_check
+from test_search import feasible_arrays
 
 from ihasearch import genome as gn
 from ihasearch.attention import iha_forward, random_weights
@@ -172,7 +173,7 @@ class TestCriterion5NsgaCorrectness:
             m = int(rng.integers(2, 5))
             # integer grid forces duplicates and ties
             pts = [tuple(float(v) for v in rng.integers(0, 6, size=m)) for _ in range(n)]
-            got = fast_nondominated_sort(pts)
+            got = fast_nondominated_sort(feasible_arrays(pts)[1])
             want = brute_nondominated_sort(pts)
             assert [sorted(f) for f in got] == [sorted(f) for f in want], trial
 
@@ -343,8 +344,9 @@ class TestCriterion10ChipGridContract:
         Pareto front by descending crowding distance, ties to the earlier."""
         if not results:
             return []
-        front = pareto_front([r.objectives() for r in results])
-        crowd = crowding_distance([results[i].objectives() for i in front])
+        objs = np.array([r.objectives() for r in results])
+        front = pareto_front(objs)
+        crowd = crowding_distance(objs[front])
         ranked = sorted(range(len(front)), key=lambda j: (-crowd[j], j))
         return [results[front[j]] for j in ranked[:top_k]]
 

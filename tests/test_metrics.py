@@ -1,8 +1,11 @@
 """Rank metrics and Pareto utilities vs brute-force oracles."""
+import warnings
+
 import numpy as np
 import pytest
 
 from ihasearch import metrics as mx
+from ihasearch.search.nsga import fast_nondominated_sort
 
 from oracles import (
     brute_hypervolume_2d,
@@ -12,6 +15,7 @@ from oracles import (
     brute_pareto_front,
     brute_spearman_rho,
 )
+from test_search import constrained_arrays
 
 
 def random_vector_pairs(rng, n_draws=60):
@@ -107,40 +111,32 @@ class TestReports:
 class TestPareto:
     def test_simple_front(self):
         pts = [(1.0, 2.0), (2.0, 1.0), (2.0, 2.0), (0.5, 3.0)]
-        assert mx.pareto_front(pts) == [0, 1, 3]
+        assert mx.pareto_front(np.array(pts)) == [0, 1, 3]
 
     def test_matches_brute_force_4d(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             pts = [tuple(rng.normal(size=4)) for _ in range(50)]
-            assert mx.pareto_front(pts) == sorted(brute_pareto_front(pts))
+            assert mx.pareto_front(np.array(pts)) == sorted(brute_pareto_front(pts))
 
     def test_duplicates_both_kept(self):
         pts = [(1.0, 1.0), (1.0, 1.0), (2.0, 2.0)]
-        assert mx.pareto_front(pts) == [0, 1]
+        assert mx.pareto_front(np.array(pts)) == [0, 1]
 
     def test_feasible_shields_infeasible(self):
-        pts = [
-            mx.ObjectiveVector((5.0, 5.0), feasible=True),
-            mx.ObjectiveVector((0.0, 0.0), feasible=False, violation=1.0),
-        ]
-        assert mx.pareto_front(pts) == [0]
+        _, dom = constrained_arrays([((5.0, 5.0), True, 0.0), ((0.0, 0.0), False, 1.0)])
+        assert fast_nondominated_sort(dom)[0] == [0]
 
     def test_all_infeasible_min_violation_wins(self):
-        pts = [
-            mx.ObjectiveVector((1.0, 1.0), feasible=False, violation=2.0),
-            mx.ObjectiveVector((9.0, 9.0), feasible=False, violation=0.5),
-        ]
-        assert mx.pareto_front(pts) == [1]
+        _, dom = constrained_arrays([((1.0, 1.0), False, 2.0), ((9.0, 9.0), False, 0.5)])
+        assert fast_nondominated_sort(dom)[0] == [1]
 
     def test_constrained_dominates_rules(self):
-        feas = mx.ObjectiveVector((2.0, 2.0))
-        infeas = mx.ObjectiveVector((0.0, 0.0), feasible=False, violation=3.0)
-        worse_infeas = mx.ObjectiveVector((0.0, 0.0), feasible=False, violation=4.0)
-        other = mx.ObjectiveVector((1.0, 3.0))
-        dom = mx.constraint_dominance_matrix(
-            *mx.objective_arrays([feas, infeas, worse_infeas, other])
-        )
+        feas = ((2.0, 2.0), True, 0.0)
+        infeas = ((0.0, 0.0), False, 3.0)
+        worse_infeas = ((0.0, 0.0), False, 4.0)
+        other = ((1.0, 3.0), True, 0.0)
+        _, dom = constrained_arrays([feas, infeas, worse_infeas, other])
         assert dom[0, 1] and not dom[1, 0]  # feasible beats infeasible
         assert dom[1, 2] and not dom[2, 1]  # lower violation wins
         assert not dom[0, 3] and not dom[3, 0]  # feasible, mutually non-dominated
@@ -149,31 +145,36 @@ class TestPareto:
 
 class TestHypervolume:
     def test_frozen_examples(self):
-        assert abs(mx.hypervolume_2d([(1.0, 2.0), (2.0, 1.0)], (3.0, 3.0)) - 3.0) < 1e-12
-        assert abs(mx.hypervolume_2d([(1.0, 1.0)], (2.0, 2.0)) - 1.0) < 1e-12
+        assert abs(mx.hypervolume_2d(np.array([(1.0, 2.0), (2.0, 1.0)]), (3.0, 3.0)) - 3.0) < 1e-12
+        assert abs(mx.hypervolume_2d(np.array([(1.0, 1.0)]), (2.0, 2.0)) - 1.0) < 1e-12
 
     def test_matches_inclusion_exclusion(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             n = int(rng.integers(1, 11))
             pts = [tuple(rng.uniform(0, 1, 2)) for _ in range(n)]
-            ours = mx.hypervolume_2d(pts, (1.0, 1.0))
+            ours = mx.hypervolume_2d(np.array(pts), (1.0, 1.0))
             assert abs(ours - brute_hypervolume_2d(pts, (1.0, 1.0))) < 1e-10
 
     def test_adding_point_never_decreases(self):
         rng = np.random.default_rng(8)
         pts = [tuple(rng.uniform(0, 1, 2)) for _ in range(6)]
-        base = mx.hypervolume_2d(pts, (1.0, 1.0))
-        more = mx.hypervolume_2d(pts + [tuple(rng.uniform(0, 1, 2))], (1.0, 1.0))
+        base = mx.hypervolume_2d(np.array(pts), (1.0, 1.0))
+        more = mx.hypervolume_2d(np.array(pts + [tuple(rng.uniform(0, 1, 2))]), (1.0, 1.0))
         assert more >= base - 1e-15
 
     def test_non_dominating_point_excluded_with_warning(self):
         with pytest.warns(UserWarning, match="excluded 1"):
-            hv = mx.hypervolume_2d([(1.0, 1.0), (5.0, 0.5)], (3.0, 3.0))
+            hv = mx.hypervolume_2d(np.array([(1.0, 1.0), (5.0, 0.5)]), (3.0, 3.0))
         assert abs(hv - 4.0) < 1e-12
 
     def test_dominated_and_duplicate_points_are_harmless(self):
         ref = (3.0, 3.0)
-        base = mx.hypervolume_2d([(1.0, 2.0), (2.0, 1.0)], ref)
-        padded = mx.hypervolume_2d([(1.0, 2.0), (2.0, 1.0), (2.5, 2.5), (1.0, 2.0)], ref)
+        base = mx.hypervolume_2d(np.array([(1.0, 2.0), (2.0, 1.0)]), ref)
+        padded = mx.hypervolume_2d(np.array([(1.0, 2.0), (2.0, 1.0), (2.5, 2.5), (1.0, 2.0)]), ref)
         assert abs(base - padded) < 1e-12
+
+    def test_empty_front_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mx.hypervolume_2d(np.zeros((0, 2)), (1.0, 1.0)) == 0.0

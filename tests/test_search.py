@@ -24,15 +24,10 @@ from ihasearch.genome import (
     SpaceRanges,
     genome_id,
     random_genome,
+    repair,
     validate,
 )
-from ihasearch.metrics import (
-    ObjectiveVector,
-    constraint_dominance_matrix,
-    crowding_distance,
-    objective_arrays,
-    pareto_front,
-)
+from ihasearch.metrics import constraint_dominance_matrix, crowding_distance, pareto_front
 from ihasearch.search import (
     MutationRates,
     SearchConfig,
@@ -56,12 +51,30 @@ from ihasearch.search.operators import gqa_allowed_heads
 from ihasearch.surrogate import EncoderConfig, make_synthetic_corpus, split_corpus, train
 
 
+RANGES = SpaceRanges()
+
+
 def gene(mask=1, attn=1, n_h=8, n_kv=2, d_qk=64, d_v=64, d_mlp=1024):
     return LayerGene(mask, attn, n_h, n_kv, d_qk, d_v, d_mlp)
 
 
 def stack(genes, d_model=768, block_size=1024):
     return ArchGenome(GlobalConfig(d_model, block_size, len(genes)), tuple(genes))
+
+
+def constrained_arrays(points):
+    """Values (n, m) and constraint-dominance matrix of (values, feasible,
+    violation) triples, the form the NSGA entry points take."""
+    m = len(points[0][0]) if points else 0
+    values = np.array([v for v, _, _ in points], dtype=float).reshape(len(points), m)
+    feasible = np.array([f for _, f, _ in points], dtype=bool)
+    violation = np.array([viol for _, _, viol in points], dtype=float)
+    return values, constraint_dominance_matrix(values, feasible, violation)
+
+
+def feasible_arrays(pts):
+    """``constrained_arrays`` of plain objective tuples, all feasible."""
+    return constrained_arrays([(p, True, 0.0) for p in pts])
 
 
 class ScriptedRng:
@@ -144,38 +157,35 @@ class TestSearchConfig:
 
 class TestTournament:
     def test_dominator_wins_head_to_head(self):
-        vecs = [ObjectiveVector((1.0, 1.0)), ObjectiveVector((2.0, 2.0))]
-        assert tournament_select(vecs, [0.0, 0.0], ScriptedRng(ints=[0, 1]), 1) == [0]
-        assert tournament_select(vecs, [0.0, 0.0], ScriptedRng(ints=[1, 0]), 1) == [0]
+        _, dom = feasible_arrays([(1.0, 1.0), (2.0, 2.0)])
+        assert tournament_select(dom, [0.0, 0.0], ScriptedRng(ints=[0, 1]), 1) == [0]
+        assert tournament_select(dom, [0.0, 0.0], ScriptedRng(ints=[1, 0]), 1) == [0]
         # sampling is with replacement, so the dominated one only ever wins
         # a self-match
         rng = np.random.default_rng(0)
-        winners = tournament_select(vecs, [0.0, 0.0], rng, 400)
+        winners = tournament_select(dom, [0.0, 0.0], rng, 400)
         assert winners.count(0) > winners.count(1) * 2
 
     def test_feasible_beats_infeasible(self):
-        vecs = [
-            ObjectiveVector((9.0, 9.0), feasible=True),
-            ObjectiveVector((1.0, 1.0), feasible=False, violation=0.5),
-        ]
-        assert tournament_select(vecs, [0.0, 0.0], ScriptedRng(ints=[0, 1]), 1) == [0]
-        assert tournament_select(vecs, [0.0, 0.0], ScriptedRng(ints=[1, 0]), 1) == [0]
+        _, dom = constrained_arrays([((9.0, 9.0), True, 0.0), ((1.0, 1.0), False, 0.5)])
+        assert tournament_select(dom, [0.0, 0.0], ScriptedRng(ints=[0, 1]), 1) == [0]
+        assert tournament_select(dom, [0.0, 0.0], ScriptedRng(ints=[1, 0]), 1) == [0]
 
     def test_crowding_breaks_ties(self):
-        vecs = [ObjectiveVector((1.0, 2.0)), ObjectiveVector((2.0, 1.0))]
-        assert tournament_select(vecs, [0.0, 5.0], ScriptedRng(ints=[0, 1]), 1) == [1]
-        assert tournament_select(vecs, [0.0, 5.0], ScriptedRng(ints=[1, 0]), 1) == [1]
+        _, dom = feasible_arrays([(1.0, 2.0), (2.0, 1.0)])
+        assert tournament_select(dom, [0.0, 5.0], ScriptedRng(ints=[0, 1]), 1) == [1]
+        assert tournament_select(dom, [0.0, 5.0], ScriptedRng(ints=[1, 0]), 1) == [1]
 
     def test_exact_tie_goes_to_first_drawn(self):
-        vecs = [ObjectiveVector((1.0, 2.0)), ObjectiveVector((2.0, 1.0))]
-        assert tournament_select(vecs, [1.0, 1.0], ScriptedRng(ints=[0, 1]), 1) == [0]
-        assert tournament_select(vecs, [1.0, 1.0], ScriptedRng(ints=[1, 0]), 1) == [1]
+        _, dom = feasible_arrays([(1.0, 2.0), (2.0, 1.0)])
+        assert tournament_select(dom, [1.0, 1.0], ScriptedRng(ints=[0, 1]), 1) == [0]
+        assert tournament_select(dom, [1.0, 1.0], ScriptedRng(ints=[1, 0]), 1) == [1]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            tournament_select([], [], np.random.default_rng(0))
+            tournament_select(feasible_arrays([])[1], [], np.random.default_rng(0), 1)
         with pytest.raises(ValueError):
-            tournament_select([ObjectiveVector((1.0,))], [], np.random.default_rng(0))
+            tournament_select(feasible_arrays([(1.0,)])[1], [], np.random.default_rng(0), 1)
 
 
 class TestCrossover:
@@ -185,7 +195,7 @@ class TestCrossover:
         p2 = stack([gene(d_qk=512) for _ in range(n)])
         cuts_seen = set()
         for seed in range(60):
-            child = crossover(p1, p2, np.random.default_rng(seed))
+            child = crossover(p1, p2, np.random.default_rng(seed), repair)
             widths = [l.d_qk for l in child.layers]
             u = widths.index(512)
             cuts_seen.add(u)
@@ -196,18 +206,18 @@ class TestCrossover:
     def test_scripted_cut(self):
         p1 = stack([gene(d_mlp=512)] * 4)
         p2 = stack([gene(d_mlp=4096)] * 4)
-        child = crossover(p1, p2, ScriptedRng(ints=[2]))
+        child = crossover(p1, p2, ScriptedRng(ints=[2]), repair)
         assert [l.d_mlp for l in child.layers] == [512, 512, 4096, 4096]
 
     def test_global_config_from_first_parent(self):
         p1 = stack([gene()] * 4, block_size=1024)
         p2 = stack([gene()] * 4, block_size=2048)
-        child = crossover(p1, p2, np.random.default_rng(0))
+        child = crossover(p1, p2, np.random.default_rng(0), repair)
         assert child.global_cfg == p1.global_cfg
 
     def test_mismatched_parents_rejected(self):
         with pytest.raises(ValueError):
-            crossover(stack([gene()] * 4), stack([gene()] * 5), np.random.default_rng(0))
+            crossover(stack([gene()] * 4), stack([gene()] * 5), np.random.default_rng(0), repair)
 
     def test_custom_repair_hook(self):
         p1 = stack([gene(n_h=5, n_kv=5, d_qk=96, d_v=96)] * 4)
@@ -221,35 +231,38 @@ class TestMutate:
     def test_zero_rates_identity(self):
         g = stack([gene(), gene(mask=0), gene(n_h=4, n_kv=4)])
         rates = MutationRates(0.0, 0.0, 0.0, 0.0)
-        assert mutate(g, np.random.default_rng(0), rates) == g
+        assert mutate(g, np.random.default_rng(0), rates, RANGES, repair) == g
 
     def test_deletion_flips_gate_both_ways(self):
         g = stack([gene(mask=1), gene(mask=0), gene(mask=1)])
         rates = MutationRates(1.0, 0.0, 0.0, 0.0)
-        off = mutate(g, ScriptedRng(ints=[1], rands=[0.0, 1.0, 1.0, 1.0]), rates)
+        off = mutate(g, ScriptedRng(ints=[1], rands=[0.0, 1.0, 1.0, 1.0]), rates, RANGES, repair)
         assert [l.mask for l in off.layers] == [1, 1, 1]
-        off = mutate(g, ScriptedRng(ints=[0], rands=[0.0, 1.0, 1.0, 1.0]), rates)
+        off = mutate(g, ScriptedRng(ints=[0], rands=[0.0, 1.0, 1.0, 1.0]), rates, RANGES, repair)
         assert [l.mask for l in off.layers] == [0, 0, 1]
 
     def test_deleting_last_active_layer_reactivates_slot_zero(self):
         g = stack([gene(mask=0), gene(mask=0), gene(mask=1, d_mlp=2048)])
         rates = MutationRates(1.0, 0.0, 0.0, 0.0)
-        off = mutate(g, ScriptedRng(ints=[2], rands=[0.0, 1.0, 1.0, 1.0]), rates)
+        off = mutate(g, ScriptedRng(ints=[2], rands=[0.0, 1.0, 1.0, 1.0]), rates, RANGES, repair)
         assert [l.mask for l in off.layers] == [1, 0, 0]
         assert not validate(off)
 
     def test_duplication_copies_earlier_onto_later(self):
         g = stack([gene(d_mlp=512), gene(d_mlp=1024), gene(d_mlp=4096)])
         rates = MutationRates(0.0, 1.0, 0.0, 0.0)
-        off = mutate(g, ScriptedRng(ints=[2, 0], rands=[1.0, 0.0, 1.0, 1.0]), rates)
+        off = mutate(g, ScriptedRng(ints=[2, 0], rands=[1.0, 0.0, 1.0, 1.0]),
+                     rates, RANGES, repair)
         assert [l.d_mlp for l in off.layers] == [512, 1024, 512]
-        same = mutate(g, ScriptedRng(ints=[1, 1], rands=[1.0, 0.0, 1.0, 1.0]), rates)
+        same = mutate(g, ScriptedRng(ints=[1, 1], rands=[1.0, 0.0, 1.0, 1.0]),
+                      rates, RANGES, repair)
         assert same == g
 
     def test_rotation_shifts_active_subsequence(self):
         g = stack([gene(d_mlp=512), gene(mask=0, d_mlp=768), gene(d_mlp=1024), gene(d_mlp=4096)])
         rates = MutationRates(0.0, 0.0, 1.0, 0.0)
-        off = mutate(g, ScriptedRng(ints=[1], rands=[1.0, 1.0, 0.0, 0.3, 1.0]), rates)
+        off = mutate(g, ScriptedRng(ints=[1], rands=[1.0, 1.0, 0.0, 0.3, 1.0]),
+                     rates, RANGES, repair)
         assert [l.d_mlp for l in off.layers] == [1024, 768, 4096, 512]
         assert [l.mask for l in off.layers] == [1, 0, 1, 1]
 
@@ -257,35 +270,39 @@ class TestMutate:
         g = stack([gene(d_mlp=512), gene(mask=0, d_mlp=768), gene(d_mlp=1024), gene(d_mlp=4096)])
         rates = MutationRates(0.0, 0.0, 1.0, 0.0)
         script = dict(ints=[], rands=[1.0, 1.0, 0.0, 0.9, 1.0])
-        once = mutate(g, ScriptedRng(**script), rates)
+        once = mutate(g, ScriptedRng(**script), rates, RANGES, repair)
         assert [l.d_mlp for l in once.layers] == [4096, 768, 1024, 512]
         assert [l.mask for l in once.layers] == [1, 0, 1, 1]
-        twice = mutate(once, ScriptedRng(**script), rates)
+        twice = mutate(once, ScriptedRng(**script), rates, RANGES, repair)
         assert twice == g
 
     def test_single_active_layer_rotation_is_noop(self):
         g = stack([gene(), gene(mask=0)])
         rates = MutationRates(0.0, 0.0, 1.0, 0.0)
-        assert mutate(g, ScriptedRng(rands=[1.0, 1.0, 0.0, 1.0]), rates) == g
+        assert mutate(g, ScriptedRng(rands=[1.0, 1.0, 0.0, 1.0]), rates, RANGES, repair) == g
 
     def test_perturbation_single_grid_step(self):
         g = stack([gene(d_qk=256)])
         rates = MutationRates(0.0, 0.0, 0.0, 1.0)
-        up = mutate(g, ScriptedRng(ints=[0, 2], rands=[1.0, 1.0, 1.0, 0.0, 0.0]), rates)
+        up = mutate(g, ScriptedRng(ints=[0, 2], rands=[1.0, 1.0, 1.0, 0.0, 0.0]),
+                    rates, RANGES, repair)
         assert up.layers[0].d_qk == 288
-        down = mutate(g, ScriptedRng(ints=[0, 2], rands=[1.0, 1.0, 1.0, 0.0, 0.9]), rates)
+        down = mutate(g, ScriptedRng(ints=[0, 2], rands=[1.0, 1.0, 1.0, 0.0, 0.9]),
+                      rates, RANGES, repair)
         assert down.layers[0].d_qk == 224
 
     def test_perturbation_clamps_at_grid_edge(self):
         g = stack([gene(d_qk=512)])
         rates = MutationRates(0.0, 0.0, 0.0, 1.0)
-        off = mutate(g, ScriptedRng(ints=[0, 2], rands=[1.0, 1.0, 1.0, 0.0, 0.0]), rates)
+        off = mutate(g, ScriptedRng(ints=[0, 2], rands=[1.0, 1.0, 1.0, 0.0, 0.0]),
+                     rates, RANGES, repair)
         assert off.layers[0].d_qk == 512
 
     def test_perturbed_head_counts_keep_divisor_rule(self):
         g = stack([gene(n_h=8, n_kv=8)])
         rates = MutationRates(0.0, 0.0, 0.0, 1.0)
-        off = mutate(g, ScriptedRng(ints=[0, 0], rands=[1.0, 1.0, 1.0, 0.0, 0.9]), rates)
+        off = mutate(g, ScriptedRng(ints=[0, 0], rands=[1.0, 1.0, 1.0, 0.0, 0.9]),
+                     rates, RANGES, repair)
         assert off.layers[0].n_h == 7 and off.layers[0].n_kv == 7
         assert not validate(off)
 
@@ -293,13 +310,13 @@ class TestMutate:
         rng = np.random.default_rng(11)
         for _ in range(300):
             g = random_genome(rng=rng)
-            off = mutate(g, rng)
+            off = mutate(g, rng, MutationRates(), RANGES, repair)
             assert not validate(off)
 
     def test_deterministic_given_seed(self):
         g = random_genome(rng=np.random.default_rng(4))
-        a = mutate(g, np.random.default_rng(55))
-        b = mutate(g, np.random.default_rng(55))
+        a = mutate(g, np.random.default_rng(55), MutationRates(), RANGES, repair)
+        b = mutate(g, np.random.default_rng(55), MutationRates(), RANGES, repair)
         assert a == b
 
 
@@ -338,23 +355,23 @@ class TestNondominatedSort:
         for _ in range(30):
             n = int(rng.integers(2, 30))
             pts = rng.integers(0, 6, size=(n, 4)).astype(float)
-            mine = fast_nondominated_sort([tuple(p) for p in pts])
+            mine = fast_nondominated_sort(feasible_arrays([tuple(p) for p in pts])[1])
             brute = brute_nondominated_sort([tuple(p) for p in pts])
             assert mine == brute
 
     def test_constrained_layering(self):
-        items = [
-            ObjectiveVector((1.0, 1.0), feasible=True),
-            ObjectiveVector((2.0, 2.0), feasible=True),
-            ObjectiveVector((0.0, 0.0), feasible=False, violation=0.7),
-            ObjectiveVector((0.0, 0.0), feasible=False, violation=0.2),
-            ObjectiveVector((9.0, 9.0), feasible=False, violation=0.2),
-        ]
-        assert fast_nondominated_sort(items) == [[0], [1], [3, 4], [2]]
+        _, dom = constrained_arrays([
+            ((1.0, 1.0), True, 0.0),
+            ((2.0, 2.0), True, 0.0),
+            ((0.0, 0.0), False, 0.7),
+            ((0.0, 0.0), False, 0.2),
+            ((9.0, 9.0), False, 0.2),
+        ])
+        assert fast_nondominated_sort(dom) == [[0], [1], [3, 4], [2]]
 
     def test_duplicates_share_a_front(self):
-        items = [(1.0, 2.0), (1.0, 2.0), (2.0, 3.0)]
-        assert fast_nondominated_sort(items) == [[0, 1], [2]]
+        _, dom = feasible_arrays([(1.0, 2.0), (1.0, 2.0), (2.0, 3.0)])
+        assert fast_nondominated_sort(dom) == [[0, 1], [2]]
 
 
 @st.composite
@@ -375,16 +392,19 @@ class TestConstrainedSortOracle:
     @given(constrained_points())
     @settings(max_examples=300, deadline=None)
     def test_fronts_match_literal_peel(self, points):
-        items = [ObjectiveVector(v, f, viol) for v, f, viol in points]
+        values, dom = constrained_arrays(points)
         brute = brute_constrained_sort(points)
-        assert fast_nondominated_sort(items) == brute
-        assert pareto_front(items) == (brute[0] if brute else [])
+        assert fast_nondominated_sort(dom) == brute
+        # pareto_front takes feasible rows; when there are any, they are the
+        # whole first front
+        feasible = [i for i, (_, f, _) in enumerate(points) if f]
+        front = [feasible[i] for i in pareto_front(values[feasible])]
+        assert front == (brute[0] if feasible else [])
 
     @given(constrained_points())
     @settings(max_examples=300, deadline=None)
     def test_dominance_matrix_matches_literal_rule(self, points):
-        items = [ObjectiveVector(v, f, viol) for v, f, viol in points]
-        dom = constraint_dominance_matrix(*objective_arrays(items))
+        _, dom = constrained_arrays(points)
         assert dom.shape == (len(points), len(points))
         for i, a in enumerate(points):
             for j, b in enumerate(points):
@@ -393,10 +413,10 @@ class TestConstrainedSortOracle:
     @given(constrained_points().filter(bool), st.data())
     @settings(max_examples=200, deadline=None)
     def test_tournament_matches_literal_rule(self, points, data):
-        items = [ObjectiveVector(v, f, viol) for v, f, viol in points]
-        n = len(items)
+        _, dom = constrained_arrays(points)
+        n = len(points)
         crowd = data.draw(st.lists(st.sampled_from([0.0, 1.0, math.inf]), min_size=n, max_size=n))
-        winners = tournament_select(items, crowd, np.random.default_rng(n), 2 * n)
+        winners = tournament_select(dom, crowd, np.random.default_rng(n), 2 * n)
         draws = np.random.default_rng(n)
         for w in winners:
             i, j = int(draws.integers(n)), int(draws.integers(n))
@@ -410,14 +430,14 @@ class TestConstrainedSortOracle:
     @given(constrained_points(), st.integers(0, 14))
     @settings(max_examples=300, deadline=None)
     def test_survival_matches_literal_fill(self, points, n_keep):
-        items = [ObjectiveVector(v, f, viol) for v, f, viol in points]
-        assert nsga_survival(items, n_keep) == brute_survival(points, n_keep)
+        values, dom = constrained_arrays(points)
+        assert nsga_survival(values, dom, n_keep) == brute_survival(points, n_keep)
 
 
 class TestSurvival:
     def test_single_front_keeps_most_spread(self):
         pts = [(0.0, 100.0), (1.0, 60.0), (2.0, 59.0), (3.0, 58.0), (100.0, 0.0)]
-        keep = nsga_survival(pts, 3)
+        keep = nsga_survival(*feasible_arrays(pts), 3)
         assert sorted(keep) == [0, 3, 4]
 
     def test_elitism_first_front_never_dropped(self):
@@ -427,28 +447,29 @@ class TestSurvival:
             pts = [tuple(map(float, rng.integers(0, 8, size=3))) for _ in range(n)]
             first = set(brute_pareto_front(pts))
             n_keep = max(len(first), n // 2)
-            kept = set(nsga_survival(pts, n_keep))
+            kept = set(nsga_survival(*feasible_arrays(pts), n_keep))
             assert first <= kept
 
     def test_infeasible_survive_only_when_feasible_scarce(self):
-        items = [
-            ObjectiveVector((1.0, 5.0)),
-            ObjectiveVector((5.0, 1.0)),
-            ObjectiveVector((3.0, 3.0)),
-            ObjectiveVector((0.0, 0.0), feasible=False, violation=2.0),
-            ObjectiveVector((0.0, 0.0), feasible=False, violation=1.0),
-        ]
-        assert sorted(nsga_survival(items, 3)) == [0, 1, 2]
-        assert sorted(nsga_survival(items, 4)) == [0, 1, 2, 4]
+        values, dom = constrained_arrays([
+            ((1.0, 5.0), True, 0.0),
+            ((5.0, 1.0), True, 0.0),
+            ((3.0, 3.0), True, 0.0),
+            ((0.0, 0.0), False, 2.0),
+            ((0.0, 0.0), False, 1.0),
+        ])
+        assert sorted(nsga_survival(values, dom, 3)) == [0, 1, 2]
+        assert sorted(nsga_survival(values, dom, 4)) == [0, 1, 2, 4]
 
     def test_keep_all_when_budget_covers(self):
         pts = [(1.0, 2.0), (2.0, 1.0)]
-        assert nsga_survival(pts, 5) == [0, 1]
+        assert nsga_survival(*feasible_arrays(pts), 5) == [0, 1]
 
     def test_truncation_order_matches_crowding(self):
         rng = np.random.default_rng(8)
         pts = [tuple(map(float, rng.random(2))) for _ in range(12)]
-        fronts = fast_nondominated_sort(pts)
+        values, dom = feasible_arrays(pts)
+        fronts = fast_nondominated_sort(dom)
         first = fronts[0]
         if len(first) > 2:
             vals = np.array([pts[i] for i in first])
@@ -457,7 +478,7 @@ class TestSurvival:
             expect = sorted(
                 sorted(first, key=lambda i: (-crowd[first.index(i)], i))[:n_keep]
             )
-            got = nsga_survival(pts, n_keep)
+            got = nsga_survival(values, dom, n_keep)
             assert all(i in first for i in got)
             assert sorted(got) == expect
 
@@ -802,6 +823,69 @@ class TestEvaluationMemo:
         assert seen == [ind.genome for ind in res.evaluated]
         assert set(backend.values()) == {1}
         assert set(backend) == {ind.genome for ind in res.evaluated}
+
+
+class TestDominanceMatrixBuilds:
+    """Each selection step builds its population's dominance matrix once:
+    breeding (shared by ranking and tournaments), survival and the archive
+    update, plus the first-front sort of each refinement event."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Builds per module that looks ``constraint_dominance_matrix`` up."""
+        import importlib
+
+        calls = collections.Counter()
+        for module in ("ihasearch.metrics", "ihasearch.search.engine",
+                       "ihasearch.search.nsga", "ihasearch.search.operators"):
+            owner = importlib.import_module(module)
+            original = getattr(owner, "constraint_dominance_matrix", None)
+            if original is None:
+                continue
+
+            def counted(*args, _module=module, _original=original):
+                calls[_module] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, "constraint_dominance_matrix", counted)
+        return calls
+
+    @staticmethod
+    def _config(**kw):
+        base = dict(population_size=6, offspring_size=6, generations=4,
+                    refine_every_generations=0, evaluator="oracle",
+                    backend="analytic:gemmini", val_loss_max=100.0, seed=4)
+        return SearchConfig(**{**base, **kw})
+
+    @staticmethod
+    def _check_archive_filters_every_generation(res):
+        """The archive builds a matrix only when it has fresh feasible
+        members: here every evaluation is feasible and every generation
+        breeds a genome not seen before."""
+        assert all(ind.feasible for ind in res.evaluated)
+        first_born = {}
+        for ind in res.evaluated:
+            first_born.setdefault(ind.gid, ind.born_gen)
+        assert set(first_born.values()) == set(range(res.config.generations + 1))
+
+    @pytest.mark.parametrize("variation, per_generation", [("nsga", 3), ("random", 2)])
+    def test_oracle(self, monkeypatch, variation, per_generation):
+        calls = self._count(monkeypatch)
+        res = run_search(self._config(variation=variation))
+        self._check_archive_filters_every_generation(res)
+        g = res.config.generations
+        assert calls == {"ihasearch.search.engine": (per_generation - 1) * g,
+                         "ihasearch.metrics": g}
+
+    def test_refinement_events(self, monkeypatch, tiny_surrogate):
+        model, corpus = tiny_surrogate
+        calls = self._count(monkeypatch)
+        cfg = self._config(generations=5, refine_every_generations=2, refine_batch_size=4,
+                           mc_dropout_passes=2, evaluator="surrogate")
+        res = run_search(cfg, surrogate=model, corpus=corpus)
+        self._check_archive_filters_every_generation(res)
+        assert len(res.events) == 2
+        assert calls == {"ihasearch.search.engine": 2 * 5 + 2, "ihasearch.metrics": 5}
 
 
 @pytest.fixture(scope="module")
