@@ -87,17 +87,19 @@ class LayerGene:
     Children share most genes with their parents, so a gene object caches
     what is a pure function of its seven fields and an explicit key: its
     hash, its ``_gene_on_space`` answer with the grids it was computed
-    for, and its ``hwcost.profiles.profile_model`` profile with the typed
-    ``(d_model, ctx_mean)`` key it was computed under.
+    for, its parameter count with the typed ``d_model`` it was counted at
+    (``param_count``), and its ``hwcost.profiles.profile_model`` profile
+    with the typed ``(d_model, ctx_mean)`` key it was computed under.
     The private slots are filled on first use and die with the object;
     they are not part of equality, pickling or copying.  The constructor
-    sets the three slots read first to None: reading an unset slot raises
+    sets the four slots read first to None: reading an unset slot raises
     AttributeError, which cost more than the cache saves on a gene that
     is checked only once or twice.
     """
 
     __slots__ = ("mask", "attn", "n_h", "n_kv", "d_qk", "d_v", "d_mlp",
-                 "_hash", "_grids", "_on_grids", "_profile_key", "_profile")
+                 "_hash", "_grids", "_on_grids", "_params_key", "_params",
+                 "_profile_key", "_profile")
 
     mask: int
     attn: int
@@ -119,6 +121,7 @@ class LayerGene:
         put(self, "d_mlp", d_mlp)
         put(self, "_hash", None)
         put(self, "_grids", None)
+        put(self, "_params_key", None)
         put(self, "_profile_key", None)
 
     def __hash__(self) -> int:
@@ -126,6 +129,16 @@ class LayerGene:
             # the value the generated dataclass hash returns
             object.__setattr__(self, "_hash", hash(self.__getstate__()))
         return self._hash
+
+    def param_count(self, d_model: int) -> int:
+        """``layer_param_count(self, d_model)``, kept on the gene with the
+        typed d_model it was counted at, so that 768 and 768.0 do not
+        share a count."""
+        key = (d_model, type(d_model))
+        if self._params_key != key:
+            object.__setattr__(self, "_params", layer_param_count(self, d_model))
+            object.__setattr__(self, "_params_key", key)
+        return self._params
 
     def __getstate__(self) -> tuple:
         return (self.mask, self.attn, self.n_h, self.n_kv, self.d_qk, self.d_v, self.d_mlp)
@@ -167,7 +180,7 @@ class ArchGenome:
     def _body_params(self) -> int:
         """Weight count of the active layers (``count_params`` at vocab_size=0)."""
         d = self.global_cfg.d_model
-        return sum(layer_param_count(g, d) for g in self.active_layers())
+        return sum(g.param_count(d) for g in self.active_layers())
 
     @functools.cached_property
     def _content_digests(self) -> tuple[str, int]:

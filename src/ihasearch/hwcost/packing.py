@@ -15,7 +15,16 @@ Both functions run one scan, ``_greedy_starts``, which returns each stage's
 first layer and stops once the stage count passes a cap.  The search's
 probes use it alone; the partition itself is built once, by
 greedy_contiguous_partition at the smallest feasible budget.
+
+The candidate budgets depend only on the layers' decode ops, not on the
+chip or the stage cap, and a ring grid search packs one genome onto every
+chip back to back.  So ``_candidate_budgets`` keeps its last answer in a
+one-entry ``functools.lru_cache``, keyed by the ops tuple and the type of
+each element, so that 10 and 10.0 never share an entry.  The key is the
+whole input by value and the entry is a tuple of at most L(L+1)/2 floats:
+it cannot return a stale answer, and no run can observe another through it.
 """
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -86,6 +95,18 @@ def greedy_contiguous_partition(
     return [list(range(a, b)) for a, b in zip(starts, ends)]
 
 
+@functools.lru_cache(maxsize=1)
+def _candidate_budgets(ops: tuple[float, ...], types: tuple[type, ...]) -> tuple[float, ...]:
+    """The distinct sums of contiguous runs of ops that are at least the
+    largest element, each added from the run's first element, ascending.
+    ``types`` is ``tuple(map(type, ops))``, which only keys the memo."""
+    floor = max(ops)
+    sums = set()
+    for start in range(len(ops)):
+        sums.update(accumulate(ops[start:]))
+    return tuple(sorted(b for b in sums if b >= floor))
+
+
 def balanced_contiguous_pack(
     profiles: list[LayerProfile],
     limits: StageLimits,
@@ -112,12 +133,8 @@ def balanced_contiguous_pack(
     for prof, (w, k, _) in zip(profiles, layers):
         if w > limits.weight_cap or k > limits.kv_cap or prof.act_bytes > limits.act_cap:
             return None
-    ops = [o for _, _, o in layers]
-    floor = max(ops)
-    sums = set()
-    for start in range(len(ops)):
-        sums.update(accumulate(ops[start:]))
-    budgets = sorted(b for b in sums if b >= floor)
+    ops = tuple(o for _, _, o in layers)
+    budgets = _candidate_budgets(ops, tuple(map(type, ops)))
     lo, hi = 0, len(budgets) - 1
     best = None
     while lo <= hi:

@@ -8,14 +8,16 @@ keeps each gene's last profile on the gene, keyed by what the profile
 depends on besides the gene: ``(d_model, ctx_mean)``, each with its type,
 so that 768 and 768.0 do not share a profile.  A gene reuses its profile
 while the key is equal and computes a new one otherwise; the cache dies with
-the gene object.  ``profile_layer`` itself caches nothing.  Every element is
-one byte (8-bit weights, KV cache and activations).
+the gene object.  ``profile_layer`` itself caches nothing; its weight count
+is the gene's cached ``LayerGene.param_count``, which the oracle's parameter
+count reads too.  Every element is one byte (8-bit weights, KV cache and
+activations).
 """
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..genome import ArchGenome, GlobalConfig, LayerGene, layer_param_count
+from ..genome import ArchGenome, GlobalConfig, LayerGene
 
 
 class HWCost(NamedTuple):
@@ -84,7 +86,7 @@ def profile_layer(
     if gene.mask != 1:
         raise ValueError("cannot profile an inactive layer")
     d = global_cfg.d_model
-    weights = layer_param_count(gene, d)
+    weights = gene.param_count(d)
     kv = gene.attn * gene.n_kv * (gene.d_qk + gene.d_v)
     ops = float(weights)
     if gene.attn == 1:

@@ -5,9 +5,13 @@ contiguous stages (one chip each) with weights held stationary; tokens hop
 around the ring once per decode step.  The co-search sweeps a 45-point chip
 grid, packs the model onto each feasible template, simulates the ring, and
 returns the top non-dominated (chip, plan) pairs on
-(TTFT, TPOT, energy/token, total area).  A chip's stage limits do not depend
-on its MAC count, so the model is packed once per distinct (stage limits,
-chip cap) pair: 15 packs for the 45-point default grid.
+(TTFT, TPOT, energy/token, total area).  One call does each piece of
+per-genome work once: a chip does not depend on the chip cap, so each
+distinct (n_mac, w_core_kb) chip is built once, and its stage limits do not
+depend on its MAC count, so the model is packed once per distinct (stage
+limits, chip cap) pair.  For the 45-point default grid that is 15 chips and
+15 packs per genome, and the packs share one candidate-budget list (see
+``packing``).
 """
 import csv
 import math
@@ -51,8 +55,8 @@ class ChipTemplate:
     hop_energy_j_per_byte: float = 1.0e-11
 
     def __post_init__(self):
-        # one expression of chained comparisons, which NaN also fails: about
-        # 7,000 chips are built per ring search
+        # one expression of chained comparisons, which NaN also fails: a
+        # default-grid search builds 15 chips per genome
         inf = math.inf
         if not (0 < self.n_mac < inf and 0 < self.w_core_kb < inf
                 and 0 < self.n_dxt < inf and 0 < self.n_vac < inf
@@ -160,21 +164,19 @@ def ring_simulate(plan: RingPlan, workload: Workload) -> HWCost:
     layer's MACs, its weight and KV reads from SRAM (weights stay resident,
     DRAM is idle during decode), and one ring traversal per token.
     """
-    chip = plan.chip
-    tau = [
-        sum(plan.profiles[i].decode_ops for i in stage) / chip.throughput
-        for stage in plan.partition
-    ]
+    chip, profiles = plan.chip, plan.profiles
+    throughput, ctx = chip.throughput, workload.ctx_mean
+    e_mac, e_sram = chip.e_mac_j, chip.e_sram_j_per_byte
+    tau = [sum(profiles[i].decode_ops for i in stage) / throughput for stage in plan.partition]
     tpot = max(tau) + chip.hop_latency_s
-    total_ops = sum(p.decode_ops for p in plan.profiles)
+    total_ops = sum(p.decode_ops for p in profiles)
     ttft = (
-        workload.prefill_tokens * total_ops / chip.throughput
+        workload.prefill_tokens * total_ops / throughput
         + (plan.n_chips - 1) * chip.hop_latency_s
     )
     e_tok = sum(
-        p.decode_ops * chip.e_mac_j
-        + (p.weight_bytes + p.kv_bytes_per_token * workload.ctx_mean) * chip.e_sram_j_per_byte
-        for p in plan.profiles
+        p.decode_ops * e_mac + (p.weight_bytes + p.kv_bytes_per_token * ctx) * e_sram
+        for p in profiles
     )
     e_tok += plan.n_chips * plan.hop_bytes * chip.hop_energy_j_per_byte
     return HWCost(e_tok, ttft, tpot)
@@ -212,13 +214,21 @@ def chip_grid_search(
     max_w = max(p.weight_bytes for p in profiles)
     results: list[RingResult] = []
     seen: set = set()
+    # a chip does not depend on the cap, so grid points that differ only in
+    # cap share one chip; the key is typed, so that 16 and 16.0 keep the
+    # chip each would build
+    chips: dict = {}
     # the stage limits do not depend on n_mac, so grid points that differ
     # only in n_mac share one pack
     packs: dict = {}
     n_feasible = 0
     for n_mac, w_core, cap in default_chip_grid() if grid is None else grid:
-        chip = build_chip(n_mac, w_core, max_w, wl.ctx_peak)
-        limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
+        chip_key = (n_mac, w_core, type(n_mac), type(w_core))
+        if chip_key not in chips:
+            chip = build_chip(n_mac, w_core, max_w, wl.ctx_peak)
+            limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
+            chips[chip_key] = chip, limits
+        chip, limits = chips[chip_key]
         if (limits, cap) not in packs:
             part = balanced_contiguous_pack(profiles, limits, cap)
             packs[limits, cap] = None if part is None else tuple(tuple(s) for s in part)
@@ -227,8 +237,10 @@ def chip_grid_search(
             continue
         n_feasible += 1
         # grid points whose cap was not binding realize the same (chip, plan)
-        # design; keep the first occurrence only
-        key = (chip, partition)
+        # design; keep the first occurrence only.  Within one call the chip
+        # is a function of (n_mac, w_core_kb) by value, so those two stand
+        # for it in the key
+        key = (n_mac, w_core, partition)
         if key in seen:
             continue
         seen.add(key)

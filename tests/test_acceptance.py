@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     bottleneck_ops,
@@ -59,6 +61,7 @@ from ihasearch.hwcost import (
     profile_model,
     ring_simulate,
 )
+from ihasearch.hwcost.ring import W_CORE_KB_CHOICES
 from ihasearch.metrics import (
     crowding_distance,
     k_at_x,
@@ -302,6 +305,33 @@ class TestCriterion9Determinism:
         assert (out1 / "generations.csv").read_bytes() == (out2 / "generations.csv").read_bytes()
 
 
+@st.composite
+def grid_search_cases(draw):
+    """A random genome, some cut to 1-3 active layers, one of three
+    workloads, and a grid: the default, a one-w_core_kb sub-grid, or a
+    CLI-style product of axis lists (``ihasearch pack --grid``) in which one
+    axis repeats a value, so that some grid points repeat."""
+    genome = gn.random_genome(rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    keep = draw(st.sampled_from([None, None, 1, 2, 3]))
+    if keep is not None:
+        genome = ArchGenome(genome.global_cfg, tuple(
+            dataclasses.replace(l, mask=int(j < keep)) for j, l in enumerate(genome.layers)))
+    workload = draw(st.sampled_from([Workload(512, 256), Workload(100, 33), Workload(1, 1)]))
+    kind = draw(st.sampled_from(["default", "one_w_core", "custom"]))
+    if kind == "default":
+        grid = None
+    elif kind == "one_w_core":
+        w_core = draw(st.sampled_from(W_CORE_KB_CHOICES))
+        grid = [t for t in default_chip_grid() if t[1] == w_core]
+    else:
+        axes = [draw(st.lists(st.sampled_from(values), min_size=1, max_size=3)) for values in (
+            (8, 16, 32, 64, 128), (12, 24, 48, 96, 192, 384, 768), (1, 2, 4, 8, 16, 32))]
+        axis = draw(st.integers(0, 2))
+        axes[axis].append(axes[axis][0])
+        grid = list(itertools.product(*axes))
+    return genome, workload, grid
+
+
 class TestCriterion10ChipGridContract:
     def test_grid_cardinality_and_axes(self):
         grid = default_chip_grid()
@@ -369,6 +399,18 @@ class TestCriterion10ChipGridContract:
                 picks, n_feasible = chip_grid_search(genome, workload, grid, top_k)
                 assert n_feasible == n_packed
                 assert picks == self._ranked_picks(candidates, top_k)
+
+    @given(grid_search_cases(), st.sampled_from([1, 3, 45]))
+    @settings(max_examples=120, deadline=None)
+    def test_grid_search_equals_literal_sweep(self, case, top_k):
+        """Building each chip once and packing once per distinct stage
+        limits and cap gives the picks, pick order and feasible count of
+        packing and simulating every grid point."""
+        genome, workload, grid = case
+        candidates, n_packed = self._all_grid_candidates(genome, workload, grid)
+        picks, n_feasible = chip_grid_search(genome, workload, grid, top_k)
+        assert n_feasible == n_packed
+        assert picks == self._ranked_picks(candidates, top_k)
 
     def test_top_k_mutually_nondominated_and_on_front(self):
         rng = np.random.default_rng(11)

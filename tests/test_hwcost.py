@@ -364,6 +364,46 @@ class TestCountOnlyPack:
         assert calls == [60]
 
 
+class TestBudgetMemo:
+    """The one-entry candidate-budget memo never changes a pack's answer:
+    every pack below equals the exhaustive search, whatever was packed
+    before it."""
+
+    @given(probe_cases(), probe_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_alternating_inputs(self, a, b):
+        for profiles, limits, _, n_max in (a, b, a):
+            assert balanced_contiguous_pack(profiles, limits, n_max) == exhaustive_balanced_pack(
+                profiles, limits, n_max)
+
+    @pytest.mark.parametrize("ops", [(10, 1), (5, 2**54 + 4, 3)], ids=["small", "beyond_2_53"])
+    @pytest.mark.parametrize("ints_first", [False, True], ids=["float_then_int", "int_then_float"])
+    def test_int_and_float_ops_never_share_budgets(self, ops, ints_first):
+        # every op is a float exactly, so the int and float tuples are
+        # equal; but the budget sums differ (5 + 2**54 + 4 rounds to
+        # 2.0**54 + 8.0 as a float), and with the float budgets the int
+        # layers would pack as [[0, 1], [2]] where the exhaustive answer at
+        # two stages is [[0], [1, 2]]
+        as_int = [prof(1, 0, o, 0) for o in ops]
+        as_float = [prof(1, 0, float(o), 0) for o in ops]
+        order = (as_int, as_float) if ints_first else (as_float, as_int)
+        for profiles in order:
+            for cap in (1, 2):
+                got = balanced_contiguous_pack(profiles, ROOMY, cap)
+                assert got is not None
+                assert got == exhaustive_balanced_pack(profiles, ROOMY, cap)
+
+    def test_after_an_infeasible_pack(self):
+        layers = [prof(10, 1, 30, 1), prof(10, 1, 20, 1), prof(10, 1, 40, 1)]
+        roomy = StageLimits(1000, 1000, 1000, 1.0)
+        # no stage cap fits (weight), then no budget fits (one stage of 10)
+        assert balanced_contiguous_pack(layers, StageLimits(5, 1000, 1000, 1.0), 3) is None
+        assert balanced_contiguous_pack(layers, StageLimits(15, 1000, 1000, 1.0), 2) is None
+        for cap in (1, 2, 3):
+            assert balanced_contiguous_pack(layers, roomy, cap) == exhaustive_balanced_pack(
+                layers, roomy, cap)
+
+
 class TestChipTemplate:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -506,8 +546,9 @@ class TestChipGridSearch:
         assert chosen == best_ring_pick(picks)
 
     def test_one_pack_per_distinct_stage_limits_and_cap(self, monkeypatch):
-        packs, greedy_calls = [], []
+        packs, greedy_calls, chips, sims = [], [], [], []
         pack, greedy = ring.balanced_contiguous_pack, packing.greedy_contiguous_partition
+        chip_of, simulate = ring.build_chip, ring.ring_simulate
 
         def counting_pack(*args):
             out = pack(*args)
@@ -517,13 +558,35 @@ class TestChipGridSearch:
         monkeypatch.setattr(ring, "balanced_contiguous_pack", counting_pack)
         monkeypatch.setattr(packing, "greedy_contiguous_partition",
                             lambda *a: greedy_calls.append(1) or greedy(*a))
+        monkeypatch.setattr(ring, "build_chip", lambda *a: chips.append(a[:2]) or chip_of(*a))
+        monkeypatch.setattr(ring, "ring_simulate",
+                            lambda plan, wl: sims.append((plan.chip, plan.partition))
+                            or simulate(plan, wl))
+        packing._candidate_budgets.cache_clear()
         g = gn.random_genome(rng=np.random.default_rng(1))
-        picks, n_feasible = chip_grid_search(g, Workload(512, 256))
+        wl = Workload(512, 256)
+        picks, n_feasible = chip_grid_search(g, wl)
         assert picks and n_feasible > 0
+        # one chip per (n_mac, w_core_kb), one pack per (stage limits, cap)
+        assert len(chips) == len(set(chips)) == 15
         assert len(packs) == 15
         # each pack that fits is shared by the 3 n_mac values
         assert n_feasible == 3 * sum(packs)
         assert len(greedy_calls) == sum(packs)
+        # the packs share one candidate-budget list
+        assert packing._candidate_budgets.cache_info().misses == 1
+        # one simulation per distinct (chip, plan) of the literal sweep
+        profiles = profile_model(g, wl)
+        max_w = max(p.weight_bytes for p in profiles)
+        designs = set()
+        for n_mac, w_core, cap in default_chip_grid():
+            chip = chip_of(n_mac, w_core, max_w, wl.ctx_peak)
+            limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
+            part = pack(profiles, limits, cap)
+            if part is not None:
+                designs.add((chip, tuple(tuple(s) for s in part)))
+        assert len(sims) == len(set(sims)) == len(designs)
+        assert set(sims) == designs
 
     def test_best_ring_pick_ties_go_to_the_earlier_pick(self):
         a, b, c = (

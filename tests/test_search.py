@@ -681,15 +681,17 @@ class TestEvaluationMemo:
     @staticmethod
     def _count_per_gene_object(monkeypatch):
         """Counters of the uncached per-gene work: profile_layer calls per
-        (gene object, d_model, context) and raw grid checks
-        per (gene object, grids object).  The counted genes are kept alive,
-        so no id is reused."""
+        (gene object, d_model, context), raw grid checks per (gene object,
+        grids object) and layer_param_count calls per (gene object, typed
+        d_model).  The counted genes are kept alive, so no id is reused."""
         import ihasearch.genome
         import ihasearch.hwcost.profiles
 
         profiles, grid_checks, seen = collections.Counter(), collections.Counter(), []
+        param_counts = collections.Counter()
         profile_layer = ihasearch.hwcost.profiles.profile_layer
         gene_on_grids = ihasearch.genome._gene_on_grids
+        layer_param_count = ihasearch.genome.layer_param_count
 
         def counted_profile(g, global_cfg, ctx_tokens):
             seen.append(g)
@@ -701,15 +703,25 @@ class TestEvaluationMemo:
             grid_checks[id(g), id(grids)] += 1
             return gene_on_grids(g, grids)
 
+        def counted_param_count(g, d_model):
+            seen.append(g)
+            param_counts[id(g), d_model, type(d_model)] += 1
+            return layer_param_count(g, d_model)
+
         monkeypatch.setattr(ihasearch.hwcost.profiles, "profile_layer", counted_profile)
         monkeypatch.setattr(ihasearch.genome, "_gene_on_grids", counted_grid_check)
-        return profiles, grid_checks
+        monkeypatch.setattr(ihasearch.genome, "layer_param_count", counted_param_count)
+        return profiles, grid_checks, param_counts
 
     @staticmethod
-    def _check_once_per_gene_object(res, profiles, grid_checks):
+    def _check_once_per_gene_object(res, profiles, grid_checks, param_counts):
         assert set(profiles.values()) == {1} and set(grid_checks.values()) == {1}
+        # the oracle's parameter count and the hardware profile share one
+        # count per gene
+        assert set(param_counts.values()) == {1}
         evaluated_active = {id(g) for ind in res.evaluated for g in ind.genome.active_layers()}
         assert {key[0] for key in profiles} <= evaluated_active
+        assert {key[0] for key in param_counts} == {key[0] for key in profiles}
         # children share gene objects with their parents, so fewer genes are
         # profiled than the distinct genomes have active layers
         active = sum(len(g.active_layers()) for g in {ind.genome for ind in res.evaluated})
