@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -88,18 +87,21 @@ class LayerGene:
     what is a pure function of its seven fields and an explicit key: its
     hash, its ``_gene_on_space`` answer with the grids it was computed
     for, its parameter count with the typed ``d_model`` it was counted at
-    (``param_count``), and its ``hwcost.profiles.profile_model`` profile
-    with the typed ``(d_model, ctx_mean)`` key it was computed under.
-    The private slots are filled on first use and die with the object;
-    they are not part of equality, pickling or copying.  The constructor
-    sets the four slots read first to None: reading an unset slot raises
-    AttributeError, which cost more than the cache saves on a gene that
-    is checked only once or twice.
+    (``param_count``), its ``to_json`` row (``_layer_json``), its
+    ``hwcost.profiles.profile_model`` profile with the typed
+    ``(d_model, ctx_mean)`` key it was computed under, and its
+    ``hwcost.substrate.substrate_cost`` roofline terms with the substrate
+    spec and profile objects they were computed from.  The private slots
+    are filled on first use and die with the object; they are not part of
+    equality, pickling or copying.  The constructor sets the six slots
+    read first to None: reading an unset slot raises AttributeError, which
+    cost more than the cache saves on a gene that is checked only once or
+    twice.
     """
 
     __slots__ = ("mask", "attn", "n_h", "n_kv", "d_qk", "d_v", "d_mlp",
                  "_hash", "_grids", "_on_grids", "_params_key", "_params",
-                 "_profile_key", "_profile")
+                 "_json", "_profile_key", "_profile", "_roofline")
 
     mask: int
     attn: int
@@ -122,7 +124,9 @@ class LayerGene:
         put(self, "_hash", None)
         put(self, "_grids", None)
         put(self, "_params_key", None)
+        put(self, "_json", None)
         put(self, "_profile_key", None)
+        put(self, "_roofline", None)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -467,13 +471,26 @@ _GLOBAL_JSON = '{"global":{"block_size":%d,"d_model":%d,"max_layers":%d},"layers
 _LAYER_JSON = '{"attn":%d,"d_mlp":%d,"d_qk":%d,"d_v":%d,"mask":%d,"n_h":%d,"n_kv":%d}'
 
 
+def _layer_json(gene: LayerGene) -> str:
+    """The gene's row of ``to_json``, kept on the gene: ``_LAYER_JSON``
+    filled with its fields, or "" when a field is not an exact int (a bool,
+    float or numpy int, which json.dumps writes differently or not at all)."""
+    row = (gene.attn, gene.d_mlp, gene.d_qk, gene.d_v, gene.mask, gene.n_h, gene.n_kv)
+    text = _LAYER_JSON % row if set(map(type, row)) == {int} else ""
+    object.__setattr__(gene, "_json", text)
+    return text
+
+
 def to_json(genome: ArchGenome) -> str:
-    """Canonical single-line JSON: sorted keys, compact separators."""
+    """Canonical single-line JSON: sorted keys, compact separators.  Built
+    from each gene's cached row when the genome's fields are all exact
+    ints; ``json.dumps`` otherwise."""
     g = genome.global_cfg
-    head = (g.block_size, g.d_model, g.max_layers)
-    rows = [(l.attn, l.d_mlp, l.d_qk, l.d_v, l.mask, l.n_h, l.n_kv) for l in genome.layers]
-    if set(map(type, itertools.chain(head, *rows))) == {int}:
-        return _GLOBAL_JSON % head + ",".join([_LAYER_JSON % row for row in rows]) + "]}"
+    if type(g.block_size) is int and type(g.d_model) is int and type(g.max_layers) is int:
+        rows = [l._json if l._json is not None else _layer_json(l) for l in genome.layers]
+        if all(rows):
+            head = _GLOBAL_JSON % (g.block_size, g.d_model, g.max_layers)
+            return head + ",".join(rows) + "]}"
     return json.dumps(to_dict(genome), sort_keys=True, separators=(",", ":"))
 
 

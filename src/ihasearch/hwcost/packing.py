@@ -63,7 +63,9 @@ def _greedy_starts(
     n_stages_max stages.  Activation bytes are not checked."""
     weight_cap, kv_cap = limits.weight_cap, limits.kv_cap
     starts = [0]
-    w = k = o = 0.0
+    # int 0, not 0.0: 0 + x == 0.0 + x for a float x, and int terms then
+    # add exactly beyond 2**53, as the single-layer tests below compare them
+    w = k = o = 0
     for i, (dw, dk, do) in enumerate(layers):
         if w + dw <= weight_cap and k + dk <= kv_cap and o + do <= ops_budget:
             w, k, o = w + dw, k + dk, o + do

@@ -8,10 +8,12 @@ keeps each gene's last profile on the gene, keyed by what the profile
 depends on besides the gene: ``(d_model, ctx_mean)``, each with its type,
 so that 768 and 768.0 do not share a profile.  A gene reuses its profile
 while the key is equal and computes a new one otherwise; the cache dies with
-the gene object.  ``profile_layer`` itself caches nothing; its weight count
-is the gene's cached ``LayerGene.param_count``, which the oracle's parameter
-count reads too.  Every element is one byte (8-bit weights, KV cache and
-activations).
+the gene object.  ``substrate_cost`` keys each gene's cached roofline terms
+by the identity of this profile object (``hwcost.substrate``), so a profile
+under a new key retires them too.  ``profile_layer`` itself caches nothing;
+its weight count is the gene's cached ``LayerGene.param_count``, which the
+oracle's parameter count reads too.  Every element is one byte (8-bit
+weights, KV cache and activations).
 """
 import math
 from dataclasses import dataclass

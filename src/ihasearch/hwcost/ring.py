@@ -194,7 +194,7 @@ def default_chip_grid() -> list[tuple[int, int, int]]:
 
 def chip_grid_search(
     genome: ArchGenome,
-    workload: Workload | None = None,
+    workload: Workload,
     grid: list[tuple[int, int, int]] | None = None,
     top_k: int = 3,
 ) -> tuple[list[RingResult], int]:
@@ -208,8 +208,7 @@ def chip_grid_search(
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    wl = workload or Workload()
-    profiles = profile_model(genome, wl)
+    profiles = profile_model(genome, workload)
     layer_profiles = tuple(profiles)
     max_w = max(p.weight_bytes for p in profiles)
     results: list[RingResult] = []
@@ -225,7 +224,7 @@ def chip_grid_search(
     for n_mac, w_core, cap in default_chip_grid() if grid is None else grid:
         chip_key = (n_mac, w_core, type(n_mac), type(w_core))
         if chip_key not in chips:
-            chip = build_chip(n_mac, w_core, max_w, wl.ctx_peak)
+            chip = build_chip(n_mac, w_core, max_w, workload.ctx_peak)
             limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
             chips[chip_key] = chip, limits
         chip, limits = chips[chip_key]
@@ -250,7 +249,7 @@ def chip_grid_search(
             profiles=layer_profiles,
             hop_bytes=genome.global_cfg.d_model,
         )
-        results.append(RingResult(chip, plan, ring_simulate(plan, wl), cap))
+        results.append(RingResult(chip, plan, ring_simulate(plan, workload), cap))
     if not results:
         return [], n_feasible
     objs = np.array([r.objectives() for r in results], dtype=float)
@@ -267,7 +266,7 @@ def best_ring_pick(picks: list[RingResult]) -> RingResult:
     return min(picks, key=lambda r: r.cost.e_tok_j * r.cost.ttft_s * r.cost.tpot_s)
 
 
-def ring_cost(genome: ArchGenome, workload: Workload | None = None) -> RingResult | None:
+def ring_cost(genome: ArchGenome, workload: Workload) -> RingResult | None:
     """Single-pick reduction of the grid search for use as a search backend:
     the ``best_ring_pick`` of the default grid's top 3 non-dominated
     (chip, plan) pairs, whose ``.cost`` is the cost; None when nothing fits.

@@ -6,6 +6,17 @@ max(compute, memory) roofline with dataflow-dependent traffic-reuse factors:
 weight-stationary keeps weights resident (tiny re-read factor, billed at SRAM
 energy), row-stationary reduces activation traffic, flexible takes both
 discounts.
+
+A search's children share most gene objects with their parents, so
+``substrate_cost`` keeps each active gene's roofline terms (decode time,
+energy and decode ops of its layer) on the gene, together with the spec and
+the ``LayerProfile`` objects they were computed from.  The profile is the
+gene's cached ``profile_model`` profile, which carries the typed
+``(d_model, ctx_mean)`` key, so the two identities pin every input of the
+terms; the entry holds both objects, so neither identity can be reused.  A
+gene reuses its terms while both are the same objects and computes new ones
+otherwise.  The terms are summed in layer order with the float operations of
+the uncached loop, so every output bit is kept.
 """
 import math
 import numbers
@@ -13,8 +24,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from ..genome import ArchGenome, parse_json
-from .profiles import HWCost, Workload, profile_model
+from ..genome import ArchGenome, LayerGene, parse_json
+from .profiles import HWCost, LayerProfile, Workload, profile_model
 
 DATAFLOWS = ("weight-stationary", "row-stationary", "flexible")
 
@@ -121,11 +132,33 @@ def load_substrate(name_or_path: str) -> SubstrateSpec:
     )
 
 
-def substrate_cost(
-    genome: ArchGenome,
-    spec: SubstrateSpec,
-    workload: Workload | None = None,
-) -> HWCost:
+def _layer_roofline(
+    gene: LayerGene, prof: LayerProfile, spec: SubstrateSpec, ctx_mean: float
+) -> tuple:
+    """``(spec, prof, decode time, energy, decode ops)`` of one active layer
+    with profile ``prof`` on ``spec``, kept on the gene (module docstring)."""
+    compute_rate = spec.mac_count * spec.clock_hz
+    e_weight = spec.e_sram_j_per_byte if spec.weights_resident else spec.e_dram_j_per_byte
+    w_traffic = prof.weight_bytes * spec.reuse_weight
+    kv_traffic = prof.kv_bytes_per_token * ctx_mean * spec.reuse_kv
+    act_traffic = prof.act_bytes * spec.reuse_act
+    traffic = w_traffic + kv_traffic + act_traffic
+    entry = (
+        spec,
+        prof,
+        max(prof.decode_ops / compute_rate, traffic / spec.dram_bw_bytes_per_s),
+        (
+            prof.decode_ops * spec.e_mac_j
+            + w_traffic * e_weight
+            + (kv_traffic + act_traffic) * spec.e_sram_j_per_byte
+        ),
+        prof.decode_ops,
+    )
+    object.__setattr__(gene, "_roofline", entry)
+    return entry
+
+
+def substrate_cost(genome: ArchGenome, spec: SubstrateSpec, workload: Workload) -> HWCost:
     """Roofline estimate of (energy/token, TTFT, TPOT) on one substrate.
 
     Per layer the decode step takes max(compute, memory) time: compute is
@@ -133,26 +166,19 @@ def substrate_cost(
     over DRAM bandwidth.  Prefill is modeled as prefill_tokens batched
     matmul passes at the compute-bound rate.  Energy charges every MAC plus
     every byte moved, with weight bytes billed at SRAM cost when the
-    dataflow keeps them resident.
+    dataflow keeps them resident.  Each layer's terms come from its gene's
+    cache (module docstring).
     """
-    wl = workload or Workload()
-    compute_rate = spec.mac_count * spec.clock_hz
-    e_weight = spec.e_sram_j_per_byte if spec.weights_resident else spec.e_dram_j_per_byte
-
+    ctx_mean = workload.ctx_mean
     e_tok = 0.0
     tpot = 0.0
     total_ops = 0.0
-    for prof in profile_model(genome, wl):
-        w_traffic = prof.weight_bytes * spec.reuse_weight
-        kv_traffic = prof.kv_bytes_per_token * wl.ctx_mean * spec.reuse_kv
-        act_traffic = prof.act_bytes * spec.reuse_act
-        traffic = w_traffic + kv_traffic + act_traffic
-        tpot += max(prof.decode_ops / compute_rate, traffic / spec.dram_bw_bytes_per_s)
-        e_tok += (
-            prof.decode_ops * spec.e_mac_j
-            + w_traffic * e_weight
-            + (kv_traffic + act_traffic) * spec.e_sram_j_per_byte
-        )
-        total_ops += prof.decode_ops
-    ttft = wl.prefill_tokens * total_ops / compute_rate
+    for gene, prof in zip(genome.active_layers(), profile_model(genome, workload)):
+        terms = gene._roofline
+        if terms is None or terms[0] is not spec or terms[1] is not prof:
+            terms = _layer_roofline(gene, prof, spec, ctx_mean)
+        tpot += terms[2]
+        e_tok += terms[3]
+        total_ops += terms[4]
+    ttft = workload.prefill_tokens * total_ops / (spec.mac_count * spec.clock_hz)
     return HWCost(e_tok, ttft, tpot)

@@ -2,6 +2,7 @@
 hardware backend, optional surrogate co-evolution, and the ablation suite."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -261,13 +262,14 @@ class _SearchEngine:
         out = []
         for g, (gid, cost, ring, _), v in zip(genomes, scored, quality):
             v = float(v)
-            if cost is None or not np.isfinite(v):
+            if cost is None or not math.isfinite(v):
                 e = ttft = tpot = float("inf")
                 feasible, viol = False, float("inf")
             else:
                 e, ttft, tpot = cost
-                feasible = v < self.cfg.val_loss_max and np.isfinite([e, ttft, tpot]).all()
-                viol = max(0.0, v - self.cfg.val_loss_max) if np.isfinite(v) else float("inf")
+                feasible = (v < self.cfg.val_loss_max and math.isfinite(e)
+                            and math.isfinite(ttft) and math.isfinite(tpot))
+                viol = max(0.0, v - self.cfg.val_loss_max)
             out.append(
                 Individual(
                     genome=g,

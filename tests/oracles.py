@@ -579,3 +579,28 @@ def reference_profile_model(genome, workload):
         for g in genome.layers
         if g.mask == 1
     ]
+
+
+def reference_substrate_cost(genome, spec, workload):
+    """The roofline estimate as a literal per-layer loop over fresh
+    profiles, with no per-gene cache: every term computed and summed in
+    layer order."""
+    compute_rate = spec.mac_count * spec.clock_hz
+    e_weight = spec.e_sram_j_per_byte if spec.weights_resident else spec.e_dram_j_per_byte
+    e_tok = 0.0
+    tpot = 0.0
+    total_ops = 0.0
+    for prof in reference_profile_model(genome, workload):
+        w_traffic = prof.weight_bytes * spec.reuse_weight
+        kv_traffic = prof.kv_bytes_per_token * workload.ctx_mean * spec.reuse_kv
+        act_traffic = prof.act_bytes * spec.reuse_act
+        traffic = w_traffic + kv_traffic + act_traffic
+        tpot += max(prof.decode_ops / compute_rate, traffic / spec.dram_bw_bytes_per_s)
+        e_tok += (
+            prof.decode_ops * spec.e_mac_j
+            + w_traffic * e_weight
+            + (kv_traffic + act_traffic) * spec.e_sram_j_per_byte
+        )
+        total_ops += prof.decode_ops
+    ttft = workload.prefill_tokens * total_ops / compute_rate
+    return (e_tok, ttft, tpot)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihasearch import genome as gn
-from ihasearch.hwcost import Workload, profile_model
+from ihasearch.hwcost import Workload, load_substrate, profile_model, substrate_cost
 from oracles import (
     brute_repair,
     reference_count_params,
@@ -31,6 +31,8 @@ def make_genome(layers, d_model=768, block_size=1024, max_layers=None):
 
 ACTIVE = gn.LayerGene(mask=1, attn=1, n_h=8, n_kv=2, d_qk=64, d_v=64, d_mlp=1024)
 INACTIVE = gn.LayerGene(mask=0, attn=1, n_h=1, n_kv=1, d_qk=64, d_v=64, d_mlp=512)
+_CACHE_SLOTS = [slot for slot in gn.LayerGene.__slots__ if slot.startswith("_")]
+_GEMMINI = load_substrate("gemmini")
 
 
 # --- counting oracles -------------------------------------------------------
@@ -547,9 +549,10 @@ def _repaired_json(genome, ranges):
 
 class TestGeneCachesMatchReference:
     """A gene object caches its hash, its grid check (with the grids it was
-    made for) and its profile (with its key).  The same gene objects, shared
-    by two genomes with different d_model and asked in alternation under two
-    spaces and two workloads, give what the uncached references give."""
+    made for), its JSON row and its profile (with its key).  The same gene
+    objects, shared by two genomes with different d_model and asked in
+    alternation under two spaces and two workloads, give what the uncached
+    references give, and no cache travels through a copy."""
 
     @given(
         genes=st.lists(_MIXED_GENE, min_size=1, max_size=9),
@@ -598,17 +601,64 @@ class TestGeneCachesMatchReference:
         assert profile_model(int_d, Workload())[0] == int_prof
         assert profile_model(int_d, Workload())[0] is not int_prof  # 768.0 replaced it
 
+    @given(genes=st.lists(_MIXED_GENE, min_size=1, max_size=9),
+           global_cfgs=st.lists(_GLOBAL, min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_to_json_rows(self, genes, global_cfgs):
+        # the same gene objects under two global configs, exact ints or
+        # not, so a row is written from the cache or the fallback runs
+        genomes = [gn.ArchGenome(global_cfgs[0], tuple(genes)),
+                   gn.ArchGenome(global_cfgs[1], tuple(reversed(genes)))]
+        for _ in range(2):
+            for g in genomes:
+                assert _outcome(gn.to_json, g) == _outcome(reference_to_json, g)
+
+    @given(seed=st.integers(0, 2**32), n_shared=st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_to_json_of_random_genomes_sharing_genes(self, seed, n_shared):
+        rng = np.random.default_rng(seed)
+        parent, other = gn.random_genome(rng=rng), gn.random_genome(rng=rng)
+        child = gn.ArchGenome(parent.global_cfg, parent.layers[:n_shared] + other.layers[n_shared:])
+        for g in (parent, child, other, parent):
+            assert gn.to_json(g) == reference_to_json(g)
+
+    @given(genes=st.lists(_MIXED_GENE, min_size=1, max_size=9),
+           field=st.sampled_from(gn._LAYER_KEYS), value=_ANY_VALUE)
+    @settings(max_examples=200, deadline=None)
+    def test_no_cache_travels_through_copies(self, genes, field, value):
+        genome = gn.ArchGenome(gn.GlobalConfig(768, 1024, len(genes)), tuple(genes))
+        # fill every cache a gene can fill; some genes make these raise
+        for fn, *args in ((gn.validate, genome), (hash, genome), (gn.count_params, genome),
+                          (gn.to_json, genome), (substrate_cost, genome, _GEMMINI, Workload())):
+            _outcome(fn, *args)
+        copies = (lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy,
+                  dataclasses.replace)
+        for copy_of in copies:
+            twins = [copy_of(g) for g in genes]
+            for twin in twins:
+                assert all(getattr(twin, slot, None) is None for slot in _CACHE_SLOTS)
+            twin_genome = gn.ArchGenome(genome.global_cfg, tuple(twins))
+            assert _outcome(gn.to_json, twin_genome) == _outcome(reference_to_json, genome)
+        # a replaced field is written, not the row cached for the original
+        changed = gn.ArchGenome(genome.global_cfg,
+                                tuple(dataclasses.replace(g, **{field: value}) for g in genes))
+        assert _outcome(gn.to_json, changed) == _outcome(reference_to_json, changed)
+
     def test_pickle_and_copy_round_trip_with_filled_caches(self):
         genome = gn.random_genome(rng=np.random.default_rng(5))
-        gn.validate(genome), gn.genome_id(genome), hash(genome)
+        gn.validate(genome), gn.genome_id(genome), hash(genome), gn.count_params(genome)
+        cost = substrate_cost(genome, _GEMMINI, Workload())
         profiles = profile_model(genome, Workload())
         gene = genome.active_layers()[0]
+        assert all(getattr(gene, slot) is not None for slot in _CACHE_SLOTS)
         assert not hasattr(gene, "__dict__") and not hasattr(profiles[0], "__dict__")
         for obj in (genome, gene, profiles[0]):
             for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
                 assert twin == obj and hash(twin) == hash(obj)
         twin = pickle.loads(pickle.dumps(gene))
         assert twin.__getstate__() == dataclasses.astuple(gene)  # the fields, no cache
+        assert all(getattr(twin, slot, None) is None for slot in _CACHE_SLOTS)
+        assert substrate_cost(pickle.loads(pickle.dumps(genome)), _GEMMINI, Workload()) == cost
         assert profile_model(pickle.loads(pickle.dumps(genome)), Workload()) == profiles
         with pytest.raises(dataclasses.FrozenInstanceError):
             gene.n_h = 4

@@ -39,6 +39,7 @@ from oracles import (
     brute_best_bottleneck,
     brute_dominates,
     reference_greedy_partition,
+    reference_substrate_cost,
 )
 
 GLOBAL = gn.GlobalConfig()
@@ -164,25 +165,28 @@ class TestSubstrate:
         spec = load_substrate("gemmini")
         fast_mem = dataclasses.replace(spec, dram_bw_bytes_per_s=1e18)
         doubled = dataclasses.replace(fast_mem, mac_count=2 * fast_mem.mac_count)
-        c1, c2 = substrate_cost(g, fast_mem), substrate_cost(g, doubled)
+        wl = Workload()
+        c1, c2 = substrate_cost(g, fast_mem, wl), substrate_cost(g, doubled, wl)
         assert c2.tpot_s == pytest.approx(c1.tpot_s / 2, rel=1e-12)
 
     def test_memory_bound_macs_do_not_help(self):
         g = genome_of([REF_GENE] * 3)
         spec = dataclasses.replace(load_substrate("gemmini"), dram_bw_bytes_per_s=1.0)
         doubled = dataclasses.replace(spec, mac_count=2 * spec.mac_count)
-        c1, c2 = substrate_cost(g, spec), substrate_cost(g, doubled)
+        wl = Workload()
+        c1, c2 = substrate_cost(g, spec, wl), substrate_cost(g, doubled, wl)
         assert c2.tpot_s == c1.tpot_s
 
     def test_adding_a_layer_increases_everything(self):
         rng = np.random.default_rng(3)
+        wl = Workload()
         for _ in range(10):
             g = gn.random_genome(rng=rng)
             active = list(g.active_layers())
             bigger = genome_of(active + [REF_GENE]) if len(active) < 40 else g
             for name in builtin_substrate_names():
                 spec = load_substrate(name)
-                small, big = substrate_cost(g, spec), substrate_cost(bigger, spec)
+                small, big = substrate_cost(g, spec, wl), substrate_cost(bigger, spec, wl)
                 if bigger is not g:
                     assert big.e_tok_j > small.e_tok_j
                     assert big.ttft_s > small.ttft_s
@@ -191,9 +195,54 @@ class TestSubstrate:
     def test_outputs_positive_and_deterministic(self):
         g = genome_of([REF_GENE])
         spec = load_substrate("dxe")
-        a, b = substrate_cost(g, spec), substrate_cost(g, spec)
+        a, b = substrate_cost(g, spec, Workload()), substrate_cost(g, spec, Workload())
         assert a == b
         assert min(a) > 0
+
+
+SPECS = [load_substrate(name) for name in builtin_substrate_names()]
+_SPACE = gn.SpaceRanges()
+# genes of any shape a profile accepts, active or not, with or without attention
+_SHAPE_GENE = st.builds(
+    gn.LayerGene,
+    st.sampled_from([0, 1]),
+    st.sampled_from([0, 1]),
+    st.integers(1, 16),
+    st.integers(1, 16),
+    st.sampled_from(_SPACE.d_qk.values()),
+    st.sampled_from(_SPACE.d_v.values()),
+    st.sampled_from(_SPACE.d_mlp.values()),
+)
+_WORKLOADS = st.builds(Workload, st.sampled_from([1, 7, 256, 512]), st.sampled_from([1, 255, 256]))
+
+
+class TestRooflineCache:
+    """substrate_cost keeps each gene's roofline terms with the spec and
+    profile objects they came from.  The same gene objects, shared by two
+    genomes with different d_model and costed in alternation on every
+    builtin substrate under two workloads, give what the uncached literal
+    loop gives, bit for bit."""
+
+    @given(
+        genes=st.lists(_SHAPE_GENE, min_size=1, max_size=8),
+        workloads=st.lists(_WORKLOADS, min_size=2, max_size=2),
+        d_models=st.lists(st.sampled_from([768, 960, 768.0]), min_size=2, max_size=2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_literal_loop(self, genes, workloads, d_models):
+        genomes = [
+            gn.ArchGenome(gn.GlobalConfig(d_models[0], 1024, len(genes)), tuple(genes)),
+            gn.ArchGenome(gn.GlobalConfig(d_models[1], 1024, len(genes)), tuple(reversed(genes))),
+        ]
+        # consecutive calls differ in genome, spec or workload, so terms
+        # kept under a stale key would show; the second round reads the
+        # caches the first one filled
+        for _ in range(2):
+            for wl in workloads:
+                for spec in SPECS:
+                    for g in genomes:
+                        got = substrate_cost(g, spec, wl)
+                        assert repr(tuple(got)) == repr(reference_substrate_cost(g, spec, wl))
 
 
 def prof(w, kappa, o, a):
@@ -350,6 +399,15 @@ class TestCountOnlyPack:
         layers = [prof(1, 0, 10.5, 0), prof(1, 0, 1.0, 0)]
         assert balanced_contiguous_pack(layers, ROOMY, 1) == [[0, 1]]
         assert exhaustive_balanced_pack(layers, ROOMY, 1) == [[0, 1]]
+
+    def test_int_ops_beyond_2_53_add_exactly(self):
+        # the scan's sums start at the int 0: from 0.0 they would round,
+        # and the first case would open an empty stage while the second
+        # would reject the one stage that fits
+        big = [prof(1, 1, o, 1) for o in (2**53 + 3, 1, 5, 5)]
+        assert balanced_contiguous_pack(big, ROOMY, 3) == [[0], [1, 2, 3]]
+        big = [prof(1, 1, o, 1) for o in (2, 2**52 + 1, 2**54 + 7, 5)]
+        assert balanced_contiguous_pack(big, ROOMY, 1) == [[0, 1, 2, 3]]
 
     def test_one_greedy_partition_per_feasible_pack(self, monkeypatch):
         calls = []

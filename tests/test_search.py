@@ -682,16 +682,21 @@ class TestEvaluationMemo:
     def _count_per_gene_object(monkeypatch):
         """Counters of the uncached per-gene work: profile_layer calls per
         (gene object, d_model, context), raw grid checks per (gene object,
-        grids object) and layer_param_count calls per (gene object, typed
-        d_model).  The counted genes are kept alive, so no id is reused."""
+        grids object), layer_param_count calls per (gene object, typed
+        d_model), roofline terms per (gene object, spec object, profile
+        object) and JSON rows per gene object.  The counted genes, specs
+        and profiles are kept alive, so no id is reused."""
         import ihasearch.genome
         import ihasearch.hwcost.profiles
+        import ihasearch.hwcost.substrate
 
         profiles, grid_checks, seen = collections.Counter(), collections.Counter(), []
-        param_counts = collections.Counter()
+        param_counts, rooflines, rows = (collections.Counter() for _ in range(3))
         profile_layer = ihasearch.hwcost.profiles.profile_layer
         gene_on_grids = ihasearch.genome._gene_on_grids
         layer_param_count = ihasearch.genome.layer_param_count
+        layer_roofline = ihasearch.hwcost.substrate._layer_roofline
+        layer_json = ihasearch.genome._layer_json
 
         def counted_profile(g, global_cfg, ctx_tokens):
             seen.append(g)
@@ -708,13 +713,26 @@ class TestEvaluationMemo:
             param_counts[id(g), d_model, type(d_model)] += 1
             return layer_param_count(g, d_model)
 
+        def counted_roofline(g, prof, spec, ctx_mean):
+            seen.append((g, prof, spec))
+            rooflines[id(g), id(spec), id(prof)] += 1
+            return layer_roofline(g, prof, spec, ctx_mean)
+
+        def counted_row(g):
+            seen.append(g)
+            rows[id(g)] += 1
+            return layer_json(g)
+
         monkeypatch.setattr(ihasearch.hwcost.profiles, "profile_layer", counted_profile)
         monkeypatch.setattr(ihasearch.genome, "_gene_on_grids", counted_grid_check)
         monkeypatch.setattr(ihasearch.genome, "layer_param_count", counted_param_count)
-        return profiles, grid_checks, param_counts
+        monkeypatch.setattr(ihasearch.hwcost.substrate, "_layer_roofline", counted_roofline)
+        monkeypatch.setattr(ihasearch.genome, "_layer_json", counted_row)
+        return profiles, grid_checks, param_counts, rooflines, rows
 
     @staticmethod
-    def _check_once_per_gene_object(res, profiles, grid_checks, param_counts):
+    def _check_once_per_gene_object(res, profiles, grid_checks, param_counts, rooflines, rows,
+                                    analytic):
         assert set(profiles.values()) == {1} and set(grid_checks.values()) == {1}
         # the oracle's parameter count and the hardware profile share one
         # count per gene
@@ -722,10 +740,23 @@ class TestEvaluationMemo:
         evaluated_active = {id(g) for ind in res.evaluated for g in ind.genome.active_layers()}
         assert {key[0] for key in profiles} <= evaluated_active
         assert {key[0] for key in param_counts} == {key[0] for key in profiles}
+        # one spec and one workload per run: one set of roofline terms per
+        # profiled gene under the analytic backend, none under the ring
+        if analytic:
+            assert set(rooflines.values()) == {1}
+            assert {key[0] for key in rooflines} == {key[0] for key in profiles}
+            assert len({key[1] for key in rooflines}) == 1
+        else:
+            assert not rooflines
+        # one JSON row per gene object, inactive genes included
+        assert set(rows.values()) == {1}
+        assert set(rows) <= {id(g) for ind in res.evaluated for g in ind.genome.layers}
         # children share gene objects with their parents, so fewer genes are
-        # profiled than the distinct genomes have active layers
-        active = sum(len(g.active_layers()) for g in {ind.genome for ind in res.evaluated})
-        assert 0 < len(profiles) < active
+        # profiled than the distinct genomes have active layers, and fewer
+        # rows are written than the distinct genomes have genes
+        distinct = {ind.genome for ind in res.evaluated}
+        assert 0 < len(profiles) < sum(len(g.active_layers()) for g in distinct)
+        assert 0 < len(rows) < sum(len(g.layers) for g in distinct)
 
     @staticmethod
     def _check_once_per_distinct(res, *counters):
@@ -754,7 +785,7 @@ class TestEvaluationMemo:
         )
         res = run_search(cfg)
         self._check_once_per_distinct(res, oracle, backend, ids, checks, dumps)
-        self._check_once_per_gene_object(res, *per_gene)
+        self._check_once_per_gene_object(res, *per_gene, analytic=True)
         born = collections.Counter(ind.born_gen for ind in res.evaluated)
         assert born == {0: 10, **{t: 12 for t in range(1, 7)}}
 
@@ -770,7 +801,7 @@ class TestEvaluationMemo:
         )
         res = run_search(cfg)
         self._check_once_per_distinct(res, backend, checks)
-        self._check_once_per_gene_object(res, *per_gene)
+        self._check_once_per_gene_object(res, *per_gene, analytic=False)
 
     def test_invalid_genome_raises_and_is_not_memoised(self):
         from ihasearch.search.engine import _SearchEngine
