@@ -307,11 +307,24 @@ def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
     no divisor of n_h).  Gate bits are clamped to {0,1}.  If no
     layer is left active, layer 0 is re-activated.  Gene lists of the wrong
     length are padded with inactive minimal genes or truncated.
+
+    A genome that is already its own projection, with the field types the
+    projection makes, is returned as is (with its cached hash and digests):
+    every global field an exact int >= 1 (``max(1, True)`` is the int 1, so
+    a bool is rebuilt), a tuple of max_layers genes, each on the space, and
+    some layer active.
     """
     ranges = ranges or SpaceRanges()
     g = genome.global_cfg
-    gcfg = GlobalConfig(max(1, g.d_model), max(1, g.block_size), max(1, g.max_layers))
     grids = _grid_sets(ranges)
+    layers = genome.layers
+    if (type(g.d_model) is int and type(g.block_size) is int and type(g.max_layers) is int
+            and g.d_model >= 1 and g.block_size >= 1
+            and type(layers) is tuple and len(layers) == g.max_layers >= 1
+            and all(_gene_on_space(gene, grids) for gene in layers)
+            and any(gene.mask == 1 for gene in layers)):
+        return genome
+    gcfg = GlobalConfig(max(1, g.d_model), max(1, g.block_size), max(1, g.max_layers))
 
     def fix(gene: LayerGene) -> LayerGene:
         n_h = ranges.n_h.snap(gene.n_h)

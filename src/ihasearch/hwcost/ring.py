@@ -5,13 +5,27 @@ contiguous stages (one chip each) with weights held stationary; tokens hop
 around the ring once per decode step.  The co-search sweeps a 45-point chip
 grid, packs the model onto each feasible template, simulates the ring, and
 returns the top non-dominated (chip, plan) pairs on
-(TTFT, TPOT, energy/token, total area).  One call does each piece of
-per-genome work once: a chip does not depend on the chip cap, so each
-distinct (n_mac, w_core_kb) chip is built once, and its stage limits do not
-depend on its MAC count, so the model is packed once per distinct (stage
-limits, chip cap) pair.  For the 45-point default grid that is 15 chips and
-15 packs per genome, and the packs share one candidate-budget list (see
-``packing``).
+(TTFT, TPOT, energy/token, total area).  One call does only the
+per-genome work that can change its answer.  A chip's stage limits do not
+depend on its MAC count or the chip cap, and every chip of a call holds KV
+for ``workload.ctx_peak``, so:
+
+- the fit rule: each memory size (typed ``w_core_kb``) builds one chip and
+  checks once whether its limits hold the genome's largest weight, KV and
+  activation term, the check ``balanced_contiguous_pack`` makes first.  A
+  memory size that does not fit packs nothing, and beyond those chips only
+  a feasible grid point builds one;
+- the cap rule: under fixed limits a budget is feasible for a cap when the
+  greedy partition exists and fits the cap's stages, so feasibility only
+  grows with the cap.  A memory size that fits is packed from its largest
+  cap down; a larger cap's None settles every smaller cap, and so does its
+  partition for a cap at least its stage count.  Only the other caps run
+  ``balanced_contiguous_pack``, and they share one candidate-budget list
+  (see ``packing``).
+
+For the 45-point default grid on ``ring_preset`` searches that is about 7
+chips and 2 packs per genome, down from 15 and 15; the picks, their order
+and every float are those of packing every grid point.
 """
 import csv
 import math
@@ -56,7 +70,7 @@ class ChipTemplate:
 
     def __post_init__(self):
         # one expression of chained comparisons, which NaN also fails: a
-        # default-grid search builds 15 chips per genome
+        # default-grid search builds about 7 chips per genome
         inf = math.inf
         if not (0 < self.n_mac < inf and 0 < self.w_core_kb < inf
                 and 0 < self.n_dxt < inf and 0 < self.n_vac < inf
@@ -192,6 +206,29 @@ def default_chip_grid() -> list[tuple[int, int, int]]:
     ]
 
 
+def _pack_by_cap(profiles, limits, caps, packs) -> None:
+    """Fill ``packs[limits, cap]`` for every cap, largest first.
+
+    A budget is feasible under a cap when the greedy partition exists and
+    fits in the cap's stages, so whatever fits under a cap fits under every
+    larger one.  The next larger cap's answer therefore settles a cap when
+    it is None, or when it has at most that many stages (it is then the
+    smallest feasible budget's partition under both); only the other caps
+    are packed.  The comparisons are written out, so that a cap that does
+    not order (NaN) is always packed.
+    """
+    larger = None
+    for cap in sorted(caps, reverse=True):
+        if (limits, cap) not in packs:
+            if larger is not None and cap <= larger[0] and (
+                    larger[1] is None or len(larger[1]) <= cap):
+                packs[limits, cap] = larger[1]
+            else:
+                part = balanced_contiguous_pack(profiles, limits, cap)
+                packs[limits, cap] = None if part is None else tuple(tuple(s) for s in part)
+        larger = cap, packs[limits, cap]
+
+
 def chip_grid_search(
     genome: ArchGenome,
     workload: Workload,
@@ -204,36 +241,68 @@ def chip_grid_search(
     of grid points the model packed onto.
 
     The result list is empty when no grid point fits the model (or the grid
-    is empty); the caller treats that as infinite hardware metrics.
+    is empty); the caller treats that as infinite hardware metrics.  Only
+    the work that can change the answer runs: each memory size
+    (``w_core_kb``) builds one chip for its stage limits, and a memory size
+    whose limits cannot hold the genome's largest per-layer weight, KV or
+    activation term packs nothing (the fit rule).  A memory size that fits
+    packs its caps from the largest down, reusing a larger cap's answer
+    where it settles a smaller one (the cap rule, ``_pack_by_cap``).
+    Beyond those chips, only a feasible point builds one.  Every grid point
+    is still checked: a bad n_mac, w_core_kb or cap raises ValueError.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
+    if grid is None:
+        grid = default_chip_grid()
     profiles = profile_model(genome, workload)
     layer_profiles = tuple(profiles)
+    ctx = workload.ctx_peak
     max_w = max(p.weight_bytes for p in profiles)
+    # the single-layer terms balanced_contiguous_pack checks first; every
+    # chip of one call holds KV for ctx_peak
+    max_kv = max(p.kv_bytes_per_token * ctx for p in profiles)
+    max_act = max(p.act_bytes for p in profiles)
+    # the caps each memory size is packed under; 16 and 16.0 give equal
+    # stage limits, so they share one entry
+    caps: dict = {}
+    for _, w_core, cap in grid:
+        if cap < 1:
+            raise ValueError(f"n_chips_max must be >= 1, got {cap}")
+        caps.setdefault(w_core, set()).add(cap)
+    # the stage limits do not depend on n_mac or the cap, so each typed
+    # memory size decides once whether they hold every layer (None if not)
+    fits: dict = {}
+    # a chip does not depend on the cap; the key is typed, so that 16 and
+    # 16.0 keep the chip each would build
+    chips: dict = {}
+    packs: dict = {}
     results: list[RingResult] = []
     seen: set = set()
-    # a chip does not depend on the cap, so grid points that differ only in
-    # cap share one chip; the key is typed, so that 16 and 16.0 keep the
-    # chip each would build
-    chips: dict = {}
-    # the stage limits do not depend on n_mac, so grid points that differ
-    # only in n_mac share one pack
-    packs: dict = {}
     n_feasible = 0
-    for n_mac, w_core, cap in default_chip_grid() if grid is None else grid:
-        chip_key = (n_mac, w_core, type(n_mac), type(w_core))
-        if chip_key not in chips:
-            chip = build_chip(n_mac, w_core, max_w, workload.ctx_peak)
+    for n_mac, w_core, cap in grid:
+        w_key = (w_core, type(w_core))
+        chip_key = (n_mac, type(n_mac)) + w_key
+        if w_key not in fits:
+            chip = chips[chip_key] = build_chip(n_mac, w_core, max_w, ctx)
             limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
-            chips[chip_key] = chip, limits
-        chip, limits = chips[chip_key]
-        if (limits, cap) not in packs:
-            part = balanced_contiguous_pack(profiles, limits, cap)
-            packs[limits, cap] = None if part is None else tuple(tuple(s) for s in part)
-        partition = packs[limits, cap]
+            if (max_w <= limits.weight_cap and max_kv <= limits.kv_cap
+                    and max_act <= limits.act_cap):
+                fits[w_key] = limits
+                _pack_by_cap(profiles, limits, caps[w_core], packs)
+            else:
+                fits[w_key] = None
+        limits = fits[w_key]
+        partition = None if limits is None else packs[limits, cap]
         if partition is None:
+            # only a feasible point needs its chip; make the check building
+            # it would
+            if not 0 < n_mac < math.inf:
+                raise ValueError(f"n_mac must be finite and > 0, got {n_mac}")
             continue
+        if chip_key not in chips:
+            chips[chip_key] = build_chip(n_mac, w_core, max_w, ctx)
+        chip = chips[chip_key]
         n_feasible += 1
         # grid points whose cap was not binding realize the same (chip, plan)
         # design; keep the first occurrence only.  Within one call the chip

@@ -308,21 +308,30 @@ class TestCriterion9Determinism:
 @st.composite
 def grid_search_cases(draw):
     """A random genome, some cut to 1-3 active layers, one of three
-    workloads, and a grid: the default, a one-w_core_kb sub-grid, or a
+    workloads, and a grid: the default, a one-w_core_kb sub-grid, a
     CLI-style product of axis lists (``ihasearch pack --grid``) in which one
-    axis repeats a value, so that some grid points repeat."""
+    axis repeats a value, so that some grid points repeat, or a shuffled
+    subset of the default grid's points, so that a chip has 1-3 caps in any
+    order, with some points repeated and some axis values given as floats
+    (16 beside 16.0)."""
     genome = gn.random_genome(rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     keep = draw(st.sampled_from([None, None, 1, 2, 3]))
     if keep is not None:
         genome = ArchGenome(genome.global_cfg, tuple(
             dataclasses.replace(l, mask=int(j < keep)) for j, l in enumerate(genome.layers)))
     workload = draw(st.sampled_from([Workload(512, 256), Workload(100, 33), Workload(1, 1)]))
-    kind = draw(st.sampled_from(["default", "one_w_core", "custom"]))
+    kind = draw(st.sampled_from(["default", "one_w_core", "custom", "subset"]))
     if kind == "default":
         grid = None
     elif kind == "one_w_core":
         w_core = draw(st.sampled_from(W_CORE_KB_CHOICES))
         grid = [t for t in default_chip_grid() if t[1] == w_core]
+    elif kind == "subset":
+        points = draw(st.lists(st.sampled_from(default_chip_grid()), min_size=1,
+                               max_size=30, unique=True))
+        points += draw(st.lists(st.sampled_from(points), max_size=4))
+        grid = [tuple(float(v) if draw(st.integers(0, 3)) == 0 else v for v in point)
+                for point in draw(st.permutations(points))]
     else:
         axes = [draw(st.lists(st.sampled_from(values), min_size=1, max_size=3)) for values in (
             (8, 16, 32, 64, 128), (12, 24, 48, 96, 192, 384, 768), (1, 2, 4, 8, 16, 32))]
@@ -383,8 +392,9 @@ class TestCriterion10ChipGridContract:
     @pytest.mark.parametrize("workload", [Workload(512, 256), Workload(100, 33), Workload(1, 1)],
                              ids=["512-256", "100-33", "1-1"])
     def test_grid_search_equals_per_point_sweep(self, workload):
-        """Packing once per distinct stage limits and cap changes no pick,
-        no pick order and no feasible count.  Sub-grids of one w_core_kb
+        """Packing only the memory sizes whose stage limits hold every layer,
+        and only under the caps a larger cap does not settle, changes no
+        pick, no pick order and no feasible count.  Sub-grids of one w_core_kb
         each put plans on the front that larger grids dominate."""
         grids = [None] + [[t for t in default_chip_grid() if t[1] == w] for w in (24, 96, 384)]
         rng = np.random.default_rng(23)
@@ -403,14 +413,17 @@ class TestCriterion10ChipGridContract:
     @given(grid_search_cases(), st.sampled_from([1, 3, 45]))
     @settings(max_examples=120, deadline=None)
     def test_grid_search_equals_literal_sweep(self, case, top_k):
-        """Building each chip once and packing once per distinct stage
-        limits and cap gives the picks, pick order and feasible count of
-        packing and simulating every grid point."""
+        """Building only the chips a feasible point needs, and packing only
+        the memory sizes that fit under the caps a larger cap does not
+        settle, gives the picks (chip types included), pick order and
+        feasible count of packing and simulating every grid point."""
         genome, workload, grid = case
         candidates, n_packed = self._all_grid_candidates(genome, workload, grid)
         picks, n_feasible = chip_grid_search(genome, workload, grid, top_k)
         assert n_feasible == n_packed
         assert picks == self._ranked_picks(candidates, top_k)
+        # 16 == 16.0, so equality alone would not see a chip of the wrong type
+        assert repr(picks) == repr(self._ranked_picks(candidates, top_k))
 
     def test_top_k_mutually_nondominated_and_on_front(self):
         rng = np.random.default_rng(11)

@@ -265,6 +265,64 @@ def _brute_json(genome, ranges):
     )
 
 
+# global fields of every type repair sees: exact ints, bools (max(1, True)
+# is the int 1), floats and numpy ints
+_GLOBAL_FIELD = st.one_of(
+    st.integers(-2, 2048), st.sampled_from([1, 768, 1024]), st.booleans(),
+    st.sampled_from([768.0, 1.0, 0.5]), st.integers(-2, 2048).map(np.int64),
+)
+_MAX_LAYERS = st.one_of(st.integers(-1, 6), st.booleans(), st.integers(0, 6).map(np.int64))
+
+
+# the ways a genome on the space can still need rebuilding: a global field
+# that is 0, negative, a bool, a float or a numpy int (True stands for one
+# gene, as max(1, True) does), a gene list of the wrong type or length, or
+# no active layer
+_REPAIR_DEFECTS = [
+    *[(field, value) for field in ("d_model", "block_size")
+      for value in (0, -3, True, 512.0, np.int64(512))],
+    *[("max_layers", value) for value in (True, np.int64(1), 0, -1)],
+    ("layers", list), ("layers", "short"), ("layers", "long"), ("mask", 0),
+]
+
+
+@st.composite
+def repair_inputs(draw):
+    """A genome and a space.  Two times in three: exact-int globals over
+    max_layers genes on the space's grids, one of them active, which repair
+    leaves alone, with at most one of ``_REPAIR_DEFECTS``.  Otherwise any
+    mix of global field types, gene values and list lengths."""
+    # sampled_from, not integers or booleans: hypothesis favours their
+    # smallest values
+    ranges = draw(st.sampled_from([gn.SpaceRanges(), gn.SpaceRanges(), _ODD_RANGES]))
+    on_grid = _VALID_GENE if ranges == gn.SpaceRanges() else _ODD_GRID_GENE
+    if draw(st.sampled_from([True, True, False])):
+        defect = draw(st.sampled_from([None] * 4 + _REPAIR_DEFECTS))
+        n = 1 if defect and defect[0] == "max_layers" else draw(st.sampled_from([1, 2, 3, 6]))
+        glob = {"d_model": 768, "block_size": 1024, "max_layers": n}
+        genes = draw(st.lists(on_grid, min_size=n, max_size=n))
+        genes[0] = dataclasses.replace(genes[0], mask=1)
+        layers = tuple
+        if defect is None:
+            pass
+        elif defect[0] in glob:
+            glob[defect[0]] = defect[1]
+        elif defect == ("layers", list):
+            layers = list
+        elif defect[0] == "layers":
+            genes = genes[1:] if defect[1] == "short" else genes + genes[:1]
+        else:
+            genes = [dataclasses.replace(gene, mask=0) for gene in genes]
+        return gn.ArchGenome(gn.GlobalConfig(**glob), layers(genes)), ranges
+    glob = (draw(_GLOBAL_FIELD), draw(_GLOBAL_FIELD), draw(_MAX_LAYERS))
+    genes = draw(st.lists(st.one_of(on_grid, _ANY_GENE), max_size=8))
+    return gn.ArchGenome(gn.GlobalConfig(*glob), draw(st.sampled_from([tuple, list]))(genes)), ranges
+
+
+def _gene_fields(gene):
+    return tuple(getattr(gene, name) for name in ("mask", "attn") + gn.NUMERIC_FIELDS)
+
+
 class TestRepairFastPath:
     @given(
         genes=st.lists(st.one_of(_VALID_GENE, _ODD_GRID_GENE, _ANY_GENE), max_size=9),
@@ -278,6 +336,36 @@ class TestRepairFastPath:
         assert gn.to_json(once) == _brute_json(g, ranges)
         assert gn.to_json(gn.repair(once, ranges)) == gn.to_json(once)
         assert gn.validate(once, ranges) == []
+
+    @given(repair_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_noop_returns_the_input_and_types_match_literal_projection(self, case):
+        """repair gives brute_repair's values with its field types, and
+        returns the input object exactly when that projection changes
+        nothing: exact-int globals >= 1, a tuple of max_layers genes whose
+        fields are exact ints already projected, one of them active.  A gene
+        with n_h = 0 (on a grid that holds 0) is its own projection too, but
+        the per-gene grid check asks for 1 <= n_kv <= n_h, so such a genome
+        is rebuilt, equal to the input."""
+        g, ranges = case
+        glob, layers = brute_repair(g, ranges)
+        out = gn.repair(g, ranges)
+        cfg = out.global_cfg
+        got = (cfg.d_model, cfg.block_size, cfg.max_layers)
+        assert got == glob and list(map(type, got)) == list(map(type, glob))
+        assert type(out.layers) is tuple
+        assert tuple(map(_gene_fields, out.layers)) == layers
+        assert all(type(v) is int for gene in out.layers for v in _gene_fields(gene))
+        g_cfg = g.global_cfg
+        noop = (
+            all(type(v) is int and v >= 1
+                for v in (g_cfg.d_model, g_cfg.block_size, g_cfg.max_layers))
+            and type(g.layers) is tuple
+            and tuple(map(_gene_fields, g.layers)) == layers
+            and all(type(v) is int for gene in g.layers for v in _gene_fields(gene))
+            and all(1 <= gene.n_kv <= gene.n_h for gene in g.layers)
+        )
+        assert (out is g) == noop
 
     def test_valid_gene_is_returned_as_is(self):
         g = gn.repair(make_genome([ACTIVE, INACTIVE]))

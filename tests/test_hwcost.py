@@ -1,4 +1,5 @@
 """Layer profiling, substrate roofline, packing (vs exhaustive oracle), ring."""
+import contextlib
 import dataclasses
 import json
 import math
@@ -33,6 +34,8 @@ from ihasearch.hwcost import (
 )
 from ihasearch.hwcost.packing import StageLimits
 from ihasearch.hwcost.profiles import HWCost, LayerProfile
+
+from test_acceptance import grid_search_cases
 
 from oracles import (
     bottleneck_ops,
@@ -603,48 +606,154 @@ class TestChipGridSearch:
         assert cost.e_tok_j * cost.ttft_s * cost.tpot_s == pytest.approx(min(products))
         assert chosen == best_ring_pick(picks)
 
-    def test_one_pack_per_distinct_stage_limits_and_cap(self, monkeypatch):
-        packs, greedy_calls, chips, sims = [], [], [], []
+    @staticmethod
+    def _expected_work(genome, workload, grid):
+        """The chips, packs and simulations of a grid search, by a literal
+        per-memory-size rule: (typed chips built, pack calls, feasible pack
+        calls, feasible points, distinct (chip, plan) designs).
+
+        The first point of each typed w_core_kb builds a chip for the memory
+        size's stage limits, and each other distinct typed (n_mac,
+        w_core_kb) builds one when one of its points packs.  Limits that
+        cannot hold some single layer (a pack under an unbounded cap is
+        None) pack nothing.  Limits that hold every layer pack the distinct
+        caps of the memory size's value from the largest down, except a cap
+        whose next larger cap packed to None or to at most that many stages.
+        Each distinct (chip, plan) of the per-point sweep is simulated once."""
+        profiles = profile_model(genome, workload)
+        max_w = max(p.weight_bytes for p in profiles)
+
+        def typed(n_mac, w_core):
+            return n_mac, type(n_mac), w_core, type(w_core)
+
+        def limits_of(n_mac, w_core):
+            chip = build_chip(n_mac, w_core, max_w, workload.ctx_peak)
+            return StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
+
+        first, caps_of = {}, {}
+        for n_mac, w_core, cap in grid:
+            first.setdefault((w_core, type(w_core)), (n_mac, w_core))
+            caps_of.setdefault(w_core, set()).add(cap)
+        fits = {w: balanced_contiguous_pack(profiles, limits_of(*first[w]), math.inf) is not None
+                for w in first}
+        chips = {typed(*point) for point in first.values()}
+        n_packs = n_fit_packs = 0
+        for w_core, caps in caps_of.items():
+            if not fits[w_core, type(w_core)]:
+                continue
+            limits = limits_of(*first[w_core, type(w_core)])
+            larger = None
+            for cap in sorted(caps, reverse=True):
+                part = balanced_contiguous_pack(profiles, limits, cap)
+                if larger is None or (larger[1] is not None and len(larger[1]) > cap):
+                    n_packs += 1
+                    n_fit_packs += part is not None
+                larger = cap, part
+        n_feasible, designs = 0, set()
+        for n_mac, w_core, cap in grid:
+            chip = build_chip(n_mac, w_core, max_w, workload.ctx_peak)
+            part = balanced_contiguous_pack(profiles, limits_of(n_mac, w_core), cap)
+            if part is not None:
+                n_feasible += 1
+                designs.add((chip, tuple(tuple(s) for s in part)))
+                chips.add(typed(n_mac, w_core))
+        return chips, n_packs, n_fit_packs, n_feasible, designs
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _counted():
+        """Record build_chip's typed (n_mac, w_core_kb), each pack's
+        feasibility, greedy_contiguous_partition calls and simulated
+        (chip, plan) pairs, at the module attributes the search calls."""
+        log = SimpleNamespace(chips=[], packs=[], greedy=[], sims=[])
         pack, greedy = ring.balanced_contiguous_pack, packing.greedy_contiguous_partition
         chip_of, simulate = ring.build_chip, ring.ring_simulate
 
         def counting_pack(*args):
             out = pack(*args)
-            packs.append(out is not None)
+            log.packs.append(out is not None)
             return out
 
-        monkeypatch.setattr(ring, "balanced_contiguous_pack", counting_pack)
-        monkeypatch.setattr(packing, "greedy_contiguous_partition",
-                            lambda *a: greedy_calls.append(1) or greedy(*a))
-        monkeypatch.setattr(ring, "build_chip", lambda *a: chips.append(a[:2]) or chip_of(*a))
-        monkeypatch.setattr(ring, "ring_simulate",
-                            lambda plan, wl: sims.append((plan.chip, plan.partition))
-                            or simulate(plan, wl))
+        def counting_chip(n_mac, w_core, *rest):
+            log.chips.append((n_mac, type(n_mac), w_core, type(w_core)))
+            return chip_of(n_mac, w_core, *rest)
+
+        patches = {
+            (ring, "balanced_contiguous_pack"): counting_pack,
+            (packing, "greedy_contiguous_partition"):
+                lambda *a: log.greedy.append(1) or greedy(*a),
+            (ring, "build_chip"): counting_chip,
+            (ring, "ring_simulate"):
+                lambda plan, wl: log.sims.append((plan.chip, plan.partition)) or simulate(plan, wl),
+        }
+        originals = {key: getattr(*key) for key in patches}
+        for (module, name), fn in patches.items():
+            setattr(module, name, fn)
+        try:
+            yield log
+        finally:
+            for (module, name), fn in originals.items():
+                setattr(module, name, fn)
+
+    def _assert_work_matches(self, genome, workload, grid, top_k=3):
+        chips, n_packs, n_fit_packs, n_packed, designs = self._expected_work(
+            genome, workload, default_chip_grid() if grid is None else grid)
         packing._candidate_budgets.cache_clear()
-        g = gn.random_genome(rng=np.random.default_rng(1))
-        wl = Workload(512, 256)
-        picks, n_feasible = chip_grid_search(g, wl)
-        assert picks and n_feasible > 0
-        # one chip per (n_mac, w_core_kb), one pack per (stage limits, cap)
-        assert len(chips) == len(set(chips)) == 15
-        assert len(packs) == 15
-        # each pack that fits is shared by the 3 n_mac values
-        assert n_feasible == 3 * sum(packs)
-        assert len(greedy_calls) == sum(packs)
+        with self._counted() as log:
+            picks, n_feasible = chip_grid_search(genome, workload, grid, top_k)
+        assert n_feasible == n_packed
+        # one chip per memory size, plus one per other (n_mac, w_core_kb)
+        # that packs
+        assert len(log.chips) == len(set(log.chips)) == len(chips)
+        assert set(log.chips) == chips
+        # one pack per cap that a larger cap does not settle
+        assert len(log.packs) == n_packs
+        assert sum(log.packs) == n_fit_packs
+        assert len(log.greedy) == sum(log.packs)
         # the packs share one candidate-budget list
-        assert packing._candidate_budgets.cache_info().misses == 1
+        assert packing._candidate_budgets.cache_info().misses == min(1, len(log.packs))
         # one simulation per distinct (chip, plan) of the literal sweep
-        profiles = profile_model(g, wl)
-        max_w = max(p.weight_bytes for p in profiles)
-        designs = set()
-        for n_mac, w_core, cap in default_chip_grid():
-            chip = chip_of(n_mac, w_core, max_w, wl.ctx_peak)
-            limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
-            part = pack(profiles, limits, cap)
-            if part is not None:
-                designs.add((chip, tuple(tuple(s) for s in part)))
-        assert len(sims) == len(set(sims)) == len(designs)
-        assert set(sims) == designs
+        assert len(log.sims) == len(set(log.sims)) == len(designs)
+        assert set(log.sims) == designs
+        return picks, log
+
+    def test_packs_only_what_can_change_the_answer(self):
+        g = gn.random_genome(rng=np.random.default_rng(1))
+        picks, log = self._assert_work_matches(g, Workload(512, 256), None)
+        assert picks
+        # only the 24 KB memory size holds this genome's layers: one chip per
+        # memory size plus its other two MAC counts, and two packs, since
+        # cap 32's ring has at most 16 stages and so settles cap 16, and cap
+        # 8 does not fit (the default grid used to cost 15 chips and 15 packs)
+        assert (len(log.chips), len(log.packs), sum(log.packs)) == (7, 2, 1)
+
+    @given(grid_search_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_chip_pack_and_simulation_counts(self, case):
+        self._assert_work_matches(*case)
+
+    # (axis, value): a bad n_mac, w_core_kb or cap
+    BAD_VALUES = [
+        *[(0, n_mac) for n_mac in (0, -16, 0.0, math.nan, math.inf, -math.inf)],
+        *[(1, w_core) for w_core in (0, -24, 0.0, math.nan, math.inf, -math.inf)],
+        *[(2, cap) for cap in (0, -8, 0.5, 0.0, -math.inf)],
+    ]
+
+    @given(grid_search_cases(), st.sampled_from(BAD_VALUES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_bad_grid_point_raises(self, case, bad, data):
+        """A bad n_mac, w_core_kb or cap raises ValueError wherever it sits,
+        also at a memory size that holds no layer or under a cap that a
+        larger cap settles."""
+        genome, workload, grid = case
+        grid = default_chip_grid() if grid is None else grid
+        axis, value = bad
+        point = list(data.draw(st.sampled_from(grid)))
+        point[axis] = value
+        at = data.draw(st.integers(0, len(grid)))
+        grid = grid[:at] + [tuple(point)] + grid[at:]
+        with pytest.raises(ValueError):
+            chip_grid_search(genome, workload, grid)
 
     def test_best_ring_pick_ties_go_to_the_earlier_pick(self):
         a, b, c = (
