@@ -45,6 +45,7 @@ from .hwcost import (
     default_chip_grid,
     write_plan_csv,
 )
+from .hwcost.ring import check_grid_value
 from .metrics import rank_report
 from .search import SearchConfig, run_search
 from .surrogate import (
@@ -373,11 +374,13 @@ def _load_grid(path: str | None) -> list[tuple[int, int, int]]:
         if name not in doc:
             raise InputError(f"chip grid file needs key {name!r}")
         values = doc[name]
-        if not isinstance(values, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values
-        ):
-            raise InputError(f"chip grid {name} must be a list of positive integers, "
-                             f"got {values!r}")
+        if not isinstance(values, list):
+            raise InputError(f"chip grid {name} must be a list, got {values!r}")
+        for value in values:
+            try:
+                check_grid_value(name, value)
+            except ValueError as exc:
+                raise InputError(f"chip grid {exc}") from None
         axes.append(values)
     grid = list(itertools.product(*axes))
     if not grid:

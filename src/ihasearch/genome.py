@@ -6,6 +6,11 @@ structural constraint that n_kv divides n_h; a mask bit gates the whole layer
 and an attn bit gates the attention sublayer.  Two attention variants are
 distinguished when counting the space: "gqa" (head dims tied to d_model/n_h)
 and "iha" (all four shape fields free on their grids).
+
+Every field of a gene and of the global config is an exact int: the
+constructors reject any other value (``require_ints``), so every per-gene
+cache is keyed by value alone.  Out-of-range ints are allowed; ``validate``
+reports them and ``repair`` projects them.
 """
 from __future__ import annotations
 
@@ -74,6 +79,18 @@ class SpaceRanges:
 
 
 NUMERIC_FIELDS = ("n_h", "n_kv", "d_qk", "d_v", "d_mlp")
+_GLOBAL_KEYS = ("d_model", "block_size", "max_layers")
+_LAYER_KEYS = ("mask", "attn", "n_h", "n_kv", "d_qk", "d_v", "d_mlp")
+
+
+def require_ints(obj, names: tuple[str, ...]) -> None:
+    """The field rule of genes, global configs and workloads: ValueError
+    naming the first field that is not an exact int (bool, float, NaN,
+    numpy int)."""
+    for name in names:
+        if type(getattr(obj, name)) is not int:
+            raise ValueError(f"{type(obj).__name__}.{name} must be an int, "
+                             f"got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -81,14 +98,15 @@ class LayerGene:
     """One layer: gate bits plus attention/MLP shape.
 
     mask=0 disables the layer entirely (other fields are ignored); attn=0
-    keeps the MLP but makes the attention sublayer an identity.
+    keeps the MLP but makes the attention sublayer an identity.  Every
+    field is an exact int (``require_ints``).
 
     Children share most genes with their parents, so a gene object caches
     what is a pure function of its seven fields and an explicit key: its
     hash, its ``_gene_on_space`` answer with the grids it was computed
-    for, its parameter count with the typed ``d_model`` it was counted at
+    for, its parameter count with the ``d_model`` it was counted at
     (``param_count``), its ``to_json`` row (``_layer_json``), its
-    ``hwcost.profiles.profile_model`` profile with the typed
+    ``hwcost.profiles.profile_model`` profile with the
     ``(d_model, ctx_mean)`` key it was computed under, and its
     ``hwcost.substrate.substrate_cost`` roofline terms with the substrate
     spec and profile objects they were computed from.  The private slots
@@ -127,6 +145,7 @@ class LayerGene:
         put(self, "_json", None)
         put(self, "_profile_key", None)
         put(self, "_roofline", None)
+        require_ints(self, _LAYER_KEYS)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -136,12 +155,10 @@ class LayerGene:
 
     def param_count(self, d_model: int) -> int:
         """``layer_param_count(self, d_model)``, kept on the gene with the
-        typed d_model it was counted at, so that 768 and 768.0 do not
-        share a count."""
-        key = (d_model, type(d_model))
-        if self._params_key != key:
+        d_model it was counted at."""
+        if self._params_key != d_model:
             object.__setattr__(self, "_params", layer_param_count(self, d_model))
-            object.__setattr__(self, "_params_key", key)
+            object.__setattr__(self, "_params_key", d_model)
         return self._params
 
     def __getstate__(self) -> tuple:
@@ -156,6 +173,9 @@ class GlobalConfig:
     d_model: int = 768
     block_size: int = 1024
     max_layers: int = 40
+
+    def __post_init__(self):
+        require_ints(self, _GLOBAL_KEYS)
 
 
 @dataclass(frozen=True)
@@ -231,17 +251,12 @@ def _gene_on_space(gene: LayerGene, grids: tuple[frozenset[int], ...]) -> bool:
 
 def _gene_on_grids(gene: LayerGene, grids: tuple[frozenset[int], ...]) -> bool:
     """True when a gene is its own repair projection, which also means it
-    breaks no per-gene rule of ``validate``: every field an exact int, gate
-    bits in {0,1}, every numeric field on its grid (``_grid_sets``, active
-    or not) and 1 <= n_kv dividing n_h.  A bool or numpy int does not
-    qualify, because it serializes differently from the int repair makes."""
+    breaks no per-gene rule of ``validate``: gate bits in {0,1}, every
+    numeric field on its grid (``_grid_sets``, active or not) and
+    1 <= n_kv dividing n_h."""
     on_n_h, on_n_kv, on_d_qk, on_d_v, on_d_mlp = grids
     return (
-        type(gene.mask) is int and type(gene.attn) is int
-        and type(gene.n_h) is int and type(gene.n_kv) is int
-        and type(gene.d_qk) is int and type(gene.d_v) is int
-        and type(gene.d_mlp) is int
-        and gene.mask in (0, 1) and gene.attn in (0, 1)
+        gene.mask in (0, 1) and gene.attn in (0, 1)
         and gene.n_h in on_n_h and gene.n_kv in on_n_kv
         and gene.d_qk in on_d_qk and gene.d_v in on_d_v and gene.d_mlp in on_d_mlp
         and 1 <= gene.n_kv <= gene.n_h and gene.n_h % gene.n_kv == 0
@@ -259,7 +274,7 @@ def validate(genome: ArchGenome, ranges: SpaceRanges | None = None) -> list[Viol
     grids = _grid_sets(ranges)
     out: list[Violation] = []
     g = genome.global_cfg
-    for name in ("d_model", "block_size", "max_layers"):
+    for name in _GLOBAL_KEYS:
         if getattr(g, name) < 1:
             out.append(Violation(None, name, "must be >= 1"))
     if len(genome.layers) != g.max_layers:
@@ -308,18 +323,15 @@ def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
     layer is left active, layer 0 is re-activated.  Gene lists of the wrong
     length are padded with inactive minimal genes or truncated.
 
-    A genome that is already its own projection, with the field types the
-    projection makes, is returned as is (with its cached hash and digests):
-    every global field an exact int >= 1 (``max(1, True)`` is the int 1, so
-    a bool is rebuilt), a tuple of max_layers genes, each on the space, and
-    some layer active.
+    A genome that is already its own projection is returned as is (with
+    its cached hash and digests): every global field >= 1, a tuple of
+    max_layers genes, each on the space, and some layer active.
     """
     ranges = ranges or SpaceRanges()
     g = genome.global_cfg
     grids = _grid_sets(ranges)
     layers = genome.layers
-    if (type(g.d_model) is int and type(g.block_size) is int and type(g.max_layers) is int
-            and g.d_model >= 1 and g.block_size >= 1
+    if (g.d_model >= 1 and g.block_size >= 1
             and type(layers) is tuple and len(layers) == g.max_layers >= 1
             and all(_gene_on_space(gene, grids) for gene in layers)
             and any(gene.mask == 1 for gene in layers)):
@@ -447,10 +459,6 @@ def to_dict(genome: ArchGenome) -> dict:
     }
 
 
-_GLOBAL_KEYS = ("d_model", "block_size", "max_layers")
-_LAYER_KEYS = ("mask", "attn", "n_h", "n_kv", "d_qk", "d_v", "d_mlp")
-
-
 def _int_fields(doc, keys: tuple[str, ...], where: str) -> list[int]:
     """doc[key] for every key; each must be an exact JSON integer."""
     if not isinstance(doc, dict):
@@ -478,33 +486,25 @@ def from_dict(doc: dict) -> ArchGenome:
     )
 
 
-# json.dumps(to_dict(g), sort_keys=True, separators=(",", ":")) spelled out
-# for genomes whose fields are all exact ints, which it writes as %d does.
+# json.dumps(to_dict(g), sort_keys=True, separators=(",", ":")) spelled out:
+# every field is an exact int, which json.dumps writes as %d does
 _GLOBAL_JSON = '{"global":{"block_size":%d,"d_model":%d,"max_layers":%d},"layers":['
 _LAYER_JSON = '{"attn":%d,"d_mlp":%d,"d_qk":%d,"d_v":%d,"mask":%d,"n_h":%d,"n_kv":%d}'
 
 
 def _layer_json(gene: LayerGene) -> str:
-    """The gene's row of ``to_json``, kept on the gene: ``_LAYER_JSON``
-    filled with its fields, or "" when a field is not an exact int (a bool,
-    float or numpy int, which json.dumps writes differently or not at all)."""
-    row = (gene.attn, gene.d_mlp, gene.d_qk, gene.d_v, gene.mask, gene.n_h, gene.n_kv)
-    text = _LAYER_JSON % row if set(map(type, row)) == {int} else ""
+    """The gene's row of ``to_json``, kept on the gene."""
+    text = _LAYER_JSON % (gene.attn, gene.d_mlp, gene.d_qk, gene.d_v, gene.mask, gene.n_h, gene.n_kv)
     object.__setattr__(gene, "_json", text)
     return text
 
 
 def to_json(genome: ArchGenome) -> str:
-    """Canonical single-line JSON: sorted keys, compact separators.  Built
-    from each gene's cached row when the genome's fields are all exact
-    ints; ``json.dumps`` otherwise."""
+    """Canonical single-line JSON: sorted keys, compact separators, built
+    from each gene's cached row."""
     g = genome.global_cfg
-    if type(g.block_size) is int and type(g.d_model) is int and type(g.max_layers) is int:
-        rows = [l._json if l._json is not None else _layer_json(l) for l in genome.layers]
-        if all(rows):
-            head = _GLOBAL_JSON % (g.block_size, g.d_model, g.max_layers)
-            return head + ",".join(rows) + "]}"
-    return json.dumps(to_dict(genome), sort_keys=True, separators=(",", ":"))
+    rows = [l._json if l._json is not None else _layer_json(l) for l in genome.layers]
+    return _GLOBAL_JSON % (g.block_size, g.d_model, g.max_layers) + ",".join(rows) + "]}"
 
 
 def parse_json(text: str):

@@ -129,8 +129,8 @@ def balanced_contiguous_pack(
     """
     if not profiles:
         raise ValueError("profiles must be non-empty")
-    if n_chips_max < 1:
-        raise ValueError("n_chips_max must be >= 1")
+    if not n_chips_max >= 1:  # NaN fails this too
+        raise ValueError(f"n_chips_max must be >= 1, got {n_chips_max!r}")
     layers = _layer_terms(profiles, limits)
     for prof, (w, k, _) in zip(profiles, layers):
         if w > limits.weight_cap or k > limits.kv_cap or prof.act_bytes > limits.act_cap:

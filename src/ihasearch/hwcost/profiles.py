@@ -5,9 +5,9 @@ active layers of a genome, which both backends (``substrate_cost`` and the
 ring's ``chip_grid_search``) do once per distinct genome.  A search's
 children share most gene objects with their parents, so ``profile_model``
 keeps each gene's last profile on the gene, keyed by what the profile
-depends on besides the gene: ``(d_model, ctx_mean)``, each with its type,
-so that 768 and 768.0 do not share a profile.  A gene reuses its profile
-while the key is equal and computes a new one otherwise; the cache dies with
+depends on besides the gene: ``(d_model, ctx_mean)``, an int and a float,
+since configs and workloads hold exact ints (``genome.require_ints``).  A
+gene reuses its profile while the key is equal and computes a new one otherwise; the cache dies with
 the gene object.  ``substrate_cost`` keys each gene's cached roofline terms
 by the identity of this profile object (``hwcost.substrate``), so a profile
 under a new key retires them too.  ``profile_layer`` itself caches nothing;
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..genome import ArchGenome, GlobalConfig, LayerGene
+from ..genome import ArchGenome, GlobalConfig, LayerGene, require_ints
 
 
 class HWCost(NamedTuple):
@@ -32,12 +32,13 @@ class HWCost(NamedTuple):
 
 @dataclass(frozen=True)
 class Workload:
-    """Inference workload: prefill followed by token-by-token decode."""
+    """Inference workload: prefill followed by token-by-token decode; exact ints >= 1."""
 
     prefill_tokens: int = 256
     decode_tokens: int = 256
 
     def __post_init__(self):
+        require_ints(self, ("prefill_tokens", "decode_tokens"))
         if self.prefill_tokens < 1 or self.decode_tokens < 1:
             raise ValueError("prefill and decode lengths must be >= 1")
 
@@ -103,8 +104,8 @@ def profile_model(genome: ArchGenome, workload: Workload) -> list[LayerProfile]:
     from the gene when it was computed under an equal key (module
     docstring)."""
     global_cfg = genome.global_cfg
-    d, ctx = global_cfg.d_model, workload.ctx_mean
-    key = (d, ctx, type(d), type(ctx))
+    ctx = workload.ctx_mean
+    key = (global_cfg.d_model, ctx)
     out = []
     for gene in genome.layers:
         if gene.mask != 1:

@@ -5,12 +5,13 @@ contiguous stages (one chip each) with weights held stationary; tokens hop
 around the ring once per decode step.  The co-search sweeps a 45-point chip
 grid, packs the model onto each feasible template, simulates the ring, and
 returns the top non-dominated (chip, plan) pairs on
-(TTFT, TPOT, energy/token, total area).  One call does only the
-per-genome work that can change its answer.  A chip's stage limits do not
-depend on its MAC count or the chip cap, and every chip of a call holds KV
-for ``workload.ctx_peak``, so:
+(TTFT, TPOT, energy/token, total area).  Grid values are exact ints >= 1
+(``check_grid_value``), so the per-call tables are keyed by value.  One
+call does only the per-genome work that can change its answer.  A chip's
+stage limits do not depend on its MAC count or the chip cap, and every
+chip of a call holds KV for ``workload.ctx_peak``, so:
 
-- the fit rule: each memory size (typed ``w_core_kb``) builds one chip and
+- the fit rule: each memory size (``w_core_kb``) builds one chip and
   checks once whether its limits hold the genome's largest weight, KV and
   activation term, the check ``balanced_contiguous_pack`` makes first.  A
   memory size that does not fit packs nothing, and beyond those chips only
@@ -206,6 +207,13 @@ def default_chip_grid() -> list[tuple[int, int, int]]:
     ]
 
 
+def check_grid_value(axis: str, value) -> None:
+    """ValueError naming the axis unless value is an exact int >= 1 (not a
+    bool, float, NaN or numpy int: the rule of ``genome.require_ints``)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{axis} must be an int >= 1, got {value!r}")
+
+
 def _pack_by_cap(profiles, limits, caps, packs) -> None:
     """Fill ``packs[limits, cap]`` for every cap, largest first.
 
@@ -214,14 +222,12 @@ def _pack_by_cap(profiles, limits, caps, packs) -> None:
     larger one.  The next larger cap's answer therefore settles a cap when
     it is None, or when it has at most that many stages (it is then the
     smallest feasible budget's partition under both); only the other caps
-    are packed.  The comparisons are written out, so that a cap that does
-    not order (NaN) is always packed.
+    are packed.
     """
     larger = None
     for cap in sorted(caps, reverse=True):
         if (limits, cap) not in packs:
-            if larger is not None and cap <= larger[0] and (
-                    larger[1] is None or len(larger[1]) <= cap):
+            if larger is not None and (larger[1] is None or len(larger[1]) <= cap):
                 packs[limits, cap] = larger[1]
             else:
                 part = balanced_contiguous_pack(profiles, limits, cap)
@@ -248,8 +254,9 @@ def chip_grid_search(
     activation term packs nothing (the fit rule).  A memory size that fits
     packs its caps from the largest down, reusing a larger cap's answer
     where it settles a smaller one (the cap rule, ``_pack_by_cap``).
-    Beyond those chips, only a feasible point builds one.  Every grid point
-    is still checked: a bad n_mac, w_core_kb or cap raises ValueError.
+    Beyond those chips, only a feasible point builds one.  Every grid value
+    is checked first: one that is not an exact int >= 1 raises ValueError
+    (``check_grid_value``).
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -263,51 +270,44 @@ def chip_grid_search(
     # chip of one call holds KV for ctx_peak
     max_kv = max(p.kv_bytes_per_token * ctx for p in profiles)
     max_act = max(p.act_bytes for p in profiles)
-    # the caps each memory size is packed under; 16 and 16.0 give equal
-    # stage limits, so they share one entry
+    # the caps each memory size is packed under
     caps: dict = {}
-    for _, w_core, cap in grid:
-        if cap < 1:
-            raise ValueError(f"n_chips_max must be >= 1, got {cap}")
+    for n_mac, w_core, cap in grid:
+        check_grid_value("n_mac", n_mac)
+        check_grid_value("w_core_kb", w_core)
+        check_grid_value("n_chips_max", cap)
         caps.setdefault(w_core, set()).add(cap)
-    # the stage limits do not depend on n_mac or the cap, so each typed
-    # memory size decides once whether they hold every layer (None if not)
+    # the stage limits do not depend on n_mac or the cap, so each memory
+    # size decides once whether they hold every layer (None if not)
     fits: dict = {}
-    # a chip does not depend on the cap; the key is typed, so that 16 and
-    # 16.0 keep the chip each would build
+    # a chip does not depend on the cap
     chips: dict = {}
     packs: dict = {}
     results: list[RingResult] = []
     seen: set = set()
     n_feasible = 0
     for n_mac, w_core, cap in grid:
-        w_key = (w_core, type(w_core))
-        chip_key = (n_mac, type(n_mac)) + w_key
-        if w_key not in fits:
-            chip = chips[chip_key] = build_chip(n_mac, w_core, max_w, ctx)
+        if w_core not in fits:
+            chip = chips[n_mac, w_core] = build_chip(n_mac, w_core, max_w, ctx)
             limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
             if (max_w <= limits.weight_cap and max_kv <= limits.kv_cap
                     and max_act <= limits.act_cap):
-                fits[w_key] = limits
+                fits[w_core] = limits
                 _pack_by_cap(profiles, limits, caps[w_core], packs)
             else:
-                fits[w_key] = None
-        limits = fits[w_key]
+                fits[w_core] = None
+        limits = fits[w_core]
         partition = None if limits is None else packs[limits, cap]
         if partition is None:
-            # only a feasible point needs its chip; make the check building
-            # it would
-            if not 0 < n_mac < math.inf:
-                raise ValueError(f"n_mac must be finite and > 0, got {n_mac}")
-            continue
-        if chip_key not in chips:
-            chips[chip_key] = build_chip(n_mac, w_core, max_w, ctx)
-        chip = chips[chip_key]
+            continue  # only a feasible point needs its chip
+        if (n_mac, w_core) not in chips:
+            chips[n_mac, w_core] = build_chip(n_mac, w_core, max_w, ctx)
+        chip = chips[n_mac, w_core]
         n_feasible += 1
         # grid points whose cap was not binding realize the same (chip, plan)
         # design; keep the first occurrence only.  Within one call the chip
-        # is a function of (n_mac, w_core_kb) by value, so those two stand
-        # for it in the key
+        # is a function of (n_mac, w_core_kb), so those two stand for it in
+        # the key
         key = (n_mac, w_core, partition)
         if key in seen:
             continue

@@ -166,7 +166,7 @@ def gqa_repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGen
         n_kv = snap_n_kv(n_h, gene.n_kv, ranges.n_kv)
         d_head = fixed.global_cfg.d_model // n_h
         if (n_h, n_kv, d_head, d_head) == (gene.n_h, gene.n_kv, gene.d_qk, gene.d_v):
-            return gene  # repair made every field an int: keep the object and its caches
+            return gene  # keep the object and its caches
         return replace(gene, n_h=n_h, n_kv=n_kv, d_qk=d_head, d_v=d_head)
 
     return ArchGenome(fixed.global_cfg, tuple(project(g) for g in fixed.layers))

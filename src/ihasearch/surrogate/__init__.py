@@ -9,7 +9,6 @@ from .training import (
     LabeledCorpus,
     TrainHistory,
     fine_tune,
-    load_corpus,
     parse_corpus_row,
     replay_counts,
     save_corpus,
@@ -33,7 +32,6 @@ __all__ = [
     "fine_tune",
     "replay_counts",
     "split_corpus",
-    "load_corpus",
     "parse_corpus_row",
     "save_corpus",
     "MlpBaseline",

@@ -59,17 +59,6 @@ def parse_corpus_row(line: str) -> tuple[ArchGenome, float]:
     return from_dict(doc["genome"]), float(label)
 
 
-def load_corpus(path: str):
-    genomes, labels = [], []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                genome, label = parse_corpus_row(line)
-                genomes.append(genome)
-                labels.append(label)
-    return genomes, np.array(labels)
-
-
 # --- optimizer ---------------------------------------------------------------
 
 @dataclass

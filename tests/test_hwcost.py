@@ -229,7 +229,7 @@ class TestRooflineCache:
     @given(
         genes=st.lists(_SHAPE_GENE, min_size=1, max_size=8),
         workloads=st.lists(_WORKLOADS, min_size=2, max_size=2),
-        d_models=st.lists(st.sampled_from([768, 960, 768.0]), min_size=2, max_size=2),
+        d_models=st.lists(st.sampled_from([768, 960]), min_size=2, max_size=2),
     )
     @settings(max_examples=200, deadline=None)
     def test_equals_the_literal_loop(self, genes, workloads, d_models):
@@ -301,6 +301,12 @@ class TestBalancedPack:
 
     def test_single_layer_violation(self):
         assert balanced_contiguous_pack([prof(150, 0, 10, 10)], ROOMY, 8) is None
+
+    @pytest.mark.parametrize("cap", [0, 0.5, -math.inf, math.nan])
+    def test_cap_below_one_raises(self, cap):
+        # NaN used to pass as no cap at all
+        with pytest.raises(ValueError, match="n_chips_max"):
+            balanced_contiguous_pack([prof(10, 1, 30, 1)] * 11, ROOMY, cap)
 
     def test_matches_exhaustive_oracle(self):
         # criterion-style sweep at unit test scale; the acceptance test
@@ -609,22 +615,20 @@ class TestChipGridSearch:
     @staticmethod
     def _expected_work(genome, workload, grid):
         """The chips, packs and simulations of a grid search, by a literal
-        per-memory-size rule: (typed chips built, pack calls, feasible pack
-        calls, feasible points, distinct (chip, plan) designs).
+        per-memory-size rule: ((n_mac, w_core_kb) of the chips built, pack
+        calls, feasible pack calls, feasible points, distinct (chip, plan)
+        designs).
 
-        The first point of each typed w_core_kb builds a chip for the memory
-        size's stage limits, and each other distinct typed (n_mac,
-        w_core_kb) builds one when one of its points packs.  Limits that
+        The first point of each w_core_kb builds a chip for the memory
+        size's stage limits, and each other distinct (n_mac, w_core_kb)
+        builds one when one of its points packs.  Limits that
         cannot hold some single layer (a pack under an unbounded cap is
         None) pack nothing.  Limits that hold every layer pack the distinct
-        caps of the memory size's value from the largest down, except a cap
+        caps of the memory size from the largest down, except a cap
         whose next larger cap packed to None or to at most that many stages.
         Each distinct (chip, plan) of the per-point sweep is simulated once."""
         profiles = profile_model(genome, workload)
         max_w = max(p.weight_bytes for p in profiles)
-
-        def typed(n_mac, w_core):
-            return n_mac, type(n_mac), w_core, type(w_core)
 
         def limits_of(n_mac, w_core):
             chip = build_chip(n_mac, w_core, max_w, workload.ctx_peak)
@@ -632,16 +636,16 @@ class TestChipGridSearch:
 
         first, caps_of = {}, {}
         for n_mac, w_core, cap in grid:
-            first.setdefault((w_core, type(w_core)), (n_mac, w_core))
+            first.setdefault(w_core, (n_mac, w_core))
             caps_of.setdefault(w_core, set()).add(cap)
         fits = {w: balanced_contiguous_pack(profiles, limits_of(*first[w]), math.inf) is not None
                 for w in first}
-        chips = {typed(*point) for point in first.values()}
+        chips = set(first.values())
         n_packs = n_fit_packs = 0
         for w_core, caps in caps_of.items():
-            if not fits[w_core, type(w_core)]:
+            if not fits[w_core]:
                 continue
-            limits = limits_of(*first[w_core, type(w_core)])
+            limits = limits_of(*first[w_core])
             larger = None
             for cap in sorted(caps, reverse=True):
                 part = balanced_contiguous_pack(profiles, limits, cap)
@@ -656,13 +660,13 @@ class TestChipGridSearch:
             if part is not None:
                 n_feasible += 1
                 designs.add((chip, tuple(tuple(s) for s in part)))
-                chips.add(typed(n_mac, w_core))
+                chips.add((n_mac, w_core))
         return chips, n_packs, n_fit_packs, n_feasible, designs
 
     @staticmethod
     @contextlib.contextmanager
     def _counted():
-        """Record build_chip's typed (n_mac, w_core_kb), each pack's
+        """Record build_chip's (n_mac, w_core_kb), each pack's
         feasibility, greedy_contiguous_partition calls and simulated
         (chip, plan) pairs, at the module attributes the search calls."""
         log = SimpleNamespace(chips=[], packs=[], greedy=[], sims=[])
@@ -675,7 +679,7 @@ class TestChipGridSearch:
             return out
 
         def counting_chip(n_mac, w_core, *rest):
-            log.chips.append((n_mac, type(n_mac), w_core, type(w_core)))
+            log.chips.append((n_mac, w_core))
             return chip_of(n_mac, w_core, *rest)
 
         patches = {
@@ -732,11 +736,13 @@ class TestChipGridSearch:
     def test_chip_pack_and_simulation_counts(self, case):
         self._assert_work_matches(*case)
 
-    # (axis, value): a bad n_mac, w_core_kb or cap
+    # (axis, value): a bad n_mac, w_core_kb or cap; each axis also gets a
+    # value that is not an exact int (NaN, 16.0, True, np.int64(16))
     BAD_VALUES = [
-        *[(0, n_mac) for n_mac in (0, -16, 0.0, math.nan, math.inf, -math.inf)],
-        *[(1, w_core) for w_core in (0, -24, 0.0, math.nan, math.inf, -math.inf)],
+        *[(0, n_mac) for n_mac in (0, -16, 0.0, math.inf, -math.inf)],
+        *[(1, w_core) for w_core in (0, -24, 0.0, math.inf, -math.inf)],
         *[(2, cap) for cap in (0, -8, 0.5, 0.0, -math.inf)],
+        *[(axis, value) for axis in range(3) for value in (math.nan, 16.0, True, np.int64(16))],
     ]
 
     @given(grid_search_cases(), st.sampled_from(BAD_VALUES), st.data())
@@ -744,7 +750,7 @@ class TestChipGridSearch:
     def test_one_bad_grid_point_raises(self, case, bad, data):
         """A bad n_mac, w_core_kb or cap raises ValueError wherever it sits,
         also at a memory size that holds no layer or under a cap that a
-        larger cap settles."""
+        larger cap settles; a NaN cap is not taken for no cap."""
         genome, workload, grid = case
         grid = default_chip_grid() if grid is None else grid
         axis, value = bad

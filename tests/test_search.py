@@ -710,7 +710,7 @@ class TestEvaluationMemo:
 
         def counted_param_count(g, d_model):
             seen.append(g)
-            param_counts[id(g), d_model, type(d_model)] += 1
+            param_counts[id(g), d_model] += 1
             return layer_param_count(g, d_model)
 
         def counted_roofline(g, prof, spec, ctx_mean):

@@ -16,8 +16,8 @@ from ihasearch.metrics import kendall_tau
 from ihasearch.surrogate import (
     EncoderConfig,
     fine_tune,
-    load_corpus,
     make_synthetic_corpus,
+    parse_corpus_row,
     replay_counts,
     save_corpus,
     split_corpus,
@@ -61,9 +61,10 @@ class TestSplitAndCorpusIO:
         genomes, labels = make_synthetic_corpus(6, seed=4)
         path = str(tmp_path / "corpus.jsonl")
         save_corpus(path, genomes, labels)
-        g2, l2 = load_corpus(path)
-        assert list(g2) == list(genomes)
-        np.testing.assert_array_equal(l2, labels)
+        with open(path) as fh:
+            rows = [parse_corpus_row(line) for line in fh]
+        assert [g for g, _ in rows] == list(genomes)
+        np.testing.assert_array_equal([y for _, y in rows], labels)
 
 
 class TestTrainLoop:
