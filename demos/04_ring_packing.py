@@ -14,9 +14,9 @@ Run:  python demos/04_ring_packing.py
 """
 from ihasearch.genome import ArchGenome, GlobalConfig, LayerGene, genome_id
 from ihasearch.hwcost import (
+    DEFAULT_CHIP_GRID,
     Workload,
     chip_grid_search,
-    default_chip_grid,
     profile_model,
     ring_cost,
 )
@@ -40,7 +40,7 @@ def main() -> None:
     total_w = sum(q.weight_bytes for q in profiles)
     print(f"whole model: {total_w / 1e6:.1f} MB of weights -> needs a ring")
 
-    print(f"\n== step 2: sweep the {len(default_chip_grid())}-point chip grid ==")
+    print(f"\n== step 2: sweep the {len(DEFAULT_CHIP_GRID.points)}-point chip grid ==")
     picks, _ = chip_grid_search(genome, workload)
     print(f"Pareto-best (chip, plan) pairs: {len(picks)}")
     print(f"{'n_mac':>6} {'w_core_kb':>10} {'n_cores':>8} {'n_chips':>8} "

@@ -29,7 +29,9 @@ import scipy
 from . import __version__
 from .attention import attention_rows_stochastic, iha_forward, random_weights, replicate_kv_groups
 from .genome import (
+    MAX_EXACT_INT,
     LayerGene,
+    Violation,
     count_attention_configs,
     from_dict,
     from_json,
@@ -39,13 +41,14 @@ from .genome import (
     validate,
 )
 from .hwcost import (
+    DEFAULT_CHIP_GRID,
+    GRID_AXES,
+    ChipGrid,
     Workload,
     best_ring_pick,
     chip_grid_search,
-    default_chip_grid,
     write_plan_csv,
 )
-from .hwcost.ring import check_grid_value
 from .metrics import rank_report
 from .search import SearchConfig, run_search
 from .surrogate import (
@@ -325,7 +328,13 @@ def cmd_search(args) -> int:
 # --------------------------------------------------------------------------
 
 def _require_valid(genome, where: str):
+    """The genome, unless ``validate`` finds a problem or a global dim is
+    above 2**53, past which the cost models' float arithmetic is not exact:
+    then an input error that lists them all."""
     problems = validate(genome)
+    problems += [Violation(None, name, "must be <= 2**53")
+                 for name, value in dataclasses.asdict(genome.global_cfg).items()
+                 if value > MAX_EXACT_INT]
     if problems:
         details = "; ".join(str(p) for p in problems)
         raise InputError(f"{where} is invalid: {details}")
@@ -363,27 +372,25 @@ def _load_genome_rows(path: str, what: str, parse) -> list[tuple]:
     return rows
 
 
-def _load_grid(path: str | None) -> list[tuple[int, int, int]]:
+def _load_grid(path: str | None) -> ChipGrid:
     if path is None:
-        return default_chip_grid()
+        return DEFAULT_CHIP_GRID
     doc = _read_json_file(path, "chip grid")
     if not isinstance(doc, dict):
         raise InputError("chip grid file must hold a JSON object")
     axes = []
-    for name in ("n_mac", "w_core_kb", "n_chips_max"):
+    for name in GRID_AXES:
         if name not in doc:
             raise InputError(f"chip grid file needs key {name!r}")
         values = doc[name]
         if not isinstance(values, list):
             raise InputError(f"chip grid {name} must be a list, got {values!r}")
-        for value in values:
-            try:
-                check_grid_value(name, value)
-            except ValueError as exc:
-                raise InputError(f"chip grid {exc}") from None
         axes.append(values)
-    grid = list(itertools.product(*axes))
-    if not grid:
+    try:
+        grid = ChipGrid(itertools.product(*axes))
+    except ValueError as exc:
+        raise InputError(f"chip grid {exc}") from None
+    if not grid.points:
         raise InputError("chip grid file describes an empty grid")
     return grid
 
@@ -391,11 +398,14 @@ def _load_grid(path: str | None) -> list[tuple[int, int, int]]:
 def cmd_pack(args) -> int:
     genome = _load_genome_checked(args.genome)
     grid = _load_grid(args.grid)
-    workload = Workload(args.prefill_tokens, args.decode_tokens)
+    try:
+        workload = Workload(args.prefill_tokens, args.decode_tokens)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     out_dir = _prepare_out_dir(args.out, args.force)
 
     picks, n_feasible = chip_grid_search(genome, workload, grid=grid, top_k=args.top_k)
-    print(f"grid: {len(grid)} chip configs, {n_feasible} feasible "
+    print(f"grid: {len(grid.points)} chip configs, {n_feasible} feasible "
           f"for genome {genome_id(genome)}")
     if not picks:
         print("warning: no chip configuration fits this model; nothing to pack")
@@ -424,7 +434,7 @@ def _pack_manifest(args, genome, grid, workload) -> dict:
         "subcommand": "pack",
         "genome_id": genome_id(genome),
         "genome": json.loads(to_json(genome)),
-        "grid": [list(t) for t in grid],
+        "grid": [list(t) for t in grid.points],
         "prefill_tokens": workload.prefill_tokens,
         "decode_tokens": workload.decode_tokens,
         "top_k": args.top_k,

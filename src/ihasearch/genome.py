@@ -10,7 +10,10 @@ and "iha" (all four shape fields free on their grids).
 Every field of a gene and of the global config is an exact int: the
 constructors reject any other value (``require_ints``), so every per-gene
 cache is keyed by value alone.  Out-of-range ints are allowed; ``validate``
-reports them and ``repair`` projects them.
+reports them and ``repair`` projects them.  A genome holds a
+``GlobalConfig`` and a tuple of ``LayerGene``: its constructor rejects any
+other container or element, so two genomes with equal content are equal and
+hash alike.
 """
 from __future__ import annotations
 
@@ -25,6 +28,10 @@ GQA = "gqa"
 IHA = "iha"
 
 DEFAULT_VOCAB_SIZE = 50257
+
+# every int up to 2**53 is exact as a float: the bound of each value that
+# enters the cost models, which do float arithmetic on it
+MAX_EXACT_INT = 2**53
 
 
 @dataclass(frozen=True)
@@ -178,12 +185,25 @@ class GlobalConfig:
         require_ints(self, _GLOBAL_KEYS)
 
 
+_GENE_TYPE = {LayerGene}
+
+
 @dataclass(frozen=True)
 class ArchGenome:
-    """A fixed-length stack of layer genes under one global config."""
+    """A fixed-length stack of layer genes under one global config: a
+    ``GlobalConfig`` and a tuple of ``LayerGene``, or ValueError."""
 
     global_cfg: GlobalConfig
     layers: tuple[LayerGene, ...]
+
+    def __post_init__(self):
+        if type(self.global_cfg) is not GlobalConfig:
+            raise ValueError(f"ArchGenome.global_cfg must be a GlobalConfig, "
+                             f"got {self.global_cfg!r}")
+        # one pass over the genes: a search builds thousands of genomes
+        if type(self.layers) is not tuple or not {*map(type, self.layers)} <= _GENE_TYPE:
+            raise ValueError(f"ArchGenome.layers must be a tuple of LayerGene, "
+                             f"got {self.layers!r}")
 
     def active_layers(self) -> list[LayerGene]:
         return [g for g in self.layers if g.mask == 1]
@@ -324,15 +344,15 @@ def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
     length are padded with inactive minimal genes or truncated.
 
     A genome that is already its own projection is returned as is (with
-    its cached hash and digests): every global field >= 1, a tuple of
-    max_layers genes, each on the space, and some layer active.
+    its cached hash and digests): every global field >= 1, max_layers
+    genes, each on the space, and some layer active.
     """
     ranges = ranges or SpaceRanges()
     g = genome.global_cfg
     grids = _grid_sets(ranges)
     layers = genome.layers
     if (g.d_model >= 1 and g.block_size >= 1
-            and type(layers) is tuple and len(layers) == g.max_layers >= 1
+            and len(layers) == g.max_layers >= 1
             and all(_gene_on_space(gene, grids) for gene in layers)
             and any(gene.mask == 1 for gene in layers)):
         return genome

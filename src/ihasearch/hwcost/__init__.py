@@ -20,13 +20,15 @@ from .packing import (
     greedy_contiguous_partition,
 )
 from .ring import (
+    DEFAULT_CHIP_GRID,
+    GRID_AXES,
+    ChipGrid,
     ChipTemplate,
     RingPlan,
     RingResult,
     best_ring_pick,
     build_chip,
     chip_grid_search,
-    default_chip_grid,
     ring_cost,
     ring_simulate,
     write_plan_csv,
@@ -44,12 +46,14 @@ __all__ = [
     "StageLimits",
     "greedy_contiguous_partition",
     "balanced_contiguous_pack",
+    "ChipGrid",
     "ChipTemplate",
     "RingPlan",
     "RingResult",
     "best_ring_pick",
     "build_chip",
-    "default_chip_grid",
+    "DEFAULT_CHIP_GRID",
+    "GRID_AXES",
     "chip_grid_search",
     "ring_cost",
     "ring_simulate",

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..genome import ArchGenome, GlobalConfig, LayerGene, require_ints
+from ..genome import MAX_EXACT_INT, ArchGenome, GlobalConfig, LayerGene, require_ints
 
 
 class HWCost(NamedTuple):
@@ -32,15 +32,20 @@ class HWCost(NamedTuple):
 
 @dataclass(frozen=True)
 class Workload:
-    """Inference workload: prefill followed by token-by-token decode; exact ints >= 1."""
+    """Inference workload: prefill followed by token-by-token decode.  Both
+    lengths are exact ints in [1, 2**53], the ints a float holds exactly
+    (``genome.MAX_EXACT_INT``), or ValueError names the field."""
 
     prefill_tokens: int = 256
     decode_tokens: int = 256
 
     def __post_init__(self):
         require_ints(self, ("prefill_tokens", "decode_tokens"))
-        if self.prefill_tokens < 1 or self.decode_tokens < 1:
-            raise ValueError("prefill and decode lengths must be >= 1")
+        for name in ("prefill_tokens", "decode_tokens"):
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_EXACT_INT:
+                raise ValueError(f"prefill and decode lengths must be >= 1 and <= 2**53: "
+                                 f"Workload.{name} is {value!r}")
 
     @property
     def ctx_mean(self) -> float:

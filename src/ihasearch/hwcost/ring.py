@@ -2,14 +2,15 @@
 
 A ring is a token-level pipeline of identical chips.  Layers are packed onto
 contiguous stages (one chip each) with weights held stationary; tokens hop
-around the ring once per decode step.  The co-search sweeps a 45-point chip
-grid, packs the model onto each feasible template, simulates the ring, and
-returns the top non-dominated (chip, plan) pairs on
-(TTFT, TPOT, energy/token, total area).  Grid values are exact ints >= 1
-(``check_grid_value``), so the per-call tables are keyed by value.  One
-call does only the per-genome work that can change its answer.  A chip's
-stage limits do not depend on its MAC count or the chip cap, and every
-chip of a call holds KV for ``workload.ctx_peak``, so:
+around the ring once per decode step.  The co-search sweeps a chip grid (the
+45-point ``DEFAULT_CHIP_GRID`` unless told otherwise), packs the model onto
+each feasible template, simulates the ring, and returns the top
+non-dominated (chip, plan) pairs on (TTFT, TPOT, energy/token, total area).
+A grid is a frozen ``ChipGrid``: its constructor checks every value once
+(an exact int in [1, 2**53]) and lists each memory size's caps, so a call
+only reads it.  One call does only the per-genome work that can change its
+answer.  A chip's stage limits do not depend on its MAC count or the chip
+cap, and every chip of a call holds KV for ``workload.ctx_peak``, so:
 
 - the fit rule: each memory size (``w_core_kb``) builds one chip and
   checks once whether its limits hold the genome's largest weight, KV and
@@ -24,17 +25,18 @@ chip of a call holds KV for ``workload.ctx_peak``, so:
   ``balanced_contiguous_pack``, and they share one candidate-budget list
   (see ``packing``).
 
-For the 45-point default grid on ``ring_preset`` searches that is about 7
-chips and 2 packs per genome, down from 15 and 15; the picks, their order
-and every float are those of packing every grid point.
+For the default grid on ``ring_preset`` searches that is about 7 chips and
+2 packs per genome, down from 15 and 15; the picks, their order and every
+float are those of packing every grid point.
 """
 import csv
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..genome import ArchGenome
+from ..genome import MAX_EXACT_INT, ArchGenome
 from ..metrics import crowding_distance, pareto_front
 from .packing import StageLimits, balanced_contiguous_pack, stage_totals
 from .profiles import HWCost, LayerProfile, Workload, profile_model
@@ -197,25 +199,43 @@ def ring_simulate(plan: RingPlan, workload: Workload) -> HWCost:
     return HWCost(e_tok, ttft, tpot)
 
 
-def default_chip_grid() -> list[tuple[int, int, int]]:
-    """The swept (n_mac, w_core_kb, n_chips_max) grid, in deterministic order."""
-    return [
-        (n_mac, w_core, cap)
-        for n_mac in N_MAC_CHOICES
-        for w_core in W_CORE_KB_CHOICES
-        for cap in N_CHIPS_MAX_CHOICES
-    ]
+GRID_AXES = ("n_mac", "w_core_kb", "n_chips_max")
 
 
-def check_grid_value(axis: str, value) -> None:
-    """ValueError naming the axis unless value is an exact int >= 1 (not a
-    bool, float, NaN or numpy int: the rule of ``genome.require_ints``)."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{axis} must be an int >= 1, got {value!r}")
+@dataclass(frozen=True)
+class ChipGrid:
+    """The ``(n_mac, w_core_kb, n_chips_max)`` points a co-search sweeps, in
+    order (a repeated point is swept and counted once per occurrence), and
+    each memory size's distinct caps, largest first.
+
+    The constructor is the one place a grid value is checked: an exact int
+    (the rule of ``genome.require_ints``) in [1, 2**53], or ValueError
+    naming its axis.
+    """
+
+    points: tuple[tuple[int, int, int], ...]
+    caps: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        points = tuple((n_mac, w_core, cap) for n_mac, w_core, cap in self.points)
+        caps: dict[int, set[int]] = {}
+        for point in points:
+            for axis, value in zip(GRID_AXES, point):
+                if type(value) is not int or not 1 <= value <= MAX_EXACT_INT:
+                    raise ValueError(f"{axis} must be an int >= 1 and <= 2**53, got {value!r}")
+            caps.setdefault(point[1], set()).add(point[2])
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "caps", {w_core: tuple(sorted(c, reverse=True))
+                                          for w_core, c in caps.items()})
+
+
+DEFAULT_CHIP_GRID = ChipGrid(
+    itertools.product(N_MAC_CHOICES, W_CORE_KB_CHOICES, N_CHIPS_MAX_CHOICES))
 
 
 def _pack_by_cap(profiles, limits, caps, packs) -> None:
-    """Fill ``packs[limits, cap]`` for every cap, largest first.
+    """Fill ``packs[limits, cap]`` for every cap of ``caps``, which lists
+    them largest first (``ChipGrid.caps``).
 
     A budget is feasible under a cap when the greedy partition exists and
     fits in the cap's stages, so whatever fits under a cap fits under every
@@ -225,7 +245,7 @@ def _pack_by_cap(profiles, limits, caps, packs) -> None:
     are packed.
     """
     larger = None
-    for cap in sorted(caps, reverse=True):
+    for cap in caps:
         if (limits, cap) not in packs:
             if larger is not None and (larger[1] is None or len(larger[1]) <= cap):
                 packs[limits, cap] = larger[1]
@@ -238,13 +258,12 @@ def _pack_by_cap(profiles, limits, caps, packs) -> None:
 def chip_grid_search(
     genome: ArchGenome,
     workload: Workload,
-    grid: list[tuple[int, int, int]] | None = None,
+    grid: ChipGrid = DEFAULT_CHIP_GRID,
     top_k: int = 3,
 ) -> tuple[list[RingResult], int]:
-    """Sweep the chip grid (``default_chip_grid()`` when None), pack and
-    simulate each feasible point, and return the top_k mutually
-    non-dominated results by descending crowding distance, plus the number
-    of grid points the model packed onto.
+    """Sweep the chip grid, pack and simulate each feasible point, and
+    return the top_k mutually non-dominated results by descending crowding
+    distance, plus the number of grid points the model packed onto.
 
     The result list is empty when no grid point fits the model (or the grid
     is empty); the caller treats that as infinite hardware metrics.  Only
@@ -254,14 +273,11 @@ def chip_grid_search(
     activation term packs nothing (the fit rule).  A memory size that fits
     packs its caps from the largest down, reusing a larger cap's answer
     where it settles a smaller one (the cap rule, ``_pack_by_cap``).
-    Beyond those chips, only a feasible point builds one.  Every grid value
-    is checked first: one that is not an exact int >= 1 raises ValueError
-    (``check_grid_value``).
+    Beyond those chips, only a feasible point builds one.  The grid's
+    values were checked when it was built (``ChipGrid``).
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    if grid is None:
-        grid = default_chip_grid()
     profiles = profile_model(genome, workload)
     layer_profiles = tuple(profiles)
     ctx = workload.ctx_peak
@@ -270,13 +286,6 @@ def chip_grid_search(
     # chip of one call holds KV for ctx_peak
     max_kv = max(p.kv_bytes_per_token * ctx for p in profiles)
     max_act = max(p.act_bytes for p in profiles)
-    # the caps each memory size is packed under
-    caps: dict = {}
-    for n_mac, w_core, cap in grid:
-        check_grid_value("n_mac", n_mac)
-        check_grid_value("w_core_kb", w_core)
-        check_grid_value("n_chips_max", cap)
-        caps.setdefault(w_core, set()).add(cap)
     # the stage limits do not depend on n_mac or the cap, so each memory
     # size decides once whether they hold every layer (None if not)
     fits: dict = {}
@@ -286,14 +295,14 @@ def chip_grid_search(
     results: list[RingResult] = []
     seen: set = set()
     n_feasible = 0
-    for n_mac, w_core, cap in grid:
+    for n_mac, w_core, cap in grid.points:
         if w_core not in fits:
             chip = chips[n_mac, w_core] = build_chip(n_mac, w_core, max_w, ctx)
             limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
             if (max_w <= limits.weight_cap and max_kv <= limits.kv_cap
                     and max_act <= limits.act_cap):
                 fits[w_core] = limits
-                _pack_by_cap(profiles, limits, caps[w_core], packs)
+                _pack_by_cap(profiles, limits, grid.caps[w_core], packs)
             else:
                 fits[w_core] = None
         limits = fits[w_core]

@@ -11,7 +11,7 @@ A search's children share most gene objects with their parents, so
 ``substrate_cost`` keeps each active gene's roofline terms (decode time,
 energy and decode ops of its layer) on the gene, together with the spec and
 the ``LayerProfile`` objects they were computed from.  The profile is the
-gene's cached ``profile_model`` profile, which carries the typed
+gene's cached ``profile_model`` profile, kept under its
 ``(d_model, ctx_mean)`` key, so the two identities pin every input of the
 terms; the entry holds both objects, so neither identity can be reused.  A
 gene reuses its terms while both are the same objects and computes new ones

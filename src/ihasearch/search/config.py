@@ -7,7 +7,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from ..genome import parse_json
-from ..hwcost import builtin_substrate_names, load_substrate
+from ..hwcost import Workload, builtin_substrate_names, load_substrate
 
 EVALUATORS = ("surrogate", "oracle")
 
@@ -61,10 +61,11 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         for name in ("population_size", "offspring_size", "generations",
-                     "mc_dropout_passes", "prefill_tokens", "decode_tokens"):
+                     "mc_dropout_passes"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive int, got {v!r}")
+        Workload(self.prefill_tokens, self.decode_tokens)  # raises naming a bad length
         for name in ("crossover_rate", "mutation_rate", "replay_ratio", "val_loss_max"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):

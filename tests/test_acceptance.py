@@ -49,6 +49,8 @@ from ihasearch.genome import (
     count_attention_configs,
 )
 from ihasearch.hwcost import (
+    DEFAULT_CHIP_GRID,
+    ChipGrid,
     LayerProfile,
     RingPlan,
     RingResult,
@@ -57,7 +59,6 @@ from ihasearch.hwcost import (
     balanced_contiguous_pack,
     build_chip,
     chip_grid_search,
-    default_chip_grid,
     profile_model,
     ring_simulate,
 )
@@ -321,27 +322,27 @@ def grid_search_cases(draw):
     workload = draw(st.sampled_from([Workload(512, 256), Workload(100, 33), Workload(1, 1)]))
     kind = draw(st.sampled_from(["default", "one_w_core", "custom", "subset"]))
     if kind == "default":
-        grid = None
+        grid = DEFAULT_CHIP_GRID
     elif kind == "one_w_core":
         w_core = draw(st.sampled_from(W_CORE_KB_CHOICES))
-        grid = [t for t in default_chip_grid() if t[1] == w_core]
+        grid = ChipGrid(t for t in DEFAULT_CHIP_GRID.points if t[1] == w_core)
     elif kind == "subset":
-        points = draw(st.lists(st.sampled_from(default_chip_grid()), min_size=1,
+        points = draw(st.lists(st.sampled_from(DEFAULT_CHIP_GRID.points), min_size=1,
                                max_size=30, unique=True))
         points += draw(st.lists(st.sampled_from(points), max_size=4))
-        grid = draw(st.permutations(points))
+        grid = ChipGrid(draw(st.permutations(points)))
     else:
         axes = [draw(st.lists(st.sampled_from(values), min_size=1, max_size=3)) for values in (
             (8, 16, 32, 64, 128), (12, 24, 48, 96, 192, 384, 768), (1, 2, 4, 8, 16, 32))]
         axis = draw(st.integers(0, 2))
         axes[axis].append(axes[axis][0])
-        grid = list(itertools.product(*axes))
+        grid = ChipGrid(itertools.product(*axes))
     return genome, workload, grid
 
 
 class TestCriterion10ChipGridContract:
     def test_grid_cardinality_and_axes(self):
-        grid = default_chip_grid()
+        grid = DEFAULT_CHIP_GRID.points
         assert len(grid) == 45
         n_mac, w_core, caps = (sorted({t[i] for t in grid}) for i in range(3))
         assert n_mac == [16, 32, 64]
@@ -350,14 +351,14 @@ class TestCriterion10ChipGridContract:
         assert len(set(grid)) == 45  # full cross product, no repeats
 
     @staticmethod
-    def _all_grid_candidates(genome, workload, grid=None):
+    def _all_grid_candidates(genome, workload, grid=DEFAULT_CHIP_GRID):
         """Mirror the sweep with public APIs, packing at every grid point:
         every feasible (chip, plan) as a RingResult, and how many grid
         points packed."""
         profiles = profile_model(genome, workload)
         max_w = max(p.weight_bytes for p in profiles)
         seen, out, n_feasible = set(), [], 0
-        for n_mac, w_core, cap in grid or default_chip_grid():
+        for n_mac, w_core, cap in grid.points:
             chip = build_chip(n_mac, w_core, max_w, workload.ctx_peak)
             limits = StageLimits(chip.weight_cap, chip.kv_cap,
                                  chip.scratch_bytes, chip.max_ctx)
@@ -394,7 +395,8 @@ class TestCriterion10ChipGridContract:
         and only under the caps a larger cap does not settle, changes no
         pick, no pick order and no feasible count.  Sub-grids of one w_core_kb
         each put plans on the front that larger grids dominate."""
-        grids = [None] + [[t for t in default_chip_grid() if t[1] == w] for w in (24, 96, 384)]
+        grids = [DEFAULT_CHIP_GRID] + [ChipGrid(t for t in DEFAULT_CHIP_GRID.points if t[1] == w)
+                                       for w in (24, 96, 384)]
         rng = np.random.default_rng(23)
         genomes = [gn.random_genome(rng=rng) for _ in range(6)]
         for i, g in enumerate(genomes[:3]):  # shallower stacks too

@@ -898,6 +898,55 @@ class TestLoadedGenomesValidated:
                      "--checkpoint", str(cli_inputs["checkpoint"])]) == 0
 
 
+class TestIntsBeyondFloat:
+    """Every int up to 2**53 is exact as a float, which the cost models
+    compute in.  A larger grid value, workload length or global genome dim
+    used to exit 3 ("int too large to convert to float"); each now exits 2
+    naming its field or axis, and exactly 2**53 runs."""
+
+    BIG = {"grid": 2**1100, "prefill": 10**400, "d_model": 10**400}
+
+    @staticmethod
+    def _argv(route, value, tmp_path, cli_inputs):
+        genome = json.loads(cli_inputs["genome"].read_text())
+        genome["global"]["d_model"] = value
+        genome_file = tmp_path / "genome.json"
+        genome_file.write_text(json.dumps(genome) + "\n")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n_mac": [value], "w_core_kb": [24], "n_chips_max": [32]}))
+        pack = ["pack", "--genome", str(cli_inputs["genome"]), "--out", str(tmp_path / "out")]
+        return {
+            "pack_grid": (pack + ["--grid", str(grid)], "n_mac"),
+            "pack_prefill": (pack + ["--prefill-tokens", str(value)], "prefill_tokens"),
+            "pack_genome": (["pack", "--genome", str(genome_file), "--out", str(tmp_path / "out")],
+                            "d_model"),
+            "mc": (["surrogate", "mc", "--checkpoint", str(cli_inputs["checkpoint"]),
+                    "--genomes", str(genome_file), "--n-mc", "1"], "d_model"),
+            **{f"search_{backend}": (
+                ["search", "--config", str(write_cfg(
+                    tmp_path, backend=backend, prefill_tokens=value, population_size=2,
+                    offspring_size=2, generations=1)), "--out", str(tmp_path / "run")],
+                "prefill_tokens") for backend in ("ring", "analytic:gemmini")},
+        }[route]
+
+    ROUTES = ["pack_grid", "pack_prefill", "pack_genome", "mc", "search_ring",
+              "search_analytic:gemmini"]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_beyond_2_pow_53_exits_2(self, tmp_path, capsys, cli_inputs, route):
+        value = {"pack_grid": self.BIG["grid"], "pack_genome": self.BIG["d_model"],
+                 "mc": self.BIG["d_model"]}.get(route, self.BIG["prefill"])
+        argv, field = self._argv(route, value, tmp_path, cli_inputs)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "2**53" in err and "runtime error" not in err
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_2_pow_53_runs(self, tmp_path, capsys, cli_inputs, route):
+        argv, _ = self._argv(route, 2**53, tmp_path, cli_inputs)
+        assert main(argv) == 0
+
+
 # Subcommand flags as (valid, broken) argv strategies.  Sizes are capped: at
 # most 1 epoch, 2 trials or 2 MC passes, and the 12-row corpus.  A file flag
 # names an entry of cli_inputs; the broken ones start with "bad_", and the

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from ihasearch import genome as gn
 from ihasearch.hwcost import (
+    GRID_AXES,
+    ChipGrid,
     Workload,
-    chip_grid_search,
     load_substrate,
     profile_model,
     substrate_cost,
@@ -276,12 +277,11 @@ _MAX_LAYERS = st.integers(-1, 6)
 
 
 # the ways a genome on the space can still need rebuilding: a global field
-# that is 0 or negative, a gene list of the wrong type or length, or no
-# active layer
+# that is 0 or negative, a gene tuple of the wrong length, or no active layer
 _REPAIR_DEFECTS = [
     *[(field, value) for field in ("d_model", "block_size") for value in (0, -3)],
     *[("max_layers", value) for value in (0, -1)],
-    ("layers", list), ("layers", "short"), ("layers", "long"), ("mask", 0),
+    ("layers", "short"), ("layers", "long"), ("mask", 0),
 ]
 
 
@@ -301,21 +301,18 @@ def repair_inputs(draw):
         glob = {"d_model": 768, "block_size": 1024, "max_layers": n}
         genes = draw(st.lists(on_grid, min_size=n, max_size=n))
         genes[0] = dataclasses.replace(genes[0], mask=1)
-        layers = tuple
         if defect is None:
             pass
         elif defect[0] in glob:
             glob[defect[0]] = defect[1]
-        elif defect == ("layers", list):
-            layers = list
         elif defect[0] == "layers":
             genes = genes[1:] if defect[1] == "short" else genes + genes[:1]
         else:
             genes = [dataclasses.replace(gene, mask=0) for gene in genes]
-        return gn.ArchGenome(gn.GlobalConfig(**glob), layers(genes)), ranges
+        return gn.ArchGenome(gn.GlobalConfig(**glob), tuple(genes)), ranges
     glob = (draw(_GLOBAL_FIELD), draw(_GLOBAL_FIELD), draw(_MAX_LAYERS))
     genes = draw(st.lists(st.one_of(on_grid, _ANY_GENE), max_size=8))
-    return gn.ArchGenome(gn.GlobalConfig(*glob), draw(st.sampled_from([tuple, list]))(genes)), ranges
+    return gn.ArchGenome(gn.GlobalConfig(*glob), tuple(genes)), ranges
 
 
 def _gene_fields(gene):
@@ -341,8 +338,8 @@ class TestRepairFastPath:
     def test_noop_returns_the_input_and_types_match_literal_projection(self, case):
         """repair gives brute_repair's values with its field types, and
         returns the input object exactly when that projection changes
-        nothing: globals >= 1, a tuple of max_layers genes already
-        projected, one of them active.  A gene
+        nothing: globals >= 1, max_layers genes already projected, one of
+        them active.  A gene
         with n_h = 0 (on a grid that holds 0) is its own projection too, but
         the per-gene grid check asks for 1 <= n_kv <= n_h, so such a genome
         is rebuilt, equal to the input."""
@@ -358,7 +355,6 @@ class TestRepairFastPath:
         g_cfg = g.global_cfg
         noop = (
             all(v >= 1 for v in (g_cfg.d_model, g_cfg.block_size, g_cfg.max_layers))
-            and type(g.layers) is tuple
             and tuple(map(_gene_fields, g.layers)) == layers
             and all(1 <= gene.n_kv <= gene.n_h for gene in g.layers)
         )
@@ -713,14 +709,13 @@ class TestGeneCachesMatchReference:
 
 # --- exact-int fields ---------------------------------------------------------
 
-_GRID_AXES = ("n_mac", "w_core_kb", "n_chips_max")
 # every field of a gene, a global config, a workload and a chip-grid point,
 # with the object it is set on
 _INT_FIELDS = (
     [("LayerGene", name) for name in gn._LAYER_KEYS]
     + [("GlobalConfig", name) for name in gn._GLOBAL_KEYS]
     + [("Workload", name) for name in ("prefill_tokens", "decode_tokens")]
-    + [("grid", axis) for axis in _GRID_AXES]
+    + [("grid", axis) for axis in GRID_AXES]
 )
 _NOT_INTS = [True, 1.0, np.int64(1), math.nan]
 _BASES = {"LayerGene": ACTIVE, "GlobalConfig": gn.GlobalConfig(), "Workload": Workload()}
@@ -730,7 +725,7 @@ class TestExactIntFields:
     """Every field of a gene, global config and workload, and every chip-grid
     value, is an exact int: a bool, float, numpy int or NaN raises
     ValueError naming the field.  Range rules are left to validate, repair,
-    Workload's >= 1 and the grid's >= 1."""
+    and the [1, 2**53] of Workload and ChipGrid."""
 
     @pytest.mark.parametrize("owner, field, value", [
         pytest.param(owner, field, value, id=f"{owner}.{field}-{value!r}")
@@ -739,9 +734,8 @@ class TestExactIntFields:
     def test_non_int_field_raises(self, owner, field, value):
         with pytest.raises(ValueError, match=field):
             if owner == "grid":
-                point = dict(zip(_GRID_AXES, (16, 24, 8)), **{field: value})
-                chip_grid_search(gn.random_genome(rng=np.random.default_rng(1)), Workload(),
-                                 [tuple(point.values())])
+                point = dict(zip(GRID_AXES, (16, 24, 8)), **{field: value})
+                ChipGrid([tuple(point.values())])
             else:
                 dataclasses.replace(_BASES[owner], **{field: value})
 
@@ -752,3 +746,42 @@ class TestExactIntFields:
         assert gn.validate(gn.repair(g)) == []
         with pytest.raises(ValueError, match=">= 1"):
             Workload(0, 1)
+
+    @pytest.mark.parametrize("field", ["prefill_tokens", "decode_tokens"])
+    def test_workload_lengths_up_to_2_pow_53(self, field):
+        """Every int up to 2**53 is exact as a float, which ctx_mean and
+        the cost models compute in: a longer workload raises ValueError
+        naming the field."""
+        top = dataclasses.replace(Workload(), **{field: 2**53})
+        assert float(top.ctx_mean) == top.ctx_mean
+        for value in (2**53 + 1, 10**400):
+            with pytest.raises(ValueError, match=f">= 1 and <= 2\\*\\*53: Workload.{field}"):
+                dataclasses.replace(Workload(), **{field: value})
+
+
+class TestGenomeContainer:
+    """A genome holds a GlobalConfig and a tuple of LayerGene: any other
+    container or element raises ValueError, so a genome equals and hashes
+    like every genome of the same content."""
+
+    def test_list_of_genes_raises(self):
+        with pytest.raises(ValueError, match="layers must be a tuple of LayerGene"):
+            gn.ArchGenome(gn.GlobalConfig(768, 1024, 2), [ACTIVE, INACTIVE])
+
+    @pytest.mark.parametrize("element", [None, (1, 1, 8, 2, 64, 64, 1024), "gene",
+                                         gn.GlobalConfig()])
+    def test_non_gene_element_raises(self, element):
+        with pytest.raises(ValueError, match="layers must be a tuple of LayerGene"):
+            gn.ArchGenome(gn.GlobalConfig(768, 1024, 2), (ACTIVE, element))
+
+    @pytest.mark.parametrize("cfg", [None, (768, 1024, 2), {"d_model": 768}])
+    def test_non_global_config_raises(self, cfg):
+        with pytest.raises(ValueError, match="global_cfg must be a GlobalConfig"):
+            gn.ArchGenome(cfg, (ACTIVE, INACTIVE))
+
+    def test_tuple_of_genes_constructs(self):
+        for layers in ((), (ACTIVE,), (ACTIVE, INACTIVE) * 20):
+            g = gn.ArchGenome(gn.GlobalConfig(768, 1024, len(layers)), layers)
+            assert g.layers is layers
+            twin = gn.ArchGenome(gn.GlobalConfig(768, 1024, len(layers)), tuple(list(layers)))
+            assert twin == g and hash(twin) == hash(g)

@@ -16,6 +16,10 @@ The MLP baseline's training is pinned as well: one sha256 over its fitted
 parameters and its loss history, for three small corpora.  So is the
 ablation suite: one sha256 over its hypervolume curves, its shared
 reference point and every run's per-generation stats.
+
+``ihasearch pack`` is pinned too: the sha256 of its plan CSV, its manifest
+and its stdout (with the output directory written as ``<out>``), on the
+default chip grid and on a grid file that repeats an axis value.
 """
 from __future__ import annotations
 
@@ -24,7 +28,10 @@ import json
 
 import pytest
 
+import numpy as np
+
 from ihasearch.cli import main
+from ihasearch.genome import random_genome, to_json
 from ihasearch.search import SearchConfig, ablation_suite
 from ihasearch.surrogate import (
     EncoderConfig,
@@ -221,3 +228,43 @@ def test_ablation_suite_hash_pinned():
     digest.update(json.dumps([[res.stats for res in suite.results[name]]
                               for name in sorted(suite.results)]).encode())
     assert digest.hexdigest() == ABLATION_GOLDEN
+
+
+# grid file contents; None is the default 45-point grid.  "repeats" lists
+# n_mac 32 twice, so its 18-point product holds every (32, w, cap) point
+# twice, and it has a cap (12) that is not on the default grid
+PACK_GRIDS = {
+    "default": None,
+    "repeats": {"n_mac": [32, 16, 32], "w_core_kb": [48, 24], "n_chips_max": [32, 12, 16]},
+}
+
+PACK_GOLDEN = {
+    "default": {
+        "ring_plan.csv": "49191e6ef11fb0d877eac3f315c0fd2e6eca05041818fd4c58f000ba8f4c29ff",
+        "manifest.json": "159fd6dd528c1ae9dab7d777980742315a7a1b2f1e3ee1a8d66f1159bb939a05",
+        "stdout": "80b9fe84618cb5c8dd7647f3d0fa1823034e9cc682c6a88564947a7acd7ada8c",
+    },
+    "repeats": {
+        "ring_plan.csv": "86117b41dbeb425f9ba083e64e4905896ee161edf2e26b6ef3769f555bb1388b",
+        "manifest.json": "530155d02752dd96f4670340fb9f6ced2707098626dbea530cee5d44dae62c5a",
+        "stdout": "8b73a3448f0ceb6a83223e07808f34ba14e706a47f72660f70ca83456dd8a7c5",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACK_GRIDS))
+def test_pack_hashes_pinned(case, tmp_path, capsys):
+    genome = tmp_path / "genome.json"
+    genome.write_text(to_json(random_genome(rng=np.random.default_rng(7))))
+    out = tmp_path / "pack"
+    argv = ["pack", "--genome", str(genome), "--out", str(out)]
+    if PACK_GRIDS[case] is not None:
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(PACK_GRIDS[case]))
+        argv += ["--grid", str(grid)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in ("ring_plan.csv", "manifest.json")}
+    hashes["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert hashes == PACK_GOLDEN[case]

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 from ihasearch import genome as gn
 from ihasearch.hwcost import packing, ring
 from ihasearch.hwcost import (
+    DEFAULT_CHIP_GRID,
+    GRID_AXES,
+    ChipGrid,
     ChipTemplate,
     RingPlan,
     SubstrateSpec,
@@ -22,7 +26,6 @@ from ihasearch.hwcost import (
     build_chip,
     builtin_substrate_names,
     chip_grid_search,
-    default_chip_grid,
     greedy_contiguous_partition,
     load_substrate,
     profile_layer,
@@ -34,6 +37,7 @@ from ihasearch.hwcost import (
 )
 from ihasearch.hwcost.packing import StageLimits
 from ihasearch.hwcost.profiles import HWCost, LayerProfile
+from ihasearch.search import ring_preset, run_search
 
 from test_acceptance import grid_search_cases
 
@@ -559,7 +563,8 @@ class TestRingSimulate:
 
 class TestChipGridSearch:
     def test_grid_size(self):
-        assert len(default_chip_grid()) == 45
+        assert len(DEFAULT_CHIP_GRID.points) == 45
+        assert DEFAULT_CHIP_GRID.caps == {w: (32, 16, 8) for w in (24, 48, 96, 192, 384)}
 
     def test_results_mutually_nondominated(self):
         rng = np.random.default_rng(1)
@@ -592,8 +597,8 @@ class TestChipGridSearch:
 
     def test_empty_grid_sweeps_nothing(self):
         g = gn.random_genome(rng=np.random.default_rng(1))
-        assert chip_grid_search(g, Workload(512, 256), grid=[]) == ([], 0)
-        assert chip_grid_search(g, Workload(512, 256), grid=None)[1] > 0
+        assert chip_grid_search(g, Workload(512, 256), grid=ChipGrid(())) == ([], 0)
+        assert chip_grid_search(g, Workload(512, 256))[1] > 0
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_top_k_below_one_rejected(self, top_k):
@@ -701,7 +706,7 @@ class TestChipGridSearch:
 
     def _assert_work_matches(self, genome, workload, grid, top_k=3):
         chips, n_packs, n_fit_packs, n_packed, designs = self._expected_work(
-            genome, workload, default_chip_grid() if grid is None else grid)
+            genome, workload, grid.points)
         packing._candidate_budgets.cache_clear()
         with self._counted() as log:
             picks, n_feasible = chip_grid_search(genome, workload, grid, top_k)
@@ -723,7 +728,7 @@ class TestChipGridSearch:
 
     def test_packs_only_what_can_change_the_answer(self):
         g = gn.random_genome(rng=np.random.default_rng(1))
-        picks, log = self._assert_work_matches(g, Workload(512, 256), None)
+        picks, log = self._assert_work_matches(g, Workload(512, 256), DEFAULT_CHIP_GRID)
         assert picks
         # only the 24 KB memory size holds this genome's layers: one chip per
         # memory size plus its other two MAC counts, and two packs, since
@@ -748,18 +753,65 @@ class TestChipGridSearch:
     @given(grid_search_cases(), st.sampled_from(BAD_VALUES), st.data())
     @settings(max_examples=150, deadline=None)
     def test_one_bad_grid_point_raises(self, case, bad, data):
-        """A bad n_mac, w_core_kb or cap raises ValueError wherever it sits,
-        also at a memory size that holds no layer or under a cap that a
-        larger cap settles; a NaN cap is not taken for no cap."""
-        genome, workload, grid = case
-        grid = default_chip_grid() if grid is None else grid
+        """A bad n_mac, w_core_kb or cap makes the grid's constructor raise
+        ValueError naming its axis, wherever it sits: also at a memory size
+        that holds no layer or under a cap that a larger cap settles; a NaN
+        cap is not taken for no cap."""
+        _, _, grid = case
+        points = list(grid.points)
         axis, value = bad
-        point = list(data.draw(st.sampled_from(grid)))
+        point = list(data.draw(st.sampled_from(points)))
         point[axis] = value
-        at = data.draw(st.integers(0, len(grid)))
-        grid = grid[:at] + [tuple(point)] + grid[at:]
-        with pytest.raises(ValueError):
-            chip_grid_search(genome, workload, grid)
+        at = data.draw(st.integers(0, len(points)))
+        points = points[:at] + [tuple(point)] + points[at:]
+        with pytest.raises(ValueError, match=GRID_AXES[axis]):
+            ChipGrid(points)
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_grid_values_up_to_2_pow_53(self, axis):
+        """Every int up to 2**53 is exact as a float: it is the largest
+        grid value, and a search on it runs."""
+        point = [16, 24, 8]
+        point[axis] = 2**53
+        grid = ChipGrid([tuple(point)])
+        g = gn.random_genome(rng=np.random.default_rng(1))
+        assert chip_grid_search(g, Workload(512, 256), grid)[1] in (0, 1)
+        point[axis] = 2**53 + 1
+        with pytest.raises(ValueError, match=GRID_AXES[axis]):
+            ChipGrid([tuple(point)])
+
+    def test_grid_keeps_point_order_and_repeats_and_sorts_caps(self):
+        points = [(32, 96, 8), (16, 24, 16), (32, 96, 8), (16, 96, 32), (64, 96, 16)]
+        grid = ChipGrid(iter(points))
+        assert grid.points == tuple(points)
+        assert grid.caps == {96: (32, 16, 8), 24: (16,)}
+        assert grid == ChipGrid(points) and hash(grid) == hash(ChipGrid(points))
+        assert pickle.loads(pickle.dumps(grid)).caps == grid.caps
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.points = ()
+
+    def test_ring_search_checks_no_grid_value(self, monkeypatch):
+        """The default grid is checked once, at import: a ring_preset
+        search builds no ChipGrid, so it checks no grid value."""
+        counts = {"grids": 0, "searches": 0}
+        check, search = ChipGrid.__post_init__, ring.chip_grid_search
+
+        def counting_check(grid):
+            counts["grids"] += 1
+            check(grid)
+
+        def counting_search(*args, **kwargs):
+            counts["searches"] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(ChipGrid, "__post_init__", counting_check)
+        monkeypatch.setattr(ring, "chip_grid_search", counting_search)
+        ChipGrid([(16, 24, 8)])
+        assert counts["grids"] == 1  # the count sees a constructor call
+        cfg = dataclasses.replace(ring_preset(seed=3), population_size=4, offspring_size=4,
+                                  generations=2)
+        run_search(cfg)
+        assert counts["searches"] > 0 and counts["grids"] == 1
 
     def test_best_ring_pick_ties_go_to_the_earlier_pick(self):
         a, b, c = (
