@@ -30,6 +30,7 @@ from . import __version__
 from .attention import attention_rows_stochastic, iha_forward, random_weights, replicate_kv_groups
 from .genome import (
     MAX_EXACT_INT,
+    GlobalConfig,
     LayerGene,
     Violation,
     count_attention_configs,
@@ -52,6 +53,7 @@ from .hwcost import (
 from .metrics import rank_report
 from .search import SearchConfig, run_search
 from .surrogate import (
+    EncoderConfig,
     EncoderSurrogate,
     parse_corpus_row,
     split_corpus,
@@ -276,10 +278,14 @@ def cmd_search(args) -> int:
         if args.surrogate is None:
             raise InputError("evaluator='surrogate' needs --surrogate <checkpoint.npz>")
         surrogate = _load_model_checked(args.surrogate)
-    if cfg.refine_every_generations > 0:
+        space = GlobalConfig().max_layers  # every search genome has this many genes
+        if surrogate.config.max_layers < space:
+            raise InputError(f"checkpoint {args.surrogate!r} reads at most "
+                             f"{surrogate.config.max_layers} layers; search genomes have {space}")
+    if cfg.refine_every_generations > 0:  # refinement needs the surrogate evaluator
         if args.corpus is None:
             raise InputError("refinement (refine_every_generations > 0) needs --corpus")
-        genomes, labels = _load_corpus_checked(args.corpus)
+        genomes, labels = _load_corpus_checked(args.corpus, surrogate.config.max_layers)
         corpus = _split_checked(genomes, labels, args.test_frac, args.split_seed, min_test=0)
 
     log.info("search: %s evaluator, %s backend, seed %d",
@@ -350,10 +356,11 @@ def _load_genome_checked(path: str):
     return _require_valid(genome, f"genome {path!r}")
 
 
-def _load_genome_rows(path: str, what: str, parse) -> list[tuple]:
+def _load_genome_rows(path: str, what: str, parse, max_active: int) -> list[tuple]:
     """parse(line) of every non-blank line of a JSONL file: a tuple whose
-    first item is a genome.  A line that does not parse or holds an invalid
-    genome is an input error that names the line."""
+    first item is a genome.  A line that does not parse, holds an invalid
+    genome or one with more than max_active active layers (the encoder's
+    token budget) is an input error that names the line."""
     rows = []
     try:
         with open(path) as fh:
@@ -366,6 +373,10 @@ def _load_genome_rows(path: str, what: str, parse) -> list[tuple]:
                 except ValueError as exc:
                     raise InputError(f"{where} does not parse: {exc}") from exc
                 _require_valid(row[0], where)
+                n_active = sum(gene.mask for gene in row[0].layers)
+                if n_active > max_active:
+                    raise InputError(f"{where} has {n_active} active layers; "
+                                     f"the encoder reads at most {max_active}")
                 rows.append(row)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
@@ -445,8 +456,8 @@ def _pack_manifest(args, genome, grid, workload) -> dict:
 # surrogate
 # --------------------------------------------------------------------------
 
-def _load_corpus_checked(path: str):
-    rows = _load_genome_rows(path, "corpus", parse_corpus_row)
+def _load_corpus_checked(path: str, max_active: int):
+    rows = _load_genome_rows(path, "corpus", parse_corpus_row, max_active)
     return [g for g, _ in rows], np.array([y for _, y in rows])
 
 
@@ -466,7 +477,7 @@ def _split_checked(genomes, labels, test_frac: float, seed: int, min_test: int =
 
 
 def cmd_surrogate_train(args) -> int:
-    genomes, labels = _load_corpus_checked(args.corpus)
+    genomes, labels = _load_corpus_checked(args.corpus, EncoderConfig().max_layers)
     corpus = _split_checked(genomes, labels, args.test_frac, args.split_seed)
     if len(corpus.train_idx) == 0:
         raise InputError("train split is empty (more data or a smaller --test-frac)")
@@ -515,9 +526,9 @@ def _load_model_checked(path: str) -> EncoderSurrogate:
 
 
 def cmd_surrogate_eval(args) -> int:
-    genomes, labels = _load_corpus_checked(args.corpus)
-    corpus = _split_checked(genomes, labels, args.test_frac, args.split_seed)
     model = _load_model_checked(args.checkpoint)
+    genomes, labels = _load_corpus_checked(args.corpus, model.config.max_layers)
+    corpus = _split_checked(genomes, labels, args.test_frac, args.split_seed)
     test_genomes = [corpus.genomes[i] for i in corpus.test_idx]
     truth = corpus.labels[corpus.test_idx]
     pred = model.predict_genomes(test_genomes)
@@ -531,7 +542,8 @@ def cmd_surrogate_eval(args) -> int:
 
 def cmd_surrogate_mc(args) -> int:
     model = _load_model_checked(args.checkpoint)
-    rows = _load_genome_rows(args.genomes, "genome list", lambda line: (from_json(line),))
+    rows = _load_genome_rows(args.genomes, "genome list", lambda line: (from_json(line),),
+                             model.config.max_layers)
     genomes = [row[0] for row in rows]
     if not genomes:
         raise InputError(f"genome list {args.genomes!r} is empty")

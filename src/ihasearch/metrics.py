@@ -17,7 +17,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import stats
 
 TOP_FRACTIONS = {"k_at_1pct": 0.01, "k_at_5pct": 0.05, "mae_at_5pct": 0.05}
 
@@ -34,12 +33,16 @@ def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
 
 def kendall_tau(pred, truth) -> float:
     """Tie-corrected Kendall tau-b."""
+    from scipy import stats  # imported on first use: search and pack never need it
+
     p, t = _check_pair(pred, truth)
     return float(stats.kendalltau(p, t).statistic)
 
 
 def spearman_rho(pred, truth) -> float:
     """Spearman rank correlation (Pearson on mid-ranks)."""
+    from scipy import stats
+
     p, t = _check_pair(pred, truth)
     return float(stats.spearmanr(p, t).statistic)
 

@@ -13,23 +13,33 @@ test suite).
 
 Active length.  A padded position adds exact zeros to every output: the -1e30
 key bias makes its attention weights 0.0, the pool masks it out, and its
-gradients are 0.0.  So forward computes only the first
-Lt = min(L, max(24, 8 * ceil(last / 8))) positions of a (B, L) batch, where
-last is one past the highest position active in any row, and backward works
-from that trimmed cache.  Predictions, losses, gradients and the dropout
-generator's state stay identical to the bit to a full-length pass (the test
-suite checks this against a full-length reference) because four rules hold:
+gradients are 0.0.  So each row is computed only at its own active length
+Lt = min(L, max(24, 8 * ceil(last / 8))), where last is one past the row's
+highest active position.  Two rules make a row's bits independent of Lt:
 
-1. Dropout masks are drawn at the full (B, H, L, L) and (B, L, d) shapes and
-   sliced, so the generator's stream does not change.
-2. Lt is a multiple of 8.  numpy's contiguous sums unroll by 8, so any other
-   length regroups the softmax and dscores row sums.
-3. Lt is at least 24.  numpy runs (B, L, K) @ (K, N) as one GEMM per sample
-   with M = L rows, and OpenBLAS rounds differently for M <= 18 when the
-   weight is transposed.
-4. The weight-gradient contractions run over all B * L rows, with the
-   trimmed rows scattered into zeros.  OpenBLAS splits K = B * L into
-   blocks; dropping interior zero rows would move the block edges.
+- Lt is a multiple of 8.  numpy's contiguous sums unroll by 8, so any other
+  length regroups the softmax and dscores row sums.
+- Lt is at least 24.  numpy runs (n, Lt, K) @ (K, N) as one GEMM per sample
+  with M = Lt rows, and OpenBLAS rounds differently for M <= 18 when the
+  weight is transposed.
+
+Groups.  forward groups the rows of a (B, L) batch by their Lt and runs each
+group in chunks of at most _CHUNK_ROWS rows; backward works from the chunks'
+caches.  Predictions, losses, gradients and the dropout generator's state
+stay identical to the bit to one full-length pass over the whole batch (the
+test suite checks this against a full-length reference) because:
+
+1. Dropout masks are drawn at the full (B, H, L, L) and (B, L, d) shapes, in
+   block order, and indexed [rows, :, :Lt, :Lt] and [rows, :Lt] for each
+   chunk, so the generator's stream does not change.
+2. Each chunk's pooled rows are put back in row order, and pooled @ head_w
+   runs once over the whole batch: the rounding of that gemv depends on B.
+3. Every weight-gradient contraction and every bias, layer-norm and pos row
+   sum reads (B, L, .) arrays, zero-filled, with each chunk's rows written at
+   their own indices.  OpenBLAS splits the K = B * L rows of a contraction
+   into blocks, and dropping or moving rows would move the block edges; the
+   sums add the rows in the same order.
+4. An eval forward keeps no per-chunk cache, so each chunk's work stays small.
 
 Within Lt, the GELU's erf (the costliest elementwise op) is evaluated on
 active rows only, and padded rows get a CDF of 0.0.  A position's values
@@ -45,7 +55,6 @@ from dataclasses import asdict, dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import erf
 
 from ..genome import parse_json
 from .features import FieldNormalizer, N_FIELDS
@@ -53,6 +62,7 @@ from .features import FieldNormalizer, N_FIELDS
 _LN_EPS = 1e-5
 _NEG = -1e30  # additive key-mask bias; exact -inf breaks (0 * -inf) in backward paths
 _MIN_ACTIVE = 24  # floor of the computed length; see the module docstring
+_CHUNK_ROWS = 32  # most rows forward runs at once; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,8 @@ class EncoderConfig:
 
 def _gelu_cdf(u: np.ndarray) -> np.ndarray:
     """Standard normal CDF (exact erf form)."""
+    from scipy.special import erf  # imported on first use: only the encoder needs it
+
     return 0.5 * (1.0 + erf(u / np.sqrt(2.0)))
 
 
@@ -94,7 +106,7 @@ def _gelu(u: np.ndarray) -> np.ndarray:
 
 
 def _gelu_cdf_rows(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """_gelu_cdf on the (B,L) rows of u that `rows` selects, 0.0 elsewhere."""
+    """_gelu_cdf on the (n,Lt) rows of u that `rows` selects, 0.0 elsewhere."""
     cdf = np.zeros_like(u)
     cdf[rows] = _gelu_cdf(u[rows])
     return cdf
@@ -107,23 +119,32 @@ def _gelu_grad(u: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
     return cdf + u * phi
 
 
-def active_length(mask: np.ndarray) -> int:
-    """Positions of a (B, L) batch that forward computes: one past the last
-    position active in any row, rounded up to a multiple of 8, floored at 24
+def active_length(mask: np.ndarray) -> np.ndarray:
+    """Positions forward computes for each row of a (B, L) mask: one past the
+    row's last active position, rounded up to a multiple of 8, floored at 24
     and capped at L (see the module docstring for why each step is exact)."""
     L = mask.shape[1]
-    last = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
-    return min(L, max(_MIN_ACTIVE, -(-last // 8) * 8))
+    last = L - np.argmax(mask[:, ::-1] != 0, axis=1)
+    return np.minimum(L, np.maximum(_MIN_ACTIVE, -(-last // 8) * 8))
 
 
-def _padded(x: np.ndarray, length: int) -> np.ndarray:
-    """(B,Lt,d) -> (B,length,d), the positions past Lt filled with zeros:
-    the weight-gradient contractions run over every position (rule 4)."""
-    B, Lt, d = x.shape
-    if Lt == length:
-        return x
-    out = np.zeros((B, length, d))
-    out[:, :Lt] = x
+def _row_chunks(mask: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(row indices, Lt) of each chunk: the rows of one active length, in
+    row order, at most _CHUNK_ROWS at a time."""
+    lengths = active_length(mask)
+    chunks = []
+    for Lt in np.unique(lengths):
+        rows = np.flatnonzero(lengths == Lt)
+        chunks += [(rows[s : s + _CHUNK_ROWS], int(Lt)) for s in range(0, len(rows), _CHUNK_ROWS)]
+    return chunks
+
+
+def _scatter(chunks: list[dict], parts: list[np.ndarray], B: int, L: int) -> np.ndarray:
+    """(B, L, w) zeros with each chunk's (n, Lt, w) part written at its rows
+    (rule 3)."""
+    out = np.zeros((B, L, parts[0].shape[-1]))
+    for ch, part in zip(chunks, parts):
+        out[ch["rows"], : ch["length"]] = part
     return out
 
 
@@ -139,17 +160,17 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     xhat = (x - mu) * inv
     return xhat * g + b, (xhat, inv)
 
-def _layer_norm_backward(dy: np.ndarray, cache, g: np.ndarray):
+
+def _layer_norm_dx(dy: np.ndarray, cache, g: np.ndarray) -> np.ndarray:
+    """Input gradient of _layer_norm; its gain and bias gradients are the
+    row sums of dy * xhat and dy (rule 3)."""
     xhat, inv = cache
-    dg = (dy * xhat).sum(axis=(0, 1))
-    db = dy.sum(axis=(0, 1))
     dxhat = dy * g
-    dx = inv * (
+    return inv * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    return dx, dg, db
 
 
 def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -229,8 +250,8 @@ class EncoderSurrogate:
     ):
         """Predictions (B,) for padded token batches. train=True activates
         dropout and requires an rng; want_cache keeps every intermediate for
-        the backward pass.  Only the first active_length(mask) positions are
-        computed (see the module docstring)."""
+        the backward pass.  Each row is computed at its own active_length,
+        in chunks of rows of one length (see the module docstring)."""
         c = self.config
         p = self.params
         tokens = np.asarray(tokens, dtype=float)
@@ -241,59 +262,67 @@ class EncoderSurrogate:
             raise ValueError("training-mode forward needs an rng for dropout")
         B, L, _ = tokens.shape
         keep = 1.0 - c.p_drop if train else 1.0
-        Lt = active_length(mask)
+        drops = None
+        if dropout:  # rule 1: full shapes, in block order
+            drops = [(rng.random((B, c.n_heads, L, L)) >= c.p_drop,
+                      rng.random((B, L, c.d_enc)) >= c.p_drop) for _ in range(c.n_blocks)]
         counts = mask.sum(axis=1)
-        tokens, mask = tokens[:, :Lt], mask[:, :Lt]
+        pooled = np.empty((B, c.d_enc))
+        chunks = []
+        for rows, Lt in _row_chunks(mask):
+            ch = {"rows": rows, "length": Lt, "tokens": tokens[rows, :Lt],
+                  "mask": mask[rows, :Lt], "counts": counts[rows]}
+            chunk_drops = None if drops is None else [
+                (attn[rows, :, :Lt, :Lt], ffn[rows, :Lt]) for attn, ffn in drops]
+            pooled[rows] = self._forward_rows(ch, chunk_drops, keep, want_cache)
+            chunks.append(ch)
+        y = pooled @ p["head_w"] + p["head_b"][0]  # rule 2: once, over the batch
+        if want_cache:
+            return y, {"chunks": chunks, "length": L, "pooled": pooled, "keep": keep}
+        return y
+
+    def _forward_rows(self, ch: dict, drops, keep: float, want_cache: bool) -> np.ndarray:
+        """Pooled (n, d) outputs of one chunk's n rows at length Lt; with
+        want_cache, ch["blocks"] keeps every intermediate for backward."""
+        c = self.config
+        p = self.params
+        tokens, mask = ch["tokens"], ch["mask"]
+        n, Lt, _ = tokens.shape
         active = mask != 0
 
         z = tokens @ p["lift_w"] + p["lift_b"].sum(axis=0) + p["pos"][:Lt]
-        key_bias = (1.0 - mask)[:, None, None, :] * _NEG  # (B,1,1,Lt)
-        cache: dict = {"tokens": tokens, "mask": mask, "length": L, "blocks": []}
+        key_bias = (1.0 - mask)[:, None, None, :] * _NEG  # (n,1,1,Lt)
+        blocks = []
         for i in range(c.n_blocks):
             pre = f"b{i}."
             zh1, ln1c = _layer_norm(z, p[pre + "ln1_g"], p[pre + "ln1_b"])
-            bc: dict = {"zh1": zh1, "ln1": ln1c}
-            q = (zh1 @ p[pre + "wq"] + p[pre + "bq"]).reshape(B, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
-            k = (zh1 @ p[pre + "wk"] + p[pre + "bk"]).reshape(B, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
-            v = (zh1 @ p[pre + "wv"] + p[pre + "bv"]).reshape(B, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+            q = (zh1 @ p[pre + "wq"] + p[pre + "bq"]).reshape(n, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+            k = (zh1 @ p[pre + "wk"] + p[pre + "bk"]).reshape(n, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+            v = (zh1 @ p[pre + "wv"] + p[pre + "bv"]).reshape(n, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
             scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(c.d_head) + key_bias
             shifted = scores - scores.max(axis=-1, keepdims=True)
             e = np.exp(shifted)
             probs = e / e.sum(axis=-1, keepdims=True)
-            if dropout:
-                # drawn at the full length so the generator's stream is unchanged
-                draw = rng.random((B, c.n_heads, L, L))[:, :, :Lt, :Lt]
-                dm = (draw >= c.p_drop).astype(float)
-                probs_used = probs * dm / keep
-            else:
-                dm = None
-                probs_used = probs
-            o = (probs_used @ v).transpose(0, 2, 1, 3).reshape(B, Lt, c.d_enc)
+            dm, dm2 = drops[i] if drops is not None else (None, None)
+            probs_used = probs * dm / keep if dm is not None else probs
+            o = (probs_used @ v).transpose(0, 2, 1, 3).reshape(n, Lt, c.d_enc)
             attn_out = o @ p[pre + "wo"] + p[pre + "bo"]
             h = z + attn_out
-            bc.update(q=q, k=k, v=v, probs=probs, probs_used=probs_used, attn_drop=dm, o=o)
 
             zh2, ln2c = _layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"])
             u = zh2 @ p[pre + "w1"] + p[pre + "b1"]
             cdf = _gelu_cdf_rows(u, active)
             a = u * cdf
             ff = a @ p[pre + "w2"] + p[pre + "b2"]
-            if dropout:
-                dm2 = (rng.random((B, L, c.d_enc))[:, :Lt] >= c.p_drop).astype(float)
-                ff_used = ff * dm2 / keep
-            else:
-                dm2 = None
-                ff_used = ff
+            ff_used = ff * dm2 / keep if dm2 is not None else ff
             z = h + ff_used
-            bc.update(zh2=zh2, ln2=ln2c, u=u, cdf=cdf, a=a, ffn_drop=dm2)
-            cache["blocks"].append(bc)
-
-        pooled = (z * mask[..., None]).sum(axis=1) / counts[:, None]
-        y = pooled @ p["head_w"] + p["head_b"][0]
-        cache.update(pooled=pooled, counts=counts, keep=keep)
+            if want_cache:
+                blocks.append(dict(zh1=zh1, ln1=ln1c, q=q, k=k, v=v, probs=probs,
+                                   probs_used=probs_used, attn_drop=dm, o=o,
+                                   zh2=zh2, ln2=ln2c, u=u, cdf=cdf, a=a, ffn_drop=dm2))
         if want_cache:
-            return y, cache
-        return y
+            ch["blocks"] = blocks
+        return (z * mask[..., None]).sum(axis=1) / ch["counts"][:, None]
 
     # --- backward ------------------------------------------------------------
 
@@ -301,64 +330,73 @@ class EncoderSurrogate:
         """Gradients of sum_b dy_b * y_b with respect to every parameter."""
         c = self.config
         p = self.params
-        mask = cache["mask"]
+        chunks = cache["chunks"]
         keep = cache["keep"]
         L = cache["length"]
-        B, Lt = mask.shape
+        B = dy.shape[0]
         grads: dict[str, np.ndarray] = {}
 
         grads["head_w"] = cache["pooled"].T @ dy
         grads["head_b"] = np.array([dy.sum()])
         dpooled = dy[:, None] * p["head_w"][None, :]
-        dz = dpooled[:, None, :] * (mask / cache["counts"][:, None])[..., None]
+        dzs = [dpooled[ch["rows"]][:, None, :] * (ch["mask"] / ch["counts"][:, None])[..., None]
+               for ch in chunks]
 
         for i in reversed(range(c.n_blocks)):
             pre = f"b{i}."
-            bc = cache["blocks"][i]
-            # z_out = h + dropout(ffn(ln2(h)))
-            dff = dz * bc["ffn_drop"] / keep if bc["ffn_drop"] is not None else dz
-            grads[pre + "w2"] = _contract(_padded(bc["a"], L), _padded(dff, L))
-            grads[pre + "b2"] = dff.sum(axis=(0, 1))
-            da = dff @ p[pre + "w2"].T
-            du = da * _gelu_grad(bc["u"], bc["cdf"])
-            grads[pre + "w1"] = _contract(_padded(bc["zh2"], L), _padded(du, L))
-            grads[pre + "b1"] = du.sum(axis=(0, 1))
-            dzh2 = du @ p[pre + "w1"].T
-            dx, dg, db = _layer_norm_backward(dzh2, bc["ln2"], p[pre + "ln2_g"])
-            grads[pre + "ln2_g"], grads[pre + "ln2_b"] = dg, db
-            dh = dz + dx
+            parts: dict[str, list[np.ndarray]] = {}
+            for j, ch in enumerate(chunks):
+                bc = ch["blocks"][i]
+                n, Lt = ch["mask"].shape
+                dz = dzs[j]
+                # z_out = h + dropout(ffn(ln2(h)))
+                dff = dz * bc["ffn_drop"] / keep if bc["ffn_drop"] is not None else dz
+                da = dff @ p[pre + "w2"].T
+                du = da * _gelu_grad(bc["u"], bc["cdf"])
+                dzh2 = du @ p[pre + "w1"].T
+                dh = dz + _layer_norm_dx(dzh2, bc["ln2"], p[pre + "ln2_g"])
 
-            # h = z_in + attn_out
-            grads[pre + "wo"] = _contract(_padded(bc["o"], L), _padded(dh, L))
-            grads[pre + "bo"] = dh.sum(axis=(0, 1))
-            do = (dh @ p[pre + "wo"].T).reshape(B, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
-            dprobs_used = do @ bc["v"].transpose(0, 1, 3, 2)
-            dv = bc["probs_used"].transpose(0, 1, 3, 2) @ do
-            dprobs = dprobs_used * bc["attn_drop"] / keep if bc["attn_drop"] is not None else dprobs_used
-            dscores = bc["probs"] * (dprobs - (dprobs * bc["probs"]).sum(axis=-1, keepdims=True))
-            dscores = dscores / np.sqrt(c.d_head)
-            dq = dscores @ bc["k"]
-            dk = dscores.transpose(0, 1, 3, 2) @ bc["q"]
+                # h = z_in + attn_out
+                do = (dh @ p[pre + "wo"].T).reshape(n, Lt, c.n_heads, c.d_head).transpose(0, 2, 1, 3)
+                dprobs_used = do @ bc["v"].transpose(0, 1, 3, 2)
+                dv = bc["probs_used"].transpose(0, 1, 3, 2) @ do
+                dprobs = dprobs_used * bc["attn_drop"] / keep if bc["attn_drop"] is not None else dprobs_used
+                dscores = bc["probs"] * (dprobs - (dprobs * bc["probs"]).sum(axis=-1, keepdims=True))
+                dscores = dscores / np.sqrt(c.d_head)
+                dq = dscores @ bc["k"]
+                dk = dscores.transpose(0, 1, 3, 2) @ bc["q"]
 
-            def flat(t):
-                return t.transpose(0, 2, 1, 3).reshape(B, Lt, c.d_enc)
+                def flat(t):
+                    return t.transpose(0, 2, 1, 3).reshape(n, Lt, c.d_enc)
 
-            dqf, dkf, dvf = flat(dq), flat(dk), flat(dv)
-            zh1 = _padded(bc["zh1"], L)
-            grads[pre + "wq"] = _contract(zh1, _padded(dqf, L))
-            grads[pre + "wk"] = _contract(zh1, _padded(dkf, L))
-            grads[pre + "wv"] = _contract(zh1, _padded(dvf, L))
-            grads[pre + "bq"] = dqf.sum(axis=(0, 1))
-            grads[pre + "bk"] = dkf.sum(axis=(0, 1))
-            grads[pre + "bv"] = dvf.sum(axis=(0, 1))
-            dzh1 = dqf @ p[pre + "wq"].T + dkf @ p[pre + "wk"].T + dvf @ p[pre + "wv"].T
-            dx, dg, db = _layer_norm_backward(dzh1, bc["ln1"], p[pre + "ln1_g"])
-            grads[pre + "ln1_g"], grads[pre + "ln1_b"] = dg, db
-            dz = dh + dx
+                dqf, dkf, dvf = flat(dq), flat(dk), flat(dv)
+                dzh1 = dqf @ p[pre + "wq"].T + dkf @ p[pre + "wk"].T + dvf @ p[pre + "wv"].T
+                dzs[j] = dh + _layer_norm_dx(dzh1, bc["ln1"], p[pre + "ln1_g"])
+                for name, part in (("a", bc["a"]), ("dff", dff), ("zh2", bc["zh2"]), ("du", du),
+                                   ("dzh2", dzh2), ("xhat2", bc["ln2"][0]), ("o", bc["o"]),
+                                   ("dh", dh), ("zh1", bc["zh1"]), ("dq", dqf), ("dk", dkf),
+                                   ("dv", dvf), ("dzh1", dzh1), ("xhat1", bc["ln1"][0])):
+                    parts.setdefault(name, []).append(part)
 
+            full = {name: _scatter(chunks, part, B, L) for name, part in parts.items()}
+            grads[pre + "w2"] = _contract(full["a"], full["dff"])
+            grads[pre + "b2"] = full["dff"].sum(axis=(0, 1))
+            grads[pre + "w1"] = _contract(full["zh2"], full["du"])
+            grads[pre + "b1"] = full["du"].sum(axis=(0, 1))
+            grads[pre + "ln2_g"] = (full["dzh2"] * full["xhat2"]).sum(axis=(0, 1))
+            grads[pre + "ln2_b"] = full["dzh2"].sum(axis=(0, 1))
+            grads[pre + "wo"] = _contract(full["o"], full["dh"])
+            grads[pre + "bo"] = full["dh"].sum(axis=(0, 1))
+            for w in "qkv":
+                grads[pre + "w" + w] = _contract(full["zh1"], full["d" + w])
+                grads[pre + "b" + w] = full["d" + w].sum(axis=(0, 1))
+            grads[pre + "ln1_g"] = (full["dzh1"] * full["xhat1"]).sum(axis=(0, 1))
+            grads[pre + "ln1_b"] = full["dzh1"].sum(axis=(0, 1))
+
+        dz = _scatter(chunks, dzs, B, L)
         grads["pos"] = np.zeros_like(p["pos"])
-        grads["pos"][:Lt] = dz.sum(axis=0)
-        grads["lift_w"] = _contract(_padded(cache["tokens"], L), _padded(dz, L))
+        grads["pos"][:L] = dz.sum(axis=0)
+        grads["lift_w"] = _contract(_scatter(chunks, [ch["tokens"] for ch in chunks], B, L), dz)
         db_shared = dz.sum(axis=(0, 1))
         grads["lift_b"] = np.tile(db_shared, (c.n_fields, 1))
         return grads

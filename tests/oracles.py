@@ -297,9 +297,9 @@ def reference_greedy_partition(profiles, limits, ops_budget):
 
 # --- full-length encoder reference --------------------------------------------
 # The encoder's forward and backward as they were before the active-length
-# trim, copied literally: every batch runs at its padded length L.  The trimmed
-# encoder must reproduce these bytes exactly (see the encoder module
-# docstring for why it can).
+# trim, copied literally: every batch runs at its padded length L.  The
+# encoder, which runs each row at its own active length, must reproduce these
+# bytes exactly (see the encoder module docstring for why it can).
 
 _ENC_LN_EPS = 1e-5
 _ENC_NEG = -1e30

@@ -9,7 +9,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import xml.dom.minidom
 from importlib import resources
@@ -21,6 +24,7 @@ import scipy
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import ihasearch
 from ihasearch.cli import main
 from ihasearch.genome import (
     ArchGenome,
@@ -34,6 +38,7 @@ from ihasearch.genome import (
 from ihasearch.surrogate import (
     EncoderConfig,
     EncoderSurrogate,
+    FieldNormalizer,
     make_synthetic_corpus,
     parse_corpus_row,
     save_corpus,
@@ -396,6 +401,27 @@ class TestSearchConfigFuzz:
                 code = main(["search", "--config", str(path), "--out", str(Path(tmp) / "run"), *extra])
         event(f"exit {code}")
         assert code in ((2,) if broken else (0, 2)), doc
+
+
+class TestScipyOnFirstUse:
+    def test_oracle_search_and_pack_load_no_scipy_submodule(self, tmp_path, genome_file):
+        """scipy.stats (rank statistics) and scipy.special (the encoder's
+        GELU) are imported where they are used, so an oracle search and a
+        pack load neither."""
+        cfg = write_cfg(tmp_path)
+        script = (
+            "import sys\n"
+            "from ihasearch.cli import main\n"
+            f"assert main(['search', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+            f"assert main(['pack', '--genome', {str(genome_file)!r}, '--out', {str(tmp_path / 'pack')!r}]) == 0\n"
+            "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])\n"
+        )
+        src = str(Path(ihasearch.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 # --------------------------------------------------------------------------
@@ -896,6 +922,54 @@ class TestLoadedGenomesValidated:
         corpus.write_text("\n".join([json.dumps(row)] + rows[1:]) + "\n")
         assert main(["surrogate", "eval", "--corpus", str(corpus),
                      "--checkpoint", str(cli_inputs["checkpoint"])]) == 0
+
+
+class TestTokenBudget:
+    """A genome with more active layers than the encoder reads is refused
+    where it enters, naming its file and line; this used to exit 3 from
+    featurize ("48 active layers exceed the 40-token budget")."""
+
+    @pytest.fixture(scope="class")
+    def short_checkpoint(self, tmp_path_factory, cli_inputs) -> Path:
+        """A checkpoint that reads at most 8 layers."""
+        path = tmp_path_factory.mktemp("short") / "encoder.npz"
+        genomes, _ = make_synthetic_corpus(4, seed=1)
+        model = EncoderSurrogate.init(EncoderConfig(d_enc=8, n_blocks=1, n_heads=2, ffn_mult=1,
+                                                    max_layers=8))
+        model.normalizer = FieldNormalizer.fit(genomes)
+        model.save(str(path))
+        return path
+
+    def test_train_corpus_with_48_active_layers(self, tmp_path, capsys, cli_inputs):
+        gene = LayerGene(1, 1, 8, 2, 64, 64, 1024)
+        deep = ArchGenome(GlobalConfig(768, 1024, 48), tuple(gene for _ in range(48)))
+        rows = cli_inputs["corpus"].read_text().splitlines()
+        row = json.dumps({"genome": json.loads(to_json(deep)), "val_loss": 3.0})
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text("\n".join(rows[:2] + [row] + rows[2:]) + "\n")
+        assert main(["surrogate", "train", "--corpus", str(corpus), "--out", str(tmp_path / "x"),
+                     "--epochs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"line 3 of corpus {str(corpus)!r} has 48 active layers" in err
+        assert "at most 40" in err
+
+    @pytest.mark.parametrize("sub", ["eval", "mc"])
+    def test_surrogate_with_8_layer_checkpoint(self, capsys, cli_inputs, short_checkpoint, sub):
+        argv = ["surrogate", sub, "--checkpoint", str(short_checkpoint)]
+        argv += (["--corpus", str(cli_inputs["corpus"])] if sub == "eval"
+                 else ["--genomes", str(cli_inputs["genome_list"]), "--n-mc", "1"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "line 1 of" in err and "at most 8" in err
+
+    def test_search_with_8_layer_checkpoint(self, tmp_path, capsys, cli_inputs, short_checkpoint):
+        cfg = write_cfg(tmp_path, evaluator="surrogate", refine_every_generations=1)
+        assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--surrogate", str(short_checkpoint),
+                     "--corpus", str(cli_inputs["corpus"])]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {str(short_checkpoint)!r} reads at most 8 layers" in err
+        assert "search genomes have 40" in err
 
 
 class TestIntsBeyondFloat:

@@ -18,6 +18,7 @@ from ihasearch.surrogate import (
     raw_tokens,
     synth_oracle,
 )
+from ihasearch.surrogate import encoder
 from ihasearch.surrogate.encoder import _param_layout, active_length, init_params
 from ihasearch.surrogate.features import FIELD_ORDER, featurize_batch
 
@@ -189,6 +190,15 @@ def padded_batch(rng, batch: int, longest: int, holes: bool, max_layers: int = 4
     return tokens, mask
 
 
+def batch_of_lengths(rng, lengths, max_layers: int = 40):
+    """Tokens and mask of one row per entry of `lengths`, each active from
+    position 0 up to its length."""
+    lengths = np.asarray(lengths)
+    mask = (np.arange(max_layers)[None, :] < lengths[:, None]).astype(float)
+    tokens = rng.random((len(lengths), max_layers, 9)) * mask[..., None]
+    return tokens, mask
+
+
 def assert_matches_full_length_reference(model, tokens, mask, train: bool, seed: int):
     """Predictions, loss, every gradient, the MC mean and spread and the
     generator's next draw are byte-identical to the full-length reference."""
@@ -217,12 +227,12 @@ class TestActiveLengthTrim:
         mask = np.zeros((3, 40))
         mask[:, 0] = 1.0
         mask[1, last - 1] = 1.0  # a hole before the last active position
-        assert active_length(mask) == want
+        assert active_length(mask).tolist() == [24, want, 24]
 
     def test_short_batches_are_not_trimmed(self):
         mask = np.zeros((2, 16))
         mask[:, :3] = 1.0
-        assert active_length(mask) == 16
+        assert active_length(mask).tolist() == [16, 16]
 
     # Each case breaks one exactness rule of the trim when that rule is
     # dropped: longest 5 needs the floor of 24, longest 27 the rounding to
@@ -247,6 +257,42 @@ class TestActiveLengthTrim:
         tokens, mask = padded_batch(rng, batch, longest, holes)
         assert_matches_full_length_reference(trained_like_model(config, seed % 7), tokens, mask,
                                              train, seed)
+
+    # Rows of the 24, 32 and 40 groups interleaved, and batches of more rows
+    # than one chunk holds (so a group runs in several chunks).
+    @pytest.mark.parametrize("config", sorted(ENCODER_CONFIGS))
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("case", ["interleaved", "70", "240"])
+    def test_groups_and_chunks_match_reference(self, config, train, case):
+        rng = np.random.default_rng(len(case))
+        if case == "interleaved":
+            tokens, mask = batch_of_lengths(rng, [12, 30, 37, 24, 25, 33, 1, 40, 32, 8, 28, 36])
+        else:
+            tokens, mask = padded_batch(rng, int(case), 40, holes=True)
+        lengths = active_length(mask)
+        assert len(set(lengths.tolist())) == 3
+        assert case == "interleaved" or np.bincount(lengths).max() > encoder._CHUNK_ROWS
+        assert_matches_full_length_reference(trained_like_model(config, 3), tokens, mask,
+                                             train, seed=int(train))
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_short_rows_run_at_their_own_length(self, monkeypatch, train):
+        """In a 32-row batch with one 33-layer row, the other 31 rows run
+        at 24 positions (the row of 33 at 40)."""
+        lengths = np.random.default_rng(5).integers(1, 25, size=32)
+        lengths[7] = 33
+        tokens, mask = batch_of_lengths(np.random.default_rng(6), lengths)
+        shapes = set()
+        real = encoder._gelu_cdf_rows
+
+        def spy(u, rows):
+            shapes.add(u.shape[:2])
+            return real(u, rows)
+
+        monkeypatch.setattr(encoder, "_gelu_cdf_rows", spy)
+        trained_like_model("golden_tiny", 0).forward(tokens, mask, train=train,
+                                                     rng=np.random.default_rng(0))
+        assert shapes == {(31, 24), (1, 40)}
 
 
 class TestCheckpoint:
