@@ -318,11 +318,16 @@ def validate(genome: ArchGenome, ranges: SpaceRanges | None = None) -> list[Viol
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def snap_n_kv(n_h: int, n_kv: int, grid: FieldRange) -> int:
     """KV head count for n_h query heads: the largest divisor of n_h on the
     n_kv grid that is <= ``grid.snap(n_kv)``, else the smallest divisor on
     the grid.  A divisor is a positive d with n_h % d == 0.  Raises
-    ValueError when the grid holds no divisor of n_h."""
+    ValueError when the grid holds no divisor of n_h.
+
+    Memoised by value in a bounded cache: a search repairs the same few
+    (n_h, n_kv) pairs over and over.  An error is raised again on every
+    call, never cached."""
     divisors = [d for d in grid.values() if d >= 1 and n_h % d == 0]
     if not divisors:
         raise ValueError(
@@ -358,16 +363,20 @@ def repair(genome: ArchGenome, ranges: SpaceRanges | None = None) -> ArchGenome:
         return genome
     gcfg = GlobalConfig(max(1, g.d_model), max(1, g.block_size), max(1, g.max_layers))
 
+    on_n_h, _, on_d_qk, on_d_v, on_d_mlp = grids
+
     def fix(gene: LayerGene) -> LayerGene:
-        n_h = ranges.n_h.snap(gene.n_h)
+        # a field on its grid is its own snap (an exact int): only the
+        # others are snapped
+        n_h = gene.n_h if gene.n_h in on_n_h else ranges.n_h.snap(gene.n_h)
         return LayerGene(
             mask=1 if gene.mask >= 1 else 0,
             attn=1 if gene.attn >= 1 else 0,
             n_h=n_h,
             n_kv=snap_n_kv(n_h, gene.n_kv, ranges.n_kv),
-            d_qk=ranges.d_qk.snap(gene.d_qk),
-            d_v=ranges.d_v.snap(gene.d_v),
-            d_mlp=ranges.d_mlp.snap(gene.d_mlp),
+            d_qk=gene.d_qk if gene.d_qk in on_d_qk else ranges.d_qk.snap(gene.d_qk),
+            d_v=gene.d_v if gene.d_v in on_d_v else ranges.d_v.snap(gene.d_v),
+            d_mlp=gene.d_mlp if gene.d_mlp in on_d_mlp else ranges.d_mlp.snap(gene.d_mlp),
         )
 
     pad = LayerGene(0, 1, ranges.n_h.lo, ranges.n_kv.lo, ranges.d_qk.lo, ranges.d_v.lo, ranges.d_mlp.lo)

@@ -1,20 +1,28 @@
 """Contiguous layer-to-stage packing for the ring backend.
 
-greedy_contiguous_partition is the inner feasibility test: scan layers in
-order, extending the open stage while the weight, KV and ops budgets all
-hold.  balanced_contiguous_pack binary-searches the scalar per-stage ops
-budget for the smallest feasible value, which minimizes the longest-stage
-decode time (the token-pipeline bottleneck).  The budgets it searches are
-the sums of contiguous layer runs, added from the run's first layer as the
-scan adds them, so the search is exact for non-integer ops too.
+The greedy scan is the inner feasibility test: scan layers in order,
+extending the open stage while the weight, KV and ops budgets all hold;
+greedy_contiguous_partition returns its partition at one budget.
+balanced_contiguous_pack finds the smallest feasible scalar per-stage ops
+budget, which minimizes the longest-stage decode time (the token-pipeline
+bottleneck).  The budgets it searches are the sums of contiguous layer
+runs, added from the run's first layer as the scan adds them, so the search
+is exact for non-integer ops too.
 
 The greedy scan produces the minimum possible number of contiguous stages
 for a given budget (all constraints are additive and monotone), so capping
-the stage count at the ring's maximum depth keeps the binary search exact.
-Both functions run one scan, ``_greedy_starts``, which returns each stage's
-first layer and stops once the stage count passes a cap.  The search's
-probes use it alone; the partition itself is built once, by
-greedy_contiguous_partition at the smallest feasible budget.
+the stage count at the ring's maximum depth keeps the search exact.  Both
+functions run one scan, ``_greedy_starts``, which returns each stage's
+first layer and stops once the stage count passes a cap.
+
+The smallest candidate budget is the largest layer's ops, and once every
+layer fits a stage alone, that budget opens at most one stage per layer.
+So a model with at most as many layers as the cap packs with one scan at
+that budget (the short-model rule); a longer one binary-searches the
+candidates, in the manner of Pinar & Aykanat (2004), "Fast optimal load
+balancing algorithms for 1D partitioning".  Either way the partition is
+built from the stage starts of the last feasible probe, which ran at the
+smallest feasible budget: no scan runs twice.
 
 The candidate budgets depend only on the layers' decode ops, not on the
 chip or the stage cap, and a ring grid search packs one genome onto every
@@ -91,10 +99,12 @@ def greedy_contiguous_partition(
     if any(p.act_bytes > limits.act_cap for p in profiles):
         return None
     starts = _greedy_starts(_layer_terms(profiles, limits), limits, ops_budget, math.inf)
-    if starts is None:
-        return None
-    ends = starts[1:] + [len(profiles)]
-    return [list(range(a, b)) for a, b in zip(starts, ends)]
+    return None if starts is None else _stages(starts, len(profiles))
+
+
+def _stages(starts: list[int], n_layers: int) -> list[list[int]]:
+    """The layer indices of each stage, from each stage's first layer."""
+    return [list(range(a, b)) for a, b in zip(starts, starts[1:] + [n_layers])]
 
 
 @functools.lru_cache(maxsize=1)
@@ -119,13 +129,14 @@ def balanced_contiguous_pack(
     The smallest feasible budget is the ops sum of some stage, so the
     candidates are the distinct sums of contiguous layer runs that are at
     least the largest layer's ops, each added from the run's first layer in
-    scan order (the floats the greedy scan compares).  Binary search over
-    them, sorted; a budget is feasible when the greedy partition exists and
-    fits in n_chips_max stages.  Because the greedy scan minimizes the stage
-    count, feasibility is monotone in the budget and the search is exact.
-    Each probe runs only the greedy scan's stage starts;
-    greedy_contiguous_partition runs once, at the smallest feasible budget,
-    to build the returned partition.
+    scan order (the floats the greedy scan compares).  A budget is feasible
+    when the greedy partition exists and fits in n_chips_max stages.
+    Because the greedy scan minimizes the stage count, feasibility is
+    monotone in the budget.  With at most n_chips_max layers the smallest
+    candidate is feasible, since every layer fits a stage alone, and one
+    scan packs at it; otherwise a binary search over the sorted candidates
+    finds the smallest feasible one.  The partition comes from the stage
+    starts of the last feasible probe.
     """
     if not profiles:
         raise ValueError("profiles must be non-empty")
@@ -136,19 +147,20 @@ def balanced_contiguous_pack(
         if w > limits.weight_cap or k > limits.kv_cap or prof.act_bytes > limits.act_cap:
             return None
     ops = tuple(o for _, _, o in layers)
+    if len(layers) <= n_chips_max:
+        # the short-model rule: the scan opens at most one stage per layer
+        return _stages(_greedy_starts(layers, limits, max(ops), n_chips_max), len(layers))
     budgets = _candidate_budgets(ops, tuple(map(type, ops)))
     lo, hi = 0, len(budgets) - 1
-    best = None
+    starts = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        if _greedy_starts(layers, limits, budgets[mid], n_chips_max) is not None:
-            best = budgets[mid]
-            hi = mid - 1
+        probe = _greedy_starts(layers, limits, budgets[mid], n_chips_max)
+        if probe is not None:
+            starts, hi = probe, mid - 1
         else:
             lo = mid + 1
-    if best is None:
-        return None
-    return greedy_contiguous_partition(profiles, limits, best)
+    return None if starts is None else _stages(starts, len(layers))
 
 
 def stage_totals(profiles: list[LayerProfile], stage: list[int], ctx_tokens: float):

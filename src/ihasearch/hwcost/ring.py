@@ -23,11 +23,18 @@ cap, and every chip of a call holds KV for ``workload.ctx_peak``, so:
   cap down; a larger cap's None settles every smaller cap, and so does its
   partition for a cap at least its stage count.  Only the other caps run
   ``balanced_contiguous_pack``, and they share one candidate-budget list
-  (see ``packing``).
+  (see ``packing``);
+- the simulation sums: a simulation's ops and energy sums depend only on
+  the layers, the partition, the workload and the chip's energy constants,
+  which ``build_chip`` leaves at their defaults.  A call sums the model's
+  ops and the layers' energy once, and each distinct partition's stage ops
+  once; each design then pays only for its throughput and hops.  The sums
+  are the same float expressions, in the same order, as ``ring_simulate``'s.
 
 For the default grid on ``ring_preset`` searches that is about 7 chips and
-2 packs per genome, down from 15 and 15; the picks, their order and every
-float are those of packing every grid point.
+2 packs per genome, down from 15 and 15, and about 4 greedy scans per pack;
+the picks, their order and every float are those of packing and
+simulating every grid point.
 """
 import csv
 import itertools
@@ -181,21 +188,41 @@ def ring_simulate(plan: RingPlan, workload: Workload) -> HWCost:
     layer's MACs, its weight and KV reads from SRAM (weights stay resident,
     DRAM is idle during decode), and one ring traversal per token.
     """
-    chip, profiles = plan.chip, plan.profiles
-    throughput, ctx = chip.throughput, workload.ctx_mean
-    e_mac, e_sram = chip.e_mac_j, chip.e_sram_j_per_byte
-    tau = [sum(profiles[i].decode_ops for i in stage) / throughput for stage in plan.partition]
+    profiles = plan.profiles
+    return _simulate(plan, workload, _stage_ops(profiles, plan.partition),
+                     sum(p.decode_ops for p in profiles),
+                     _layer_energy(profiles, workload, plan.chip))
+
+
+def _stage_ops(profiles, partition) -> list:
+    """Each stage's decode ops, summed in layer order."""
+    return [sum(profiles[i].decode_ops for i in stage) for stage in partition]
+
+
+def _layer_energy(profiles, workload: Workload, chip: ChipTemplate) -> float:
+    """Per-token energy of every layer's MACs and its weight and KV reads
+    at the workload's mean context: ``ring_simulate``'s energy before the
+    ring traversal."""
+    ctx, e_mac, e_sram = workload.ctx_mean, chip.e_mac_j, chip.e_sram_j_per_byte
+    return sum(
+        p.decode_ops * e_mac + (p.weight_bytes + p.kv_bytes_per_token * ctx) * e_sram
+        for p in profiles
+    )
+
+
+def _simulate(plan: RingPlan, workload: Workload, stage_ops, total_ops, layer_energy) -> HWCost:
+    """``ring_simulate`` from its terms that do not depend on the chip's
+    throughput or hops: each stage's ops sum, the model's ops sum and
+    ``_layer_energy``."""
+    chip = plan.chip
+    throughput = chip.throughput
+    tau = [ops / throughput for ops in stage_ops]
     tpot = max(tau) + chip.hop_latency_s
-    total_ops = sum(p.decode_ops for p in profiles)
     ttft = (
         workload.prefill_tokens * total_ops / throughput
         + (plan.n_chips - 1) * chip.hop_latency_s
     )
-    e_tok = sum(
-        p.decode_ops * e_mac + (p.weight_bytes + p.kv_bytes_per_token * ctx) * e_sram
-        for p in profiles
-    )
-    e_tok += plan.n_chips * plan.hop_bytes * chip.hop_energy_j_per_byte
+    e_tok = layer_energy + plan.n_chips * plan.hop_bytes * chip.hop_energy_j_per_byte
     return HWCost(e_tok, ttft, tpot)
 
 
@@ -273,8 +300,10 @@ def chip_grid_search(
     activation term packs nothing (the fit rule).  A memory size that fits
     packs its caps from the largest down, reusing a larger cap's answer
     where it settles a smaller one (the cap rule, ``_pack_by_cap``).
-    Beyond those chips, only a feasible point builds one.  The grid's
-    values were checked when it was built (``ChipGrid``).
+    Beyond those chips, only a feasible point builds one, and each distinct
+    (chip, plan) is simulated from sums taken once per call (the
+    simulation sums).  The grid's values were checked when it was built
+    (``ChipGrid``).
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -292,6 +321,13 @@ def chip_grid_search(
     # a chip does not depend on the cap
     chips: dict = {}
     packs: dict = {}
+    # the simulation's terms that depend on neither the chip's throughput
+    # nor its hops: the model's ops, each distinct partition's stage ops,
+    # and the layers' energy under each pair of energy constants (one pair:
+    # build_chip keeps the defaults)
+    total_ops = sum(p.decode_ops for p in profiles)
+    stage_ops: dict = {}
+    energy: dict = {}
     results: list[RingResult] = []
     seen: set = set()
     n_feasible = 0
@@ -327,7 +363,13 @@ def chip_grid_search(
             profiles=layer_profiles,
             hop_bytes=genome.global_cfg.d_model,
         )
-        results.append(RingResult(chip, plan, ring_simulate(plan, workload), cap))
+        if partition not in stage_ops:
+            stage_ops[partition] = _stage_ops(profiles, partition)
+        constants = chip.e_mac_j, chip.e_sram_j_per_byte
+        if constants not in energy:
+            energy[constants] = _layer_energy(profiles, workload, chip)
+        cost = _simulate(plan, workload, stage_ops[partition], total_ops, energy[constants])
+        results.append(RingResult(chip, plan, cost, cap))
     if not results:
         return [], n_feasible
     objs = np.array([r.objectives() for r in results], dtype=float)

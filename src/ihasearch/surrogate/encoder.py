@@ -139,15 +139,6 @@ def _row_chunks(mask: np.ndarray) -> list[tuple[np.ndarray, int]]:
     return chunks
 
 
-def _scatter(chunks: list[dict], parts: list[np.ndarray], B: int, L: int) -> np.ndarray:
-    """(B, L, w) zeros with each chunk's (n, Lt, w) part written at its rows
-    (rule 3)."""
-    out = np.zeros((B, L, parts[0].shape[-1]))
-    for ch, part in zip(chunks, parts):
-        out[ch["rows"], : ch["length"]] = part
-    return out
-
-
 def _contract(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(B,L,d) x (B,L,e) -> (d,e) weight-gradient contraction as one dgemm."""
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -342,12 +333,20 @@ class EncoderSurrogate:
         dzs = [dpooled[ch["rows"]][:, None, :] * (ch["mask"] / ch["counts"][:, None])[..., None]
                for ch in chunks]
 
+        # rule 3: (B, L, .) zero-filled arrays, allocated once and shared by
+        # the four blocks.  Every block writes each chunk's part at the same
+        # [rows, :Lt] region, so the rows and positions no chunk computes
+        # stay zero.
+        names = ("a", "dff", "zh2", "du", "dzh2", "dzh2_xhat2", "o", "dh", "zh1",
+                 "dq", "dk", "dv", "dzh1", "dzh1_xhat1")
+        full = {name: np.zeros((B, L, c.d_ffn if name in ("a", "du") else c.d_enc))
+                for name in names}
         for i in reversed(range(c.n_blocks)):
             pre = f"b{i}."
-            parts: dict[str, list[np.ndarray]] = {}
             for j, ch in enumerate(chunks):
                 bc = ch["blocks"][i]
                 n, Lt = ch["mask"].shape
+                at = (ch["rows"], slice(None, Lt))
                 dz = dzs[j]
                 # z_out = h + dropout(ffn(ln2(h)))
                 dff = dz * bc["ffn_drop"] / keep if bc["ffn_drop"] is not None else dz
@@ -372,31 +371,34 @@ class EncoderSurrogate:
                 dqf, dkf, dvf = flat(dq), flat(dk), flat(dv)
                 dzh1 = dqf @ p[pre + "wq"].T + dkf @ p[pre + "wk"].T + dvf @ p[pre + "wv"].T
                 dzs[j] = dh + _layer_norm_dx(dzh1, bc["ln1"], p[pre + "ln1_g"])
-                for name, part in (("a", bc["a"]), ("dff", dff), ("zh2", bc["zh2"]), ("du", du),
-                                   ("dzh2", dzh2), ("xhat2", bc["ln2"][0]), ("o", bc["o"]),
-                                   ("dh", dh), ("zh1", bc["zh1"]), ("dq", dqf), ("dk", dkf),
-                                   ("dv", dvf), ("dzh1", dzh1), ("xhat1", bc["ln1"][0])):
-                    parts.setdefault(name, []).append(part)
+                for name, part in zip(names, (
+                        bc["a"], dff, bc["zh2"], du, dzh2, dzh2 * bc["ln2"][0], bc["o"], dh,
+                        bc["zh1"], dqf, dkf, dvf, dzh1, dzh1 * bc["ln1"][0])):
+                    full[name][at] = part
 
-            full = {name: _scatter(chunks, part, B, L) for name, part in parts.items()}
             grads[pre + "w2"] = _contract(full["a"], full["dff"])
             grads[pre + "b2"] = full["dff"].sum(axis=(0, 1))
             grads[pre + "w1"] = _contract(full["zh2"], full["du"])
             grads[pre + "b1"] = full["du"].sum(axis=(0, 1))
-            grads[pre + "ln2_g"] = (full["dzh2"] * full["xhat2"]).sum(axis=(0, 1))
+            grads[pre + "ln2_g"] = full["dzh2_xhat2"].sum(axis=(0, 1))
             grads[pre + "ln2_b"] = full["dzh2"].sum(axis=(0, 1))
             grads[pre + "wo"] = _contract(full["o"], full["dh"])
             grads[pre + "bo"] = full["dh"].sum(axis=(0, 1))
             for w in "qkv":
                 grads[pre + "w" + w] = _contract(full["zh1"], full["d" + w])
                 grads[pre + "b" + w] = full["d" + w].sum(axis=(0, 1))
-            grads[pre + "ln1_g"] = (full["dzh1"] * full["xhat1"]).sum(axis=(0, 1))
+            grads[pre + "ln1_g"] = full["dzh1_xhat1"].sum(axis=(0, 1))
             grads[pre + "ln1_b"] = full["dzh1"].sum(axis=(0, 1))
 
-        dz = _scatter(chunks, dzs, B, L)
+        # the blocks' grads are taken: dh's array holds dz, which has its shape
+        dz, tokens = full["dh"], np.zeros((B, L, c.n_fields))
+        for ch, dz_part in zip(chunks, dzs):
+            at = (ch["rows"], slice(None, ch["length"]))
+            dz[at] = dz_part
+            tokens[at] = ch["tokens"]
         grads["pos"] = np.zeros_like(p["pos"])
         grads["pos"][:L] = dz.sum(axis=0)
-        grads["lift_w"] = _contract(_scatter(chunks, [ch["tokens"] for ch in chunks], B, L), dz)
+        grads["lift_w"] = _contract(tokens, dz)
         db_shared = dz.sum(axis=(0, 1))
         grads["lift_b"] = np.tile(db_shared, (c.n_fields, 1))
         return grads

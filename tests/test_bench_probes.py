@@ -50,7 +50,11 @@ def test_install_and_restore(tracing):
 
 def test_search_paths_pass_through_the_probes(tracing, tmp_path, capsys):
     """An NSGA oracle search on each backend records a span for every probe
-    outside the encoder surrogate, so each probe sits where its caller looks."""
+    outside the encoder surrogate and the two functions no search calls, so
+    each probe sits where its caller looks.  A ring search simulates from
+    terms it computes once per call, and a pack builds its partition from
+    its last probe, so neither ``ring_simulate`` nor
+    ``greedy_contiguous_partition`` runs."""
     base = {"population_size": 6, "offspring_size": 4, "generations": 2,
             "refine_every_generations": 0, "evaluator": "oracle", "seed": 1}
     configs = {
@@ -67,6 +71,8 @@ def test_search_paths_pass_through_the_probes(tracing, tmp_path, capsys):
             assert cli.main(["search", "--config", str(path), "--out", str(tmp_path / name)]) == 0
     recorded = set(tracer.summary()["calls"])
     surrogate_only = ("surrogate.encoder.", "surrogate.features.", "surrogate.training.")
+    not_searched = {"hwcost.ring.ring_simulate", "hwcost.packing.greedy_contiguous_partition"}
     expected = {name for _, _, name in tracing.SPAN_PROBES
-                if not name.startswith(surrogate_only)}
+                if not name.startswith(surrogate_only)} - not_searched
     assert expected - recorded == set()
+    assert recorded & not_searched == set()

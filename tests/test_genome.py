@@ -392,6 +392,59 @@ class TestRepairFastPath:
             assert gn.to_json(gn.repair(g)) == _brute_json(g, gn.SpaceRanges())
 
 
+@st.composite
+def fast_path_genes(draw, ranges):
+    """A gene for ``repair``'s per-field fast path under ``ranges``: every
+    field on its grid but n_kv not dividing n_h (what ``random_genome``
+    mostly draws), or such a gene with one field moved off its grid: inside
+    the span, beyond it, or onto another field's grid."""
+    grid_of = {name: ranges.field(name).values() for name in gn.NUMERIC_FIELDS}
+    fields = {bit: draw(st.sampled_from([0, 1])) for bit in ("mask", "attn")}
+    fields.update({name: draw(st.sampled_from(grid_of[name])) for name in gn.NUMERIC_FIELDS})
+    n_h = fields["n_h"]
+    fields["n_kv"] = draw(st.sampled_from(
+        [d for d in grid_of["n_kv"] if not (1 <= d <= n_h and n_h % d == 0)] or grid_of["n_kv"]))
+    name = draw(st.sampled_from([None, None, *gn.NUMERIC_FIELDS]))
+    if name is not None:
+        r = ranges.field(name)
+        others = sorted({x for values in grid_of.values() for x in values if not r.contains(x)})
+        fields[name] = draw(st.one_of(
+            st.integers(r.lo - 3 * r.step, r.hi + 3 * r.step).filter(lambda x: not r.contains(x)),
+            st.sampled_from([r.lo - 10**6, r.hi + 10**6, *others])))
+    return gn.LayerGene(**fields)
+
+
+class TestRepairPerField:
+    """``repair`` snaps only the fields that are off their grid, and
+    ``snap_n_kv`` is memoised: the projection is still the literal one."""
+
+    @given(st.sampled_from([gn.SpaceRanges(), _ODD_RANGES]).flatmap(
+        lambda r: st.tuples(st.just(r), st.lists(fast_path_genes(r), min_size=1, max_size=8))))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_literal_projection_with_int_fields(self, case):
+        ranges, genes = case
+        g = make_genome(genes)
+        _, layers = brute_repair(g, ranges)
+        out = gn.repair(g, ranges)
+        assert tuple(map(_gene_fields, out.layers)) == layers
+        assert all(type(v) is int for gene in out.layers for v in _gene_fields(gene))
+        # equal, not always the same object: a gene with n_h = 0 on a grid
+        # that holds 0 is rebuilt (see the no-op test above)
+        assert gn.repair(out, ranges) == out
+
+    def test_no_divisor_raises_every_time(self):
+        ranges = gn.SpaceRanges(n_kv=gn.FieldRange(2, 2, 8))
+        g = make_genome([gn.LayerGene(1, 1, 7, 1, 64, 64, 512)])
+        for _ in range(3):
+            with pytest.raises(ValueError, match="no divisor of n_h=7"):
+                gn.snap_n_kv(7, 1, ranges.n_kv)
+            with pytest.raises(ValueError, match="no divisor of n_h=7"):
+                gn.repair(g, ranges)
+        # the memo holds answers, keyed by value, and stays bounded
+        assert gn.snap_n_kv(8, 3, ranges.n_kv) == gn.snap_n_kv(8, 3, gn.FieldRange(2, 2, 8)) == 2
+        assert gn.snap_n_kv.cache_info().maxsize is not None
+
+
 class TestRandomGenome:
     def test_always_valid(self):
         rng = np.random.default_rng(3)

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -422,17 +423,52 @@ class TestCountOnlyPack:
         big = [prof(1, 1, o, 1) for o in (2, 2**52 + 1, 2**54 + 7, 5)]
         assert balanced_contiguous_pack(big, ROOMY, 1) == [[0, 1, 2, 3]]
 
-    def test_one_greedy_partition_per_feasible_pack(self, monkeypatch):
-        calls = []
-        greedy = packing.greedy_contiguous_partition
-        monkeypatch.setattr(packing, "greedy_contiguous_partition",
-                            lambda *a: calls.append(a[2]) or greedy(*a))
-        layers = [prof(10, 1, 30, 1)] * 3
+    @given(probe_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_probes_per_pack(self, case):
+        """A pack whose layers all fit a stage alone probes one budget, the
+        largest layer's ops, and builds no candidate list when it has at
+        most the cap's layers; a longer model probes at most 1 + ceil(log2 M)
+        of its M candidate budgets.  No pack runs
+        greedy_contiguous_partition: the partition comes from the last
+        feasible probe."""
+        profiles, limits, _, n_max = case
+        with mock.patch.object(packing, "_greedy_starts", wraps=packing._greedy_starts) as scan, \
+                mock.patch.object(packing, "_candidate_budgets",
+                                  wraps=packing._candidate_budgets) as budgets, \
+                mock.patch.object(packing, "greedy_contiguous_partition") as partition:
+            got = balanced_contiguous_pack(profiles, limits, n_max)
+        assert got == exhaustive_balanced_pack(profiles, limits, n_max)
+        assert partition.call_count == 0
+        ops = tuple(p.decode_ops for p in profiles)
+        if any(p.weight_bytes > limits.weight_cap
+               or p.kv_bytes_per_token * limits.ctx_tokens > limits.kv_cap
+               or p.act_bytes > limits.act_cap for p in profiles):
+            assert got is None and scan.call_count == budgets.call_count == 0
+        elif len(profiles) <= n_max:
+            assert got is not None and budgets.call_count == 0
+            assert [c.args[2] for c in scan.call_args_list] == [max(ops)]
+        else:
+            assert budgets.call_count == 1
+            m = len(packing._candidate_budgets(ops, tuple(map(type, ops))))
+            assert 1 <= scan.call_count <= 1 + math.ceil(math.log2(m))
+
+    def test_probes_of_a_three_layer_model(self):
+        layers = [prof(10, 1, 30, 1), prof(10, 1, 20, 1), prof(10, 1, 40, 1)]
         roomy = StageLimits(1000, 1000, 1000, 1.0)
-        assert balanced_contiguous_pack(layers, roomy, 2) == [[0, 1], [2]]
-        assert calls == [60]
-        assert balanced_contiguous_pack(layers, StageLimits(15, 1000, 1000, 1.0), 2) is None
-        assert calls == [60]
+        with mock.patch.object(packing, "_greedy_starts", wraps=packing._greedy_starts) as scan:
+            # three stages allowed: one scan at the largest layer's 40 ops
+            assert balanced_contiguous_pack(layers, roomy, 3) == [[0], [1], [2]]
+            assert [c.args[2] for c in scan.call_args_list] == [40]
+            # two: the candidates are 40, 50, 60 and 90, and the search
+            # probes 50 (feasible) and 40 (three stages)
+            scan.reset_mock()
+            assert balanced_contiguous_pack(layers, roomy, 2) == [[0, 1], [2]]
+            assert [c.args[2] for c in scan.call_args_list] == [50, 40]
+            # a 15-byte stage holds one layer: no budget fits two stages
+            scan.reset_mock()
+            assert balanced_contiguous_pack(layers, StageLimits(15, 1000, 1000, 1.0), 2) is None
+            assert [c.args[2] for c in scan.call_args_list] == [50, 60, 90]
 
 
 class TestBudgetMemo:
@@ -672,15 +708,16 @@ class TestChipGridSearch:
     @contextlib.contextmanager
     def _counted():
         """Record build_chip's (n_mac, w_core_kb), each pack's
-        feasibility, greedy_contiguous_partition calls and simulated
+        feasibility and cap, greedy_contiguous_partition calls and simulated
         (chip, plan) pairs, at the module attributes the search calls."""
-        log = SimpleNamespace(chips=[], packs=[], greedy=[], sims=[])
+        log = SimpleNamespace(chips=[], packs=[], caps=[], greedy=[], sims=[])
         pack, greedy = ring.balanced_contiguous_pack, packing.greedy_contiguous_partition
-        chip_of, simulate = ring.build_chip, ring.ring_simulate
+        chip_of, simulate = ring.build_chip, ring._simulate
 
-        def counting_pack(*args):
-            out = pack(*args)
+        def counting_pack(profiles, limits, cap):
+            out = pack(profiles, limits, cap)
             log.packs.append(out is not None)
+            log.caps.append(cap)
             return out
 
         def counting_chip(n_mac, w_core, *rest):
@@ -692,8 +729,9 @@ class TestChipGridSearch:
             (packing, "greedy_contiguous_partition"):
                 lambda *a: log.greedy.append(1) or greedy(*a),
             (ring, "build_chip"): counting_chip,
-            (ring, "ring_simulate"):
-                lambda plan, wl: log.sims.append((plan.chip, plan.partition)) or simulate(plan, wl),
+            (ring, "_simulate"):
+                lambda plan, wl, *terms: log.sims.append((plan.chip, plan.partition))
+                or simulate(plan, wl, *terms),
         }
         originals = {key: getattr(*key) for key in patches}
         for (module, name), fn in patches.items():
@@ -718,9 +756,13 @@ class TestChipGridSearch:
         # one pack per cap that a larger cap does not settle
         assert len(log.packs) == n_packs
         assert sum(log.packs) == n_fit_packs
-        assert len(log.greedy) == sum(log.packs)
-        # the packs share one candidate-budget list
-        assert packing._candidate_budgets.cache_info().misses == min(1, len(log.packs))
+        # each pack builds its partition from its last probe
+        assert log.greedy == []
+        # a pack under a cap below the layer count searches the candidate
+        # budgets, and those packs share one list; the others need none
+        long_packs = sum(cap < len(profile_model(genome, workload)) for cap in log.caps)
+        info = packing._candidate_budgets.cache_info()
+        assert (info.hits + info.misses, info.misses) == (long_packs, min(1, long_packs))
         # one simulation per distinct (chip, plan) of the literal sweep
         assert len(log.sims) == len(set(log.sims)) == len(designs)
         assert set(log.sims) == designs
@@ -740,6 +782,29 @@ class TestChipGridSearch:
     @settings(max_examples=150, deadline=None)
     def test_chip_pack_and_simulation_counts(self, case):
         self._assert_work_matches(*case)
+
+    @given(grid_search_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_costs_equal_literal_ring_simulate(self, case):
+        """The search simulates from terms it computes once per call (the
+        model's ops, each partition's stage ops, the layers' energy); every
+        cost it computes, and every cost it returns, has the repr of
+        ring_simulate on the same plan."""
+        genome, workload, grid = case
+        simulated = []
+        simulate = ring._simulate
+
+        def recording(plan, wl, *terms):
+            simulated.append((plan, simulate(plan, wl, *terms)))
+            return simulated[-1][1]
+
+        with mock.patch.object(ring, "_simulate", recording):
+            picks, _ = chip_grid_search(genome, workload, grid, top_k=max(1, len(grid.points)))
+        assert len(picks) <= len(simulated)
+        for plan, cost in simulated:
+            assert repr(cost) == repr(ring_simulate(plan, workload))
+        for pick in picks:
+            assert repr(pick.cost) == repr(ring_simulate(pick.plan, workload))
 
     # (axis, value): a bad n_mac, w_core_kb or cap; each axis also gets a
     # value that is not an exact int (NaN, 16.0, True, np.int64(16))
