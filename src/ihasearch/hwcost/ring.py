@@ -34,9 +34,14 @@ cap, and every chip of a call holds KV for ``workload.ctx_peak``, so:
 For the default grid on ``ring_preset`` searches that is about 7 chips and
 2 packs per genome, down from 15 and 15, and about 4 greedy scans per pack;
 the picks, their order and every float are those of packing and
-simulating every grid point.
+simulating every grid point.  A chip is a function of four exact ints,
+``(n_mac, w_core_kb, core count, max_ctx)``, so ``build_chip`` constructs
+each ``ChipTemplate`` once per key across genomes (a bounded memo): a
+``ring_preset`` search makes about 1,100 ``build_chip`` calls and about 18
+templates.
 """
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -127,14 +132,27 @@ def build_chip(
 
     Picks the smallest power-of-two core count whose combined weight memory
     holds the largest single layer, then factors it as n_dxt * n_vac with
-    n_vac >= n_dxt.
+    n_vac >= n_dxt.  ``n_mac``, ``w_core_kb`` and ``max_ctx`` are exact ints
+    (the rule of ``genome.require_ints``), or ValueError names the argument.
     """
+    for name, value in (("n_mac", n_mac), ("w_core_kb", w_core_kb), ("max_ctx", max_ctx)):
+        if type(value) is not int:
+            raise ValueError(f"build_chip: {name} must be an int, got {value!r}")
     if w_core_kb <= 0:
         raise ValueError("chip dimensions must be positive")
     per_core = w_core_kb * 1024
     n_cores = 1
     while n_cores * per_core < max_layer_weight_bytes:
         n_cores *= 2
+    return _chip(n_mac, w_core_kb, n_cores, max_ctx)
+
+
+@functools.lru_cache(maxsize=256)
+def _chip(n_mac: int, w_core_kb: int, n_cores: int, max_ctx: int) -> ChipTemplate:
+    """The chip of ``n_cores`` (a power of two) cores split as
+    n_dxt * n_vac, memoised by value in a bounded cache: a chip depends only
+    on these four ints, which repeat across the genomes of a search.  An
+    error is raised again on every call, never cached."""
     k = n_cores.bit_length() - 1
     n_dxt = 1 << (k // 2)
     n_vac = 1 << (k - k // 2)

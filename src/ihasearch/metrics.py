@@ -102,12 +102,21 @@ def constraint_dominance_matrix(
     points, the one with strictly lower violation dominates; of two feasible
     points, i dominates j when its values are <= j's everywhere and < j's
     somewhere.
+
+    ``le[i, j]`` (i's values are <= j's everywhere) is the AND of one (n, n)
+    comparison per objective, and the strict part is ``~le.T``: where
+    ``le[i, j]`` holds, "< somewhere" equals "not j <= i everywhere".  That
+    holds for every input, NaN included: a NaN in either row fails its
+    ``<=``, so ``le[i, j]`` is False there and the other factor does not
+    matter.  With no objectives ``le`` is all True and ``~le.T`` all False,
+    as "<= everywhere" and "< somewhere" are over an empty row.
     """
-    le = (values[:, None, :] <= values[None, :, :]).all(axis=2)
-    lt = (values[:, None, :] < values[None, :, :]).any(axis=2)
+    le = np.ones((len(values), len(values)), dtype=bool)
+    for col in values.T:
+        le &= col[:, None] <= col[None, :]
     fi, fj = feasible[:, None], feasible[None, :]
     lower_violation = violation[:, None] < violation[None, :]
-    return (fi & fj & le & lt) | (fi & ~fj) | (~fi & ~fj & lower_violation)
+    return (fi & fj & le & ~le.T) | (fi & ~fj) | (~fi & ~fj & lower_violation)
 
 
 def pareto_front(values: np.ndarray) -> list[int]:

@@ -119,6 +119,17 @@ def brute_constrained_dominates(a, b):
     return aviol < bviol
 
 
+def reference_constraint_dominance_matrix(values, feasible, violation):
+    """The broadcast kernel ``metrics.constraint_dominance_matrix`` was
+    before it compared one objective at a time: (n, n, m) comparisons
+    reduced along the objective axis."""
+    le = (values[:, None, :] <= values[None, :, :]).all(axis=2)
+    lt = (values[:, None, :] < values[None, :, :]).any(axis=2)
+    fi, fj = feasible[:, None], feasible[None, :]
+    lower_violation = violation[:, None] < violation[None, :]
+    return (fi & fj & le & lt) | (fi & ~fj) | (~fi & ~fj & lower_violation)
+
+
 def brute_constrained_sort(points):
     """Peel fronts of (values, feasible, violation) triples: each front is
     every remaining point that no other remaining point dominates."""

@@ -540,6 +540,24 @@ class TestChipTemplate:
             with pytest.raises(ValueError):
                 build_chip(16, w_core_kb, 1, 512)
 
+    @pytest.mark.parametrize("name", ["n_mac", "w_core_kb", "max_ctx"])
+    @pytest.mark.parametrize("bad", [16.0, True, np.int64(16), math.nan, "16"])
+    def test_build_chip_takes_exact_ints(self, name, bad):
+        # the chip memo's key carries no types: 16.0 would hit a chip of 16
+        args = dict(n_mac=16, w_core_kb=24, max_ctx=512)
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            build_chip(args["n_mac"], args["w_core_kb"], 1, args["max_ctx"])
+
+    def test_build_chip_errors_are_never_cached(self):
+        ring._chip.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive"):
+                build_chip(16, 0, 1, 512)
+            with pytest.raises(ValueError, match="finite and > 0"):
+                build_chip(0, 24, 1, 512)
+        assert ring._chip.cache_info().currsize == 0
+
     def test_build_chip_core_growth_and_split(self):
         chip = build_chip(16, 24, max_layer_weight_bytes=1, max_ctx=512)
         assert (chip.n_dxt, chip.n_vac) == (1, 1)
@@ -767,6 +785,38 @@ class TestChipGridSearch:
         assert len(log.sims) == len(set(log.sims)) == len(designs)
         assert set(log.sims) == designs
         return picks, log
+
+    def test_chips_built_once_per_key_across_genomes(self, monkeypatch):
+        """A chip depends only on (n_mac, w_core_kb, core count, max_ctx):
+        over a small ring_preset search each distinct key constructs one
+        ChipTemplate, and a warm memo leaves every per-call count of
+        ``_expected_work`` as it was."""
+        built, keys = [], []
+        template, chip_of = ring.ChipTemplate, ring.build_chip
+
+        def counting_template(**fields):
+            built.append(fields)
+            return template(**fields)
+
+        def recording_chip(n_mac, w_core, max_w, max_ctx):
+            chip = chip_of(n_mac, w_core, max_w, max_ctx)
+            keys.append((n_mac, w_core, chip.n_cores, max_ctx))
+            return chip
+
+        monkeypatch.setattr(ring, "ChipTemplate", counting_template)
+        monkeypatch.setattr(ring, "build_chip", recording_chip)
+        ring._chip.cache_clear()
+        cfg = dataclasses.replace(ring_preset(seed=3), population_size=4, offspring_size=4,
+                                  generations=2)
+        res = run_search(cfg)
+        assert len(set(keys)) < len(keys)  # keys repeat across genomes
+        assert len(built) == len(set(keys))
+        info = ring._chip.cache_info()
+        assert (info.misses, info.hits) == (len(set(keys)), len(keys) - len(set(keys)))
+        monkeypatch.undo()
+        workload = Workload(cfg.prefill_tokens, cfg.decode_tokens)
+        for ind in res.evaluated[:4]:
+            self._assert_work_matches(ind.genome, workload, DEFAULT_CHIP_GRID)
 
     def test_packs_only_what_can_change_the_answer(self):
         g = gn.random_genome(rng=np.random.default_rng(1))

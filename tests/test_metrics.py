@@ -1,19 +1,25 @@
 """Rank metrics and Pareto utilities vs brute-force oracles."""
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ihasearch import metrics as mx
 from ihasearch.search.nsga import fast_nondominated_sort
 
 from oracles import (
+    brute_constrained_dominates,
     brute_hypervolume_2d,
     brute_k_at_x,
     brute_kendall_tau_b,
     brute_mae_at_top,
     brute_pareto_front,
     brute_spearman_rho,
+    reference_constraint_dominance_matrix,
 )
 from test_search import constrained_arrays
 
@@ -141,6 +147,48 @@ class TestPareto:
         assert dom[1, 2] and not dom[2, 1]  # lower violation wins
         assert not dom[0, 3] and not dom[3, 0]  # feasible, mutually non-dominated
         assert not dom.diagonal().any()
+
+
+VALUE_POOL = [-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf, math.nan]
+VIOLATION_POOL = [0.0, 0.5, 2.0, math.inf, math.nan]
+
+
+@st.composite
+def dominance_inputs(draw):
+    """(values, feasible, violation) with n in 0..80 and m in 0..5: values
+    from a small pool with ties, signed zeros, infinities and NaN in every
+    row, random feasibility (or all feasible) and violations with inf and
+    NaN."""
+    n, m = draw(st.integers(0, 80)), draw(st.integers(0, 5))
+    values = draw(hnp.arrays(float, (n, m), elements=st.sampled_from(VALUE_POOL)))
+    if draw(st.booleans()):
+        feasible = np.ones(n, dtype=bool)
+    else:
+        feasible = draw(hnp.arrays(bool, n))
+    violation = draw(hnp.arrays(float, n, elements=st.sampled_from(VIOLATION_POOL)))
+    return values, feasible, violation
+
+
+class TestDominanceKernel:
+    """The per-objective kernel against the broadcast one it replaced and
+    against the literal rule."""
+
+    @given(dominance_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_and_literal_rule(self, case):
+        values, feasible, violation = case
+        n = len(values)
+        dom = mx.constraint_dominance_matrix(values, feasible, violation)
+        ref = reference_constraint_dominance_matrix(values, feasible, violation)
+        assert dom.shape == ref.shape == (n, n)
+        assert dom.dtype == ref.dtype == np.bool_
+        assert np.array_equal(dom, ref)
+        points = [(tuple(v), bool(f), float(viol))
+                  for v, f, viol in zip(values.tolist(), feasible, violation)]
+        brute = [[brute_constrained_dominates(a, b) for b in points] for a in points]
+        assert dom.tolist() == brute
+        if feasible.all():
+            assert mx.pareto_front(values) == brute_pareto_front([p for p, _, _ in points])
 
 
 class TestHypervolume:
