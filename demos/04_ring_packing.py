@@ -4,7 +4,8 @@ A model too large for one accelerator is split into contiguous layer groups
 placed around a ring of identical chips; weights stay resident, activations
 hop stage to stage.  For a candidate chip (MAC count, per-core weight SRAM)
 the packer finds the contiguous partition that minimizes the bottleneck
-stage's decode work, by binary-searching an ops budget over a greedy packer.
+stage's decode work: a greedy packer scans at an ops budget, and the budget
+rises to the smallest stage sum the scan turned away until the model fits.
 Sweeping a 45-point chip grid and keeping the Pareto-best (chip, plan) pairs
 turns one genome into hardware metrics: TTFT, TPOT, energy/token, area.
 

@@ -22,8 +22,7 @@ cap, and every chip of a call holds KV for ``workload.ctx_peak``, so:
   grows with the cap.  A memory size that fits is packed from its largest
   cap down; a larger cap's None settles every smaller cap, and so does its
   partition for a cap at least its stage count.  Only the other caps run
-  ``balanced_contiguous_pack``, and they share one candidate-budget list
-  (see ``packing``);
+  ``balanced_contiguous_pack``;
 - the simulation sums: a simulation's ops and energy sums depend only on
   the layers, the partition, the workload and the chip's energy constants,
   which ``build_chip`` leaves at their defaults.  A call sums the model's
@@ -32,7 +31,7 @@ cap, and every chip of a call holds KV for ``workload.ctx_peak``, so:
   are the same float expressions, in the same order, as ``ring_simulate``'s.
 
 For the default grid on ``ring_preset`` searches that is about 7 chips and
-2 packs per genome, down from 15 and 15, and about 4 greedy scans per pack;
+2 packs per genome, down from 15 and 15, and about 2.6 greedy scans per pack;
 the picks, their order and every float are those of packing and
 simulating every grid point.  A chip is a function of four exact ints,
 ``(n_mac, w_core_kb, core count, max_ctx)``, so ``build_chip`` constructs
@@ -133,13 +132,18 @@ def build_chip(
     Picks the smallest power-of-two core count whose combined weight memory
     holds the largest single layer, then factors it as n_dxt * n_vac with
     n_vac >= n_dxt.  ``n_mac``, ``w_core_kb`` and ``max_ctx`` are exact ints
-    (the rule of ``genome.require_ints``), or ValueError names the argument.
+    (the rule of ``genome.require_ints``), or ValueError names the argument;
+    so does a ``max_layer_weight_bytes`` that is not finite and >= 0.
     """
     for name, value in (("n_mac", n_mac), ("w_core_kb", w_core_kb), ("max_ctx", max_ctx)):
         if type(value) is not int:
             raise ValueError(f"build_chip: {name} must be an int, got {value!r}")
     if w_core_kb <= 0:
         raise ValueError("chip dimensions must be positive")
+    # inf would never end the doubling below, and NaN would end it at once
+    if not 0 <= max_layer_weight_bytes < math.inf:
+        raise ValueError(f"build_chip: max_layer_weight_bytes must be finite and >= 0, "
+                         f"got {max_layer_weight_bytes!r}")
     per_core = w_core_kb * 1024
     n_cores = 1
     while n_cores * per_core < max_layer_weight_bytes:

@@ -306,6 +306,61 @@ def reference_greedy_partition(profiles, limits, ops_budget):
     return stages
 
 
+def _reference_greedy_starts(layers, limits, ops_budget, n_stages_max):
+    """The greedy scan of ``balanced_contiguous_pack`` before the bid walk:
+    each stage's first layer, or None when some layer alone exceeds the
+    weight, KV or ops budget or the scan opens more than n_stages_max
+    stages.  Sums start at the int 0, so int ops add exactly."""
+    weight_cap, kv_cap = limits.weight_cap, limits.kv_cap
+    starts = [0]
+    w = k = o = 0
+    for i, (dw, dk, do) in enumerate(layers):
+        if w + dw <= weight_cap and k + dk <= kv_cap and o + do <= ops_budget:
+            w, k, o = w + dw, k + dk, o + do
+            continue
+        if dw > weight_cap or dk > kv_cap or do > ops_budget or len(starts) >= n_stages_max:
+            return None
+        starts.append(i)
+        w, k, o = dw, dk, do
+    return starts
+
+
+def reference_candidate_budgets(ops):
+    """The distinct sums of contiguous runs of ops that are at least the
+    largest element, each added from the run's first element, ascending."""
+    floor = max(ops)
+    sums = set()
+    for start in range(len(ops)):
+        sums.update(itertools.accumulate(ops[start:]))
+    return tuple(sorted(b for b in sums if b >= floor))
+
+
+def reference_balanced_pack(profiles, limits, n_chips_max):
+    """``balanced_contiguous_pack`` as a bisection over every candidate
+    budget, in the manner of Pinar & Aykanat (2004): the smallest feasible
+    contiguous-run sum, then the stage starts of the scan at it (LayerProfile
+    list, StageLimits).  Without the candidate memo or the short-model rule,
+    neither of which changed an answer."""
+    layers = [(p.weight_bytes, p.kv_bytes_per_token * limits.ctx_tokens, p.decode_ops)
+              for p in profiles]
+    for prof, (w, k, _) in zip(profiles, layers):
+        if w > limits.weight_cap or k > limits.kv_cap or prof.act_bytes > limits.act_cap:
+            return None
+    budgets = reference_candidate_budgets(tuple(o for _, _, o in layers))
+    lo, hi = 0, len(budgets) - 1
+    starts = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        probe = _reference_greedy_starts(layers, limits, budgets[mid], n_chips_max)
+        if probe is not None:
+            starts, hi = probe, mid - 1
+        else:
+            lo = mid + 1
+    if starts is None:
+        return None
+    return [list(range(a, b)) for a, b in zip(starts, starts[1:] + [len(layers)])]
+
+
 # --- full-length encoder reference --------------------------------------------
 # The encoder's forward and backward as they were before the active-length
 # trim, copied literally: every batch runs at its padded length L.  The

@@ -403,6 +403,44 @@ class TestSearchConfigFuzz:
         assert code in ((2,) if broken else (0, 2)), doc
 
 
+class TestNoStateAcrossRuns:
+    ARTIFACTS = ("archive.csv", "generations.csv", "events.jsonl")
+
+    def test_ring_searches_in_one_process_match_fresh_ones(self, tmp_path):
+        """The chip memo (``ring._chip``), ``snap_n_kv`` and ``_grid_sets``
+        outlive a run.  Ring searches A, B, A in one process, B on another
+        space, workload and seed, write the artifacts of A and of B each run
+        alone in a fresh interpreter."""
+        sizes = dict(population_size=6, offspring_size=6, generations=2, backend="ring",
+                     val_loss_max=3.5)
+        cfgs = {}
+        for name, extra in (("a", dict(prefill_tokens=512, decode_tokens=256, seed=11)),
+                            ("b", dict(prefill_tokens=1024, decode_tokens=1024, seed=5,
+                                       space="gqa"))):
+            (tmp_path / name).mkdir()
+            cfgs[name] = write_cfg(tmp_path / name, **sizes, **extra)
+        src = str(Path(ihasearch.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for name, cfg in cfgs.items():
+            script = ("from ihasearch.cli import main\n"
+                      f"raise SystemExit(main(['search', '--config', {str(cfg)!r}, "
+                      f"'--out', {str(tmp_path / ('fresh_' + name))!r}]))\n")
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        with contextlib.redirect_stdout(io.StringIO()):
+            for run, name in (("a1", "a"), ("b1", "b"), ("a2", "a")):
+                assert main(["search", "--config", str(cfgs[name]),
+                             "--out", str(tmp_path / run)]) == 0
+        for run, name in (("a1", "a"), ("b1", "b"), ("a2", "a")):
+            for artifact in self.ARTIFACTS:
+                fresh = (tmp_path / f"fresh_{name}" / artifact).read_bytes()
+                assert (tmp_path / run / artifact).read_bytes() == fresh, (run, artifact)
+        # B is another search, not a repeat of A
+        assert (tmp_path / "fresh_a" / "archive.csv").read_bytes() != (
+            tmp_path / "fresh_b" / "archive.csv").read_bytes()
+
+
 class TestScipyOnFirstUse:
     def test_oracle_search_and_pack_load_no_scipy_submodule(self, tmp_path, genome_file):
         """scipy.stats (rank statistics) and scipy.special (the encoder's

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ihasearch import genome as gn
@@ -46,6 +46,8 @@ from oracles import (
     bottleneck_ops,
     brute_best_bottleneck,
     brute_dominates,
+    reference_balanced_pack,
+    reference_candidate_budgets,
     reference_greedy_partition,
     reference_substrate_cost,
 )
@@ -275,6 +277,11 @@ class TestGreedyPartition:
         assert greedy_contiguous_partition([prof(10, 0, 10, 150)], ROOMY, 60) is None
         assert greedy_contiguous_partition([prof(10, 0, 70, 10)], ROOMY, 60) is None
 
+    def test_nan_budget_raises(self):
+        # it used to open an empty first stage: [[], [0], [1], [2]]
+        with pytest.raises(ValueError, match="ops_budget must not be NaN"):
+            greedy_contiguous_partition([prof(1, 1, 5, 1)] * 3, ROOMY, math.nan)
+
     def test_monotone_in_budget(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -386,7 +393,8 @@ class TestCountOnlyPack:
         assert part == reference_greedy_partition(profiles, limits, budget)
         layers = [(p.weight_bytes, p.kv_bytes_per_token * limits.ctx_tokens, p.decode_ops)
                   for p in profiles]
-        got = packing._greedy_starts(layers, limits, budget, n_max)
+        got, bid = packing._greedy_starts(layers, limits, budget, n_max)
+        assert bid > budget  # a stage closed by the ops budget alone bids
         if part is None or len(part) > n_max:
             assert got is None
         else:
@@ -426,16 +434,20 @@ class TestCountOnlyPack:
     @given(probe_cases())
     @settings(max_examples=300, deadline=None)
     def test_probes_per_pack(self, case):
-        """A pack whose layers all fit a stage alone probes one budget, the
-        largest layer's ops, and builds no candidate list when it has at
-        most the cap's layers; a longer model probes at most 1 + ceil(log2 M)
-        of its M candidate budgets.  No pack runs
-        greedy_contiguous_partition: the partition comes from the last
-        feasible probe."""
+        """A pack whose layers all fit a stage alone probes strictly
+        increasing candidate budgets, from the largest layer's ops, and only
+        the last probe can fit; with at most the cap's layers that first
+        probe fits.  No pack runs greedy_contiguous_partition: the partition
+        comes from the last probe."""
         profiles, limits, _, n_max = case
-        with mock.patch.object(packing, "_greedy_starts", wraps=packing._greedy_starts) as scan, \
-                mock.patch.object(packing, "_candidate_budgets",
-                                  wraps=packing._candidate_budgets) as budgets, \
+        probes, scan = [], packing._greedy_starts
+
+        def recording(layers, limits, budget, n_max):
+            starts, bid = scan(layers, limits, budget, n_max)
+            probes.append((budget, starts is not None))
+            return starts, bid
+
+        with mock.patch.object(packing, "_greedy_starts", recording), \
                 mock.patch.object(packing, "greedy_contiguous_partition") as partition:
             got = balanced_contiguous_pack(profiles, limits, n_max)
         assert got == exhaustive_balanced_pack(profiles, limits, n_max)
@@ -444,14 +456,15 @@ class TestCountOnlyPack:
         if any(p.weight_bytes > limits.weight_cap
                or p.kv_bytes_per_token * limits.ctx_tokens > limits.kv_cap
                or p.act_bytes > limits.act_cap for p in profiles):
-            assert got is None and scan.call_count == budgets.call_count == 0
-        elif len(profiles) <= n_max:
-            assert got is not None and budgets.call_count == 0
-            assert [c.args[2] for c in scan.call_args_list] == [max(ops)]
-        else:
-            assert budgets.call_count == 1
-            m = len(packing._candidate_budgets(ops, tuple(map(type, ops))))
-            assert 1 <= scan.call_count <= 1 + math.ceil(math.log2(m))
+            assert got is None and probes == []
+            return
+        budgets, fits = zip(*probes)
+        assert budgets[0] == max(ops)
+        assert all(x < y for x, y in zip(budgets, budgets[1:]))
+        assert set(budgets) <= set(reference_candidate_budgets(ops))
+        assert not any(fits[:-1]) and fits[-1] == (got is not None)
+        if len(profiles) <= n_max:
+            assert budgets == (max(ops),)
 
     def test_probes_of_a_three_layer_model(self):
         layers = [prof(10, 1, 30, 1), prof(10, 1, 20, 1), prof(10, 1, 40, 1)]
@@ -460,21 +473,105 @@ class TestCountOnlyPack:
             # three stages allowed: one scan at the largest layer's 40 ops
             assert balanced_contiguous_pack(layers, roomy, 3) == [[0], [1], [2]]
             assert [c.args[2] for c in scan.call_args_list] == [40]
-            # two: the candidates are 40, 50, 60 and 90, and the search
-            # probes 50 (feasible) and 40 (three stages)
+            # two: the scan at 40 opens a third stage, and its ops-closed
+            # stages bid 30 + 20 and 20 + 40, so the walk moves to 50
             scan.reset_mock()
             assert balanced_contiguous_pack(layers, roomy, 2) == [[0, 1], [2]]
-            assert [c.args[2] for c in scan.call_args_list] == [50, 40]
-            # a 15-byte stage holds one layer: no budget fits two stages
+            assert [c.args[2] for c in scan.call_args_list] == [40, 50]
+            # a 15-byte stage holds one layer: the weight cap closes every
+            # stage, so the scan bids nothing and no budget fits two stages
             scan.reset_mock()
             assert balanced_contiguous_pack(layers, StageLimits(15, 1000, 1000, 1.0), 2) is None
-            assert [c.args[2] for c in scan.call_args_list] == [50, 60, 90]
+            assert [c.args[2] for c in scan.call_args_list] == [40]
+
+
+OP_FAMILIES = ("equal", "geometric", "two_valued", "random_float", "random_int")
+
+
+@st.composite
+def long_pack_cases(draw):
+    """Up to 160 layers under the stage limits of one default-grid chip,
+    and a stage cap.  Ops come from one of five families (equal, geometric,
+    two-valued, random floats, random ints up to 2**60, past 2**53 where
+    float sums round), and some layers have no ops.  Weights and KV vary
+    below the chip's caps, so the weight, KV and ops budgets all close
+    stages; a KV term can also exceed the cap, or an activation the
+    scratchpad, so that nothing fits."""
+    n = draw(st.integers(1, 160))
+    family = draw(st.sampled_from(OP_FAMILIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "equal":
+        ops = [draw(st.sampled_from([1.0, 2.5e7, 3, 2**53 + 1]))] * n
+    elif family == "geometric":
+        base = draw(st.sampled_from([1.0, 3e6]))
+        ratio = draw(st.sampled_from([0.5, 0.9, 1.1, 2.0]))
+        ops = [base * ratio**i for i in range(n)]
+    elif family == "two_valued":
+        pair = draw(st.sampled_from([(1.0, 3.0), (0.1, 0.7), (5, 2**54 + 3)]))
+        ops = [pair[int(b)] for b in rng.integers(0, 2, n)]
+    elif family == "random_float":
+        ops = [float(x) for x in rng.uniform(0, 1e7, n)]
+    else:
+        ops = [int(x) for x in rng.integers(0, 2**60, n)]
+    zero_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    ops = [0 * o if z < zero_share else o for o, z in zip(ops, rng.random(n))]
+    n_mac, w_core_kb, grid_cap = draw(st.sampled_from(DEFAULT_CHIP_GRID.points))
+    max_ctx = draw(st.sampled_from([2, 133, 512, 768]))
+    w_max = draw(st.sampled_from([0, 1_000, 40_000, 400_000, 4_000_000]))
+    weights = [int(x) for x in rng.integers(0, w_max + 1, n)]
+    chip = build_chip(n_mac, w_core_kb, max(weights), max_ctx)
+    kv_max = int(chip.kv_cap / max_ctx * draw(st.sampled_from([0.0, 0.05, 0.3, 1.0, 1.2])))
+    kappas = [int(x) for x in rng.integers(0, kv_max + 1, n)]
+    act = draw(st.sampled_from([0, 0, 0, chip.scratch_bytes + 1]))
+    profiles = [LayerProfile(w, k, o, act if i == n // 2 else 0)
+                for i, (w, k, o) in enumerate(zip(weights, kappas, ops))]
+    limits = StageLimits(chip.weight_cap, chip.kv_cap, chip.scratch_bytes, chip.max_ctx)
+    cap = draw(st.one_of(st.just(grid_cap), st.integers(1, 3), st.integers(1, n + 1),
+                         st.just(math.inf)))
+    return profiles, limits, cap
+
+
+class TestBidWalk:
+    """The pack raises its budget from the largest layer's ops to each
+    scan's bid: the same partitions as a bisection over every candidate
+    budget (the sums of contiguous layer runs)."""
+
+    @given(long_pack_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_pack_equals_the_candidate_bisection(self, case):
+        profiles, limits, n_max = case
+        assert balanced_contiguous_pack(profiles, limits, n_max) == reference_balanced_pack(
+            profiles, limits, n_max)
+
+    @given(long_pack_cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_budgets_below_the_bid_scan_alike(self, case, data):
+        """Under no stage cap, every candidate from the budget up to the bid
+        scans to the budget's stage starts; a finite bid is a candidate above
+        the budget, and its own scan starts other stages."""
+        profiles, limits, _ = case
+        layers = packing._layer_terms(profiles, limits)
+        assume(all(w <= limits.weight_cap and k <= limits.kv_cap for w, k, _ in layers))
+        candidates = reference_candidate_budgets(tuple(o for _, _, o in layers))
+        i = data.draw(st.integers(0, len(candidates) - 1))
+        budget = candidates[i]
+        if i + 1 < len(candidates) and data.draw(st.booleans()):
+            between = budget + (candidates[i + 1] - budget) / 2
+            if budget < between < candidates[i + 1]:  # ints past 2**53 may round
+                budget = between
+        starts, bid = packing._greedy_starts(layers, limits, budget, math.inf)
+        assert starts is not None
+        alike = [c for c in candidates if budget <= c < bid]
+        for c in alike if len(alike) <= 32 else alike[:16] + alike[-16:]:
+            assert packing._greedy_starts(layers, limits, c, math.inf)[0] == starts
+        if bid < math.inf:
+            assert bid > budget and bid in set(candidates)
+            assert packing._greedy_starts(layers, limits, bid, math.inf)[0] != starts
 
 
 class TestBudgetMemo:
-    """The one-entry candidate-budget memo never changes a pack's answer:
-    every pack below equals the exhaustive search, whatever was packed
-    before it."""
+    """No pack's answer depends on an earlier pack: every pack below equals
+    the exhaustive search, whatever was packed before it."""
 
     @given(probe_cases(), probe_cases())
     @settings(max_examples=150, deadline=None)
@@ -556,6 +653,15 @@ class TestChipTemplate:
                 build_chip(16, 0, 1, 512)
             with pytest.raises(ValueError, match="finite and > 0"):
                 build_chip(0, 24, 1, 512)
+        assert ring._chip.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_build_chip_rejects_a_weight_size_not_finite_and_non_negative(self, bad):
+        # inf never left the core-count doubling loop, and NaN gave one core
+        ring._chip.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="max_layer_weight_bytes must be finite and >= 0"):
+                build_chip(16, 24, bad, 512)
         assert ring._chip.cache_info().currsize == 0
 
     def test_build_chip_core_growth_and_split(self):
@@ -726,17 +832,23 @@ class TestChipGridSearch:
     @contextlib.contextmanager
     def _counted():
         """Record build_chip's (n_mac, w_core_kb), each pack's
-        feasibility and cap, greedy_contiguous_partition calls and simulated
-        (chip, plan) pairs, at the module attributes the search calls."""
-        log = SimpleNamespace(chips=[], packs=[], caps=[], greedy=[], sims=[])
+        feasibility, cap and greedy scans, greedy_contiguous_partition calls
+        and simulated (chip, plan) pairs, at the module attributes the
+        search calls."""
+        log = SimpleNamespace(chips=[], packs=[], caps=[], scans=[], greedy=[], sims=[])
         pack, greedy = ring.balanced_contiguous_pack, packing.greedy_contiguous_partition
-        chip_of, simulate = ring.build_chip, ring._simulate
+        chip_of, simulate, scan = ring.build_chip, ring._simulate, packing._greedy_starts
 
         def counting_pack(profiles, limits, cap):
+            log.scans.append(0)
             out = pack(profiles, limits, cap)
             log.packs.append(out is not None)
             log.caps.append(cap)
             return out
+
+        def counting_scan(*args):
+            log.scans[-1] += 1
+            return scan(*args)
 
         def counting_chip(n_mac, w_core, *rest):
             log.chips.append((n_mac, w_core))
@@ -747,6 +859,7 @@ class TestChipGridSearch:
             (packing, "greedy_contiguous_partition"):
                 lambda *a: log.greedy.append(1) or greedy(*a),
             (ring, "build_chip"): counting_chip,
+            (packing, "_greedy_starts"): counting_scan,
             (ring, "_simulate"):
                 lambda plan, wl, *terms: log.sims.append((plan.chip, plan.partition))
                 or simulate(plan, wl, *terms),
@@ -763,7 +876,6 @@ class TestChipGridSearch:
     def _assert_work_matches(self, genome, workload, grid, top_k=3):
         chips, n_packs, n_fit_packs, n_packed, designs = self._expected_work(
             genome, workload, grid.points)
-        packing._candidate_budgets.cache_clear()
         with self._counted() as log:
             picks, n_feasible = chip_grid_search(genome, workload, grid, top_k)
         assert n_feasible == n_packed
@@ -776,11 +888,10 @@ class TestChipGridSearch:
         assert sum(log.packs) == n_fit_packs
         # each pack builds its partition from its last probe
         assert log.greedy == []
-        # a pack under a cap below the layer count searches the candidate
-        # budgets, and those packs share one list; the others need none
-        long_packs = sum(cap < len(profile_model(genome, workload)) for cap in log.caps)
-        info = packing._candidate_budgets.cache_info()
-        assert (info.hits + info.misses, info.misses) == (long_packs, min(1, long_packs))
+        # a pack scans at least once, and exactly once when the cap is at
+        # least the layer count: the largest layer's ops then fit
+        n_layers = len(profile_model(genome, workload))
+        assert all(n >= 1 and (cap < n_layers or n == 1) for cap, n in zip(log.caps, log.scans))
         # one simulation per distinct (chip, plan) of the literal sweep
         assert len(log.sims) == len(set(log.sims)) == len(designs)
         assert set(log.sims) == designs
